@@ -6,7 +6,7 @@
 //              structured f32-shaped buffer
 //   archives — per codec: v4 (filtered) vs v3 (raw) archive size on the
 //              trajectory config, the ratio check.sh tracks across PRs
-//   fetch    — per codec: file-backed ReadPayload MB/s (decoded bytes per
+//   fetch    — per codec: file-backed Payload MB/s (decoded bytes per
 //              second) over the whole archive, v3 vs v4 — the acceptance
 //              bar is that filtered fetch is no worse than raw
 //
@@ -95,12 +95,12 @@ double FetchMbPerS(const std::string& path, int reps) {
   tensor::Workspace ws;
   std::vector<std::uint8_t> out;
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    reader.ReadPayloadInto(i, &out, &ws);
+    reader.Payload(i, &out, &ws);
   }
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < reader.records().size(); ++i) {
-      reader.ReadPayloadInto(i, &out, &ws);
+      reader.Payload(i, &out, &ws);
     }
   }
   const double seconds = timer.Seconds();
@@ -117,16 +117,18 @@ double WindowFetchMbPerS(const std::string& path, api::Compressor* codec,
                          int reps) {
   const auto reader = core::ArchiveReader::FromFile(path);
   tensor::Workspace ws;
+  std::vector<std::uint8_t> scratch;
   double decoded_bytes = 0.0;
   // Warm-up sweep: page cache, workspace slabs, codec scratch.
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    const Tensor w = codec->DecompressWindow(reader.ReadPayload(i, &ws), &ws);
+    const Tensor w =
+        codec->DecompressWindow(reader.Payload(i, &scratch, &ws), &ws);
     decoded_bytes += static_cast<double>(w.numel()) * sizeof(float);
   }
   Timer timer;
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < reader.records().size(); ++i) {
-      (void)codec->DecompressWindow(reader.ReadPayload(i, &ws), &ws);
+      (void)codec->DecompressWindow(reader.Payload(i, &scratch, &ws), &ws);
     }
   }
   return decoded_bytes * reps / timer.Seconds() / double(1 << 20);

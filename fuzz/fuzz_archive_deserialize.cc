@@ -1,9 +1,13 @@
 // Fuzz target: DatasetArchive::Deserialize over arbitrary bytes.
 //
-// The container format promises that every length/count field is validated
-// against the remaining input before any allocation (container.h), so the
-// only acceptable outcomes here are a parsed archive or a typed exception.
-// Crashes, sanitizer reports, and OOM-sized allocations are findings.
+// Deserialize is ArchiveReader::FromBytes (the one archive parser) plus the
+// reader's record-area walk (VerifyRecordArea) plus a fetch of every payload,
+// so this target drives the same parser as fuzz_archive_reader and adds the
+// walk. The container format promises that every length/count field is
+// validated against the remaining input before any allocation (container.h),
+// so the only acceptable outcomes here are a parsed archive or a typed
+// exception. Crashes, sanitizer reports, and OOM-sized allocations are
+// findings.
 #include <cstddef>
 #include <cstdint>
 #include <exception>

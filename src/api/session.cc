@@ -238,16 +238,12 @@ bool DecodeSession::Next(Tensor* out, std::int64_t* t0_out) {
   std::vector<Decoded> decoded;
   decoded.reserve(indices.size());
   std::int64_t slab_frames = 0;
+  std::vector<std::uint8_t> scratch;  // never filled: FromArchive readers
+                                      // return the archive's own payloads
   for (const std::size_t index : indices) {
     const core::RecordRef& ref = reader_.records()[index];
-    // Borrowed-archive readers expose the payload in place; decode without
-    // the copy ReadPayload would make.
-    const std::vector<std::uint8_t>* payload = reader_.PayloadView(index);
-    Tensor recon =
-        payload != nullptr
-            ? codec_->DecompressWindow(*payload, &workspace_)
-            : codec_->DecompressWindow(reader_.ReadPayload(index, &workspace_),
-                                       &workspace_);
+    Tensor recon = codec_->DecompressWindow(
+        reader_.Payload(index, &scratch, &workspace_), &workspace_);
     GLSC_CHECK_MSG(recon.rank() == 3 && recon.dim(1) == shape[2] &&
                        recon.dim(2) == shape[3],
                    "decoded window geometry mismatch");

@@ -1,30 +1,37 @@
-// Random-access archive reading.
+// Random-access archive reading — the one parser of archive bytes.
 //
-// `DatasetArchive::Deserialize` materializes every record in memory; post-hoc
-// analysis (the paper's visualization / region-of-interest workloads) instead
-// reads small time slices of single variables far more often than whole
-// datasets. `ArchiveReader` opens an archive from a file or a byte buffer and
-// serves any record's payload without touching the others:
+// `ArchiveReader` opens an archive (container.h, v1-v4) from a file or a byte
+// buffer and serves any record's payload without touching the others:
 //
 //   auto reader = core::ArchiveReader::FromFile("run.glsca");
+//   std::vector<std::uint8_t> scratch;
 //   for (std::size_t i : reader.RecordsFor(variable, t_begin, t_end)) {
-//     codec->DecompressWindow(reader.ReadPayload(i));   // only these bytes
+//     // Reads only these records' bytes.
+//     codec->DecompressWindow(reader.Payload(i, &scratch));
 //   }
 //
-// For a v3/v4 archive (container.h) the reader fetches the header from the
-// front, the fixed footer from the back, and the index block the footer
-// points at — payload bytes are read lazily, one record at a time. v4 records
-// may be filtered (core/filters.h); ReadPayload inverts the declared chain
-// transparently, so callers always receive the raw codec payload. v1/v2
-// archives carry no index, so the reader scans the record area once to build
-// one; random access still works, it just costs a full read up front.
+// It is the only code that parses archive bytes. `DatasetArchive::Deserialize`
+// and `ReadFile` open through it, run VerifyRecordArea and then materialize
+// every payload; `DatasetArchive::AppendToFile` opens through it to take the
+// old header, norms and index. Post-hoc analysis (the paper's visualization /
+// region-of-interest workloads) reads small time slices of single variables
+// far more often than whole datasets, which is what the lazy open serves.
+//
+// For a v3/v4 archive the reader fetches the header from the front, the fixed
+// footer from the back, and the index block the footer points at — payload
+// bytes are read lazily, one record at a time. v4 records may be filtered
+// (core/filters.h); Payload inverts the declared chain transparently, so
+// callers always receive the raw codec payload. v1/v2 archives carry no
+// index, so the reader scans the record area once to build one; random access
+// still works, it just costs a full read up front.
 //
 // File-backed readers default to a read-only mmap of the archive (page-cache
 // backed random access, no syscall per record) and fall back to positioned
 // pread when mapping is unavailable; both are byte-identical and lock-free,
-// so ReadPayload is safe to call from multiple threads concurrently — what
-// serve::DecodeScheduler's worker fan-out relies on. The mmap backing assumes
-// the file is not truncated while open (standard mmap caveat).
+// so Payload is safe to call from multiple threads concurrently (each with
+// its own scratch vector) — what serve::DecodeScheduler's worker fan-out
+// relies on. The mmap backing assumes the file is not truncated while open
+// (standard mmap caveat).
 #pragma once
 
 #include <atomic>
@@ -120,21 +127,26 @@ class ArchiveReader {
   const data::FrameNorm& norm(std::int64_t variable, std::int64_t t) const;
   const std::vector<RecordRef>& records() const { return records_; }
 
-  // Fetches one record's RAW payload, inverting any v4 filter chain.
-  // File-backed readers read exactly that record's stored byte span;
-  // thread-safe. Filter/LZ scratch comes from `ws` when non-null (the reader
-  // opens its own Workspace::Scope), heap otherwise.
-  std::vector<std::uint8_t> ReadPayload(std::size_t record,
-                                        tensor::Workspace* ws = nullptr) const;
-  // Same, reusing `out`'s capacity — with a warm Workspace this makes
-  // steady-state filtered decode allocation-free.
-  void ReadPayloadInto(std::size_t record, std::vector<std::uint8_t>* out,
-                       tensor::Workspace* ws = nullptr) const;
+  // One record's RAW payload, with any v4 filter chain inverted.
+  // FromArchive readers return the archive's own vector (no copy, `scratch`
+  // untouched). Every other backing reads exactly that record's stored byte
+  // span, fills `*scratch` (reusing its capacity) and returns it; filter/LZ
+  // scratch comes from `ws` when non-null (the reader opens its own
+  // Workspace::Scope), heap otherwise — with a warm Workspace, steady-state
+  // filtered decode is allocation-free. Thread-safe as long as concurrent
+  // callers pass distinct scratch vectors.
+  const std::vector<std::uint8_t>& Payload(
+      std::size_t record, std::vector<std::uint8_t>* scratch,
+      tensor::Workspace* ws = nullptr) const;
 
-  // Zero-copy alternative when the backing already holds the payload as its
-  // own vector (FromArchive readers): returns a pointer into the archive, or
-  // nullptr for file/bytes backings — fall back to ReadPayload then.
-  const std::vector<std::uint8_t>* PayloadView(std::size_t record) const;
+  // Walks the record area and checks it against the index: each record
+  // header mirrors its index entry (v3/v4), the records tile the area in
+  // index order with nothing left over, and a v3 archive's leading record
+  // count equals the index count. Throws ArchiveError(kCorruptRecord).
+  // Deserialize and ReadFile run it before materializing; lazy opens do not,
+  // because they never read the record area. A no-op for v1/v2 (the open
+  // already scanned every record) and for FromArchive readers.
+  void VerifyRecordArea() const;
 
   // Indices (into records()) of `variable`'s records overlapping
   // [t_begin, t_end), sorted by t0.
@@ -143,7 +155,7 @@ class ArchiveReader {
                                       std::int64_t t_end) const;
 
   // STORED (on-disk, possibly compressed) payload bytes fetched through
-  // ReadPayload so far — lets tests and benches verify that a window query
+  // Payload so far — lets tests and benches verify that a window query
   // does not drag the whole archive through I/O, and that filtered archives
   // actually fetch fewer bytes than raw ones.
   std::uint64_t payload_bytes_fetched() const;
@@ -152,15 +164,31 @@ class ArchiveReader {
   std::uint64_t decoded_payload_bytes() const;
   // Total size of the backing stream (0 for FromArchive readers).
   std::uint64_t archive_bytes() const;
+  // Byte span [records_begin, records_end) of the record area: v4 from the
+  // header's end to the norms block (where AppendToFile starts rewriting),
+  // v1-v3 from the leading record count to the index (v3) or the end of the
+  // stream (v1/v2). Zero for FromArchive readers.
+  std::uint64_t records_begin() const { return records_begin_; }
+  std::uint64_t records_end() const { return records_end_; }
 
   class Source;  // internal byte source (file or memory)
 
  private:
+  // Deserialize opens its input in place: FromBytes over borrowed `bytes`,
+  // which must outlive the reader.
+  friend class DatasetArchive;
+  static ArchiveReader BorrowBytes(const std::vector<std::uint8_t>& bytes);
+
   ArchiveReader();
-  void ParseSource();      // typed-error wrapper around ParseSourceImpl
-  void ParseSourceImpl();
-  // v4: footer -> filtered norms block -> index (record area never read).
-  void ParseV4Tail(std::uint64_t header_end, std::uint64_t norm_count);
+  static ArchiveReader Open(std::unique_ptr<Source> source);
+  void ParseSource();
+  // v3/v4: footer -> (v4) filtered norms block -> index; the record area is
+  // never read.
+  void ParseTail();
+  // v1/v2: no index on disk — scan the record area once to build one.
+  void ScanRecords();
+  // Dataset-bounds and valid_frames checks shared by every record source.
+  void CheckPlacement(const RecordRef& ref, ArchiveFault fault) const;
   void BuildVariableIndex();
 
   std::string codec_ = "glsc";
@@ -168,9 +196,12 @@ class ArchiveReader {
   int version_ = 0;
   std::int64_t window_ = 0;
   std::vector<data::FrameNorm> norms_;  // unused when archive_ is set
+  std::uint64_t records_begin_ = 0;
+  std::uint64_t records_end_ = 0;
   std::vector<RecordRef> records_;
-  // Per-variable record indices sorted by t0, for range queries.
-  std::vector<std::vector<std::size_t>> by_variable_;
+  // Record indices sorted by (variable, t0), for range queries. Sized by the
+  // record count, never by the header's V.
+  std::vector<std::size_t> sorted_;
 
   std::unique_ptr<Source> source_;           // file/bytes backing
   const DatasetArchive* archive_ = nullptr;  // borrowed backing

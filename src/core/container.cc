@@ -1,11 +1,11 @@
 #include "core/container.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include "api/adapters.h"
 #include "api/session.h"
+#include "core/archive_reader.h"
 #include "util/check.h"
 
 namespace glsc::core {
@@ -15,9 +15,6 @@ constexpr char kMagic[4] = {'G', 'L', 'S', 'C'};
 constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
 constexpr std::uint8_t kVersion = 4;          // filtered records, appendable
 constexpr std::uint8_t kVersionIndexed = 3;   // v2 + random-access footer index
-constexpr std::uint8_t kVersionNoIndex = 2;   // codec-agnostic, no index
-constexpr std::uint8_t kLegacyVersion = 1;    // GLSC-only records
-constexpr std::uint64_t kFooterV4 = 20;  // u64 norms-off | u64 index-off | magic
 
 void PutShape(const Shape& shape, ByteWriter* out) { PutDims(shape, out); }
 Shape GetShape(ByteReader* in) { return GetDimsChecked(in); }
@@ -55,42 +52,30 @@ FilteredBlock EncodeBlock(const std::uint8_t* data, std::size_t n,
   return EncodeWithSelection(data, n, elem_hint);
 }
 
-// One record's index-entry view: the metadata mirrored between the record
-// header and the footer index, plus the ABSOLUTE offset of its stored bytes.
-struct V4Record {
-  std::int64_t variable = 0;
-  std::int64_t t0 = 0;
-  std::int64_t valid_frames = 0;
-  FilterSpec spec;
-  std::uint64_t raw_size = 0;
-  std::uint64_t offset = 0;
-  std::uint64_t stored_size = 0;
-};
-
 // Filters one entry's payload and appends its on-disk record form. `base` is
 // the absolute file offset at which `out`'s bytes will land (0 for one-shot
 // serialization, the old norms-offset for AppendToFile); `t0_shift` relocates
 // appended records onto the combined time axis.
-V4Record PutV4Record(ByteWriter* out, std::uint64_t base,
-                     const ArchiveEntry& entry,
-                     const std::optional<FilterSpec>& forced,
-                     std::int64_t t0_shift) {
+RecordRef PutV4Record(ByteWriter* out, std::uint64_t base,
+                      const ArchiveEntry& entry,
+                      const std::optional<FilterSpec>& forced,
+                      std::int64_t t0_shift) {
   const FilteredBlock block =
       EncodeBlock(entry.payload.data(), entry.payload.size(), 1, forced);
-  V4Record r;
+  RecordRef r;
   r.variable = entry.variable;
   r.t0 = entry.t0 + t0_shift;
   r.valid_frames = entry.valid_frames;
-  r.spec = block.spec;
+  r.filter = block.spec;
   r.raw_size = entry.payload.size();
-  r.stored_size = block.stored.size();
+  r.length = block.stored.size();
   out->PutVarU64(static_cast<std::uint64_t>(r.variable));
   out->PutVarU64(static_cast<std::uint64_t>(r.t0));
   out->PutVarU64(static_cast<std::uint64_t>(r.valid_frames));
-  out->PutU8(r.spec.WireFilter());
-  out->PutU8(r.spec.WireBackend());
+  out->PutU8(r.filter.WireFilter());
+  out->PutU8(r.filter.WireBackend());
   out->PutVarU64(r.raw_size);
-  out->PutVarU64(r.stored_size);
+  out->PutVarU64(r.length);
   r.offset = base + out->size();
   out->PutBytes(block.stored.data(), block.stored.size());
   return r;
@@ -99,7 +84,7 @@ V4Record PutV4Record(ByteWriter* out, std::uint64_t base,
 // Writes the v4 tail shared by Serialize and AppendToFile: the filtered norms
 // block, the index over `records`, and the fixed 20-byte footer.
 void PutV4Tail(ByteWriter* out, std::uint64_t base,
-               const std::vector<V4Record>& records,
+               const std::vector<RecordRef>& records,
                const std::vector<data::FrameNorm>& norms,
                const std::optional<FilterSpec>& forced) {
   const std::uint64_t norms_offset = base + out->size();
@@ -118,15 +103,38 @@ void PutV4Tail(ByteWriter* out, std::uint64_t base,
     out->PutVarU64(static_cast<std::uint64_t>(r.variable));
     out->PutVarU64(static_cast<std::uint64_t>(r.t0));
     out->PutVarU64(static_cast<std::uint64_t>(r.valid_frames));
-    out->PutU8(r.spec.WireFilter());
-    out->PutU8(r.spec.WireBackend());
+    out->PutU8(r.filter.WireFilter());
+    out->PutU8(r.filter.WireBackend());
     out->PutVarU64(r.raw_size);
     out->PutVarU64(r.offset);
-    out->PutVarU64(r.stored_size);
+    out->PutVarU64(r.length);
   }
   out->PutU64(norms_offset);
   out->PutU64(index_offset);
   out->PutBytes(kIndexMagic, sizeof kIndexMagic);
+}
+
+// Deserialize and ReadFile: check the record area against the index the
+// reader parsed, then copy out every record's raw payload.
+DatasetArchive Materialize(const ArchiveReader& reader) {
+  reader.VerifyRecordArea();
+  const Shape& shape = reader.dataset_shape();
+  // One flat V-major pass: a header with V = 2^31 and T = 0 costs nothing.
+  const std::int64_t frames = shape[1];
+  std::vector<data::FrameNorm> norms(static_cast<std::size_t>(shape[0] * frames));
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    const auto vt = static_cast<std::int64_t>(i);
+    norms[i] = reader.norm(vt / frames, vt % frames);
+  }
+  DatasetArchive archive(reader.codec(), shape, reader.window(),
+                         std::move(norms));
+  std::vector<std::uint8_t> scratch;
+  for (std::size_t i = 0; i < reader.records().size(); ++i) {
+    const RecordRef& ref = reader.records()[i];
+    archive.Add(ref.variable, ref.t0, ref.valid_frames,
+                reader.Payload(i, &scratch));
+  }
+  return archive;
 }
 
 }  // namespace
@@ -210,7 +218,7 @@ std::vector<std::uint8_t> DatasetArchive::Serialize(
              dataset_shape_[0] * dataset_shape_[1]);
 
   if (options.version == 4) {
-    std::vector<V4Record> records;
+    std::vector<RecordRef> records;
     records.reserve(entries_.size());
     for (const auto& entry : entries_) {
       records.push_back(
@@ -256,230 +264,7 @@ std::vector<std::uint8_t> DatasetArchive::Serialize(
 
 DatasetArchive DatasetArchive::Deserialize(
     const std::vector<std::uint8_t>& bytes) {
-  ByteReader in(bytes);
-  char magic[4];
-  in.GetBytes(magic, 4);
-  GLSC_CHECK_MSG(std::equal(magic, magic + 4, kMagic), "not a GLSC archive");
-  const std::uint8_t version = in.GetU8();
-  GLSC_CHECK_MSG(version == kVersion || version == kVersionIndexed ||
-                     version == kVersionNoIndex || version == kLegacyVersion,
-                 "unsupported archive version " << static_cast<int>(version));
-
-  DatasetArchive archive;
-  if (version >= kVersionNoIndex) {
-    const std::uint64_t codec_len = GetCheckedLength(&in, "codec name");
-    GLSC_CHECK_MSG(codec_len <= 64, "corrupt archive: codec name length");
-    archive.codec_.resize(codec_len);
-    in.GetBytes(archive.codec_.data(), codec_len);
-  } else {
-    archive.codec_ = "glsc";
-  }
-
-  archive.dataset_shape_.resize(4);
-  for (auto& d : archive.dataset_shape_) {
-    const std::uint64_t raw = in.GetU64();
-    // Per-dimension cap keeps every product below (V*T norms, V*T*H*W decode
-    // allocation) overflow-free, so the byte-count guards cannot be wrapped
-    // around by giant dimensions.
-    GLSC_CHECK_MSG(raw <= (1ull << 31),
-                   "corrupt archive: dataset dimension " << raw);
-    d = static_cast<std::int64_t>(raw);
-  }
-  archive.window_ = static_cast<std::int64_t>(in.GetU64());
-  GLSC_CHECK_MSG(archive.window_ > 0, "corrupt archive: non-positive window");
-
-  // Dims are <= 2^31, so V*T cannot wrap; the decode-time [V, T, H, W]
-  // element count must stay representable so DecompressAll's allocation
-  // cannot overflow signed arithmetic.
-  const std::uint64_t norm_count =
-      static_cast<std::uint64_t>(archive.dataset_shape_[0]) *
-      static_cast<std::uint64_t>(archive.dataset_shape_[1]);
-  const std::uint64_t frame_elems =
-      static_cast<std::uint64_t>(archive.dataset_shape_[2]) *
-      static_cast<std::uint64_t>(archive.dataset_shape_[3]);
-  GLSC_CHECK_MSG(frame_elems == 0 || norm_count <= (1ull << 62) / frame_elems,
-                 "corrupt archive: dataset element count overflows");
-
-  if (version == kVersion) {
-    // v4: records | norms | index | footer. The index drives the parse and
-    // the record area is cross-checked against it entry for entry, so a
-    // tampered index (or tampered record headers) throws here rather than
-    // silently desynchronizing random-access readers from Deserialize.
-    const std::uint64_t size = bytes.size();
-    const std::uint64_t header_end = in.pos();
-    GLSC_CHECK_MSG(size >= header_end + kFooterV4,
-                   "corrupt archive: truncated before v4 footer");
-    ByteReader footer(bytes.data() + size - kFooterV4, kFooterV4);
-    const std::uint64_t norms_offset = footer.GetU64();
-    const std::uint64_t index_offset = footer.GetU64();
-    char index_magic[4];
-    footer.GetBytes(index_magic, 4);
-    GLSC_CHECK_MSG(std::equal(index_magic, index_magic + 4, kIndexMagic),
-                   "corrupt archive: bad index magic");
-    GLSC_CHECK_MSG(header_end <= norms_offset && norms_offset <= index_offset &&
-                       index_offset <= size - kFooterV4,
-                   "corrupt archive: v4 footer offsets out of order");
-
-    ByteReader nb(bytes.data() + norms_offset, index_offset - norms_offset);
-    const std::uint8_t norms_filter_byte = nb.GetU8();
-  const std::uint8_t norms_backend_byte = nb.GetU8();
-  const FilterSpec norms_spec =
-      FilterSpec::FromWire(norms_filter_byte, norms_backend_byte);
-    const std::uint64_t norms_raw_size = nb.GetVarU64();
-    const std::uint64_t norms_stored_size = GetCheckedLength(&nb, "norms block");
-    GLSC_CHECK_MSG(norms_raw_size == norm_count * 2 * sizeof(float),
-                   "corrupt archive: norms block raw size " << norms_raw_size
-                                                            << " for "
-                                                            << norm_count
-                                                            << " norms");
-    ValidateFilteredSizes(norms_spec, norms_stored_size, norms_raw_size);
-    std::vector<std::uint8_t> norms_raw(norms_raw_size);
-    DecodeFiltered(bytes.data() + norms_offset + nb.pos(), norms_stored_size,
-                   norms_spec, norms_raw.data(), norms_raw_size, nullptr);
-    nb.Skip(norms_stored_size);
-    GLSC_CHECK_MSG(nb.AtEnd(),
-                   "corrupt archive: trailing bytes after norms block");
-    archive.norms_.resize(norm_count);
-    ByteReader norms_in(norms_raw);
-    for (auto& n : archive.norms_) {
-      n.mean = norms_in.GetF32();
-      n.range = norms_in.GetF32();
-    }
-
-    ByteReader ix(bytes.data() + index_offset, size - kFooterV4 - index_offset);
-    const std::uint64_t count = ix.GetVarU64();
-    // Every index entry costs at least 8 bytes (six varints + two u8s).
-    GLSC_CHECK_MSG(count <= ix.remaining() / 8,
-                   "corrupt archive: " << count << " index entries in "
-                                       << ix.remaining()
-                                       << " remaining bytes");
-    ByteReader rec(bytes.data() + header_end, norms_offset - header_end);
-    archive.entries_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ArchiveEntry entry;
-      entry.variable = static_cast<std::int64_t>(ix.GetVarU64());
-      entry.t0 = static_cast<std::int64_t>(ix.GetVarU64());
-      entry.valid_frames = static_cast<std::int64_t>(ix.GetVarU64());
-      const std::uint8_t filter_byte = ix.GetU8();
-      const std::uint8_t backend_byte = ix.GetU8();
-      const FilterSpec spec = FilterSpec::FromWire(filter_byte, backend_byte);
-      const std::uint64_t raw_size = ix.GetVarU64();
-      const std::uint64_t offset = ix.GetVarU64();
-      const std::uint64_t stored_size = ix.GetVarU64();
-      GLSC_CHECK_MSG(entry.variable >= 0 &&
-                         entry.variable < archive.dataset_shape_[0] &&
-                         entry.t0 >= 0 && entry.t0 < archive.dataset_shape_[1],
-                     "corrupt archive: record outside dataset bounds");
-      GLSC_CHECK_MSG(
-          entry.valid_frames > 0 && entry.valid_frames <= archive.window_,
-          "corrupt archive: record valid_frames " << entry.valid_frames);
-      ValidateFilteredSizes(spec, stored_size, raw_size);
-      // The record header must mirror the index entry, and records must tile
-      // the record area contiguously in index order.
-      const bool meta_ok =
-          rec.GetVarU64() == static_cast<std::uint64_t>(entry.variable) &&
-          rec.GetVarU64() == static_cast<std::uint64_t>(entry.t0) &&
-          rec.GetVarU64() == static_cast<std::uint64_t>(entry.valid_frames) &&
-          rec.GetU8() == spec.WireFilter() &&
-          rec.GetU8() == spec.WireBackend() && rec.GetVarU64() == raw_size &&
-          rec.GetVarU64() == stored_size;
-      GLSC_CHECK_MSG(meta_ok, "corrupt archive index: entry "
-                                  << i << " disagrees with its record");
-      GLSC_CHECK_MSG(offset == header_end + rec.pos(),
-                     "corrupt archive index: entry " << i
-                                                     << " payload offset");
-      GLSC_CHECK_MSG(stored_size <= rec.remaining(),
-                     "corrupt archive: record payload overruns record area");
-      entry.payload.resize(raw_size);
-      DecodeFiltered(bytes.data() + offset, stored_size, spec,
-                     entry.payload.data(), raw_size, nullptr);
-      rec.Skip(stored_size);
-      archive.entries_.push_back(std::move(entry));
-    }
-    GLSC_CHECK_MSG(rec.AtEnd(),
-                   "corrupt archive: record area not covered by index");
-    GLSC_CHECK_MSG(ix.AtEnd(), "corrupt archive: trailing bytes after index");
-    return archive;
-  }
-
-  // Each norm costs 8 bytes; reject dimension combinations the input cannot
-  // possibly back before allocating.
-  GLSC_CHECK_MSG(norm_count <= in.remaining() / (2 * sizeof(float)),
-                 "corrupt archive: " << norm_count << " frame norms in "
-                                     << in.remaining() << " remaining bytes");
-  archive.norms_.resize(norm_count);
-  for (auto& n : archive.norms_) {
-    n.mean = in.GetF32();
-    n.range = in.GetF32();
-  }
-
-  const std::uint64_t count = in.GetVarU64();
-  GLSC_CHECK_MSG(count <= in.remaining(),
-                 "corrupt archive: " << count << " records in "
-                                     << in.remaining() << " remaining bytes");
-  archive.entries_.reserve(count);
-  std::vector<std::uint64_t> payload_offsets(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ArchiveEntry entry;
-    entry.variable = static_cast<std::int64_t>(in.GetVarU64());
-    entry.t0 = static_cast<std::int64_t>(in.GetVarU64());
-    if (version >= kVersionNoIndex) {
-      entry.valid_frames = static_cast<std::int64_t>(in.GetVarU64());
-      entry.payload.resize(GetCheckedLength(&in, "payload"));
-      payload_offsets[i] = in.pos();
-      in.GetBytes(entry.payload.data(), entry.payload.size());
-    } else {
-      // v1 record bodies are bit-identical to the "glsc" codec payload:
-      // re-serializing the parsed window lifts them into v2 entries.
-      const CompressedWindow window = DeserializeWindow(&in);
-      entry.valid_frames =
-          window.window_shape.empty() ? archive.window_ : window.window_shape[0];
-      ByteWriter payload;
-      SerializeWindow(window, &payload);
-      entry.payload = payload.Release();
-    }
-    GLSC_CHECK_MSG(entry.variable >= 0 &&
-                       entry.variable < archive.dataset_shape_[0] &&
-                       entry.t0 >= 0 && entry.t0 < archive.dataset_shape_[1],
-                   "corrupt archive: record outside dataset bounds");
-    GLSC_CHECK_MSG(
-        entry.valid_frames > 0 && entry.valid_frames <= archive.window_,
-        "corrupt archive: record valid_frames " << entry.valid_frames);
-    archive.entries_.push_back(std::move(entry));
-  }
-
-  if (version == kVersionIndexed) {
-    // The footer index is redundant with the records just parsed; verify it
-    // agrees entry for entry so a truncated or tampered index throws here
-    // rather than silently desynchronizing random-access readers.
-    const std::uint64_t index_offset = in.pos();
-    const std::uint64_t index_count = in.GetVarU64();
-    GLSC_CHECK_MSG(index_count == count,
-                   "corrupt archive index: " << index_count
-                                             << " index entries for " << count
-                                             << " records");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto& entry = archive.entries_[i];
-      const bool meta_ok =
-          in.GetVarU64() == static_cast<std::uint64_t>(entry.variable) &&
-          in.GetVarU64() == static_cast<std::uint64_t>(entry.t0) &&
-          in.GetVarU64() == static_cast<std::uint64_t>(entry.valid_frames);
-      const bool span_ok = in.GetVarU64() == payload_offsets[i] &&
-                           in.GetVarU64() == entry.payload.size();
-      GLSC_CHECK_MSG(meta_ok && span_ok,
-                     "corrupt archive index: entry " << i
-                                                     << " disagrees with its "
-                                                        "record");
-    }
-    GLSC_CHECK_MSG(in.remaining() == 12, "corrupt archive: malformed footer");
-    GLSC_CHECK_MSG(in.GetU64() == index_offset,
-                   "corrupt archive: footer index offset mismatch");
-    char index_magic[4];
-    in.GetBytes(index_magic, 4);
-    GLSC_CHECK_MSG(std::equal(index_magic, index_magic + 4, kIndexMagic),
-                   "corrupt archive: bad index magic");
-  }
-  return archive;
+  return Materialize(ArchiveReader::BorrowBytes(bytes));
 }
 
 void DatasetArchive::WriteFile(const std::string& path) const {
@@ -487,9 +272,7 @@ void DatasetArchive::WriteFile(const std::string& path) const {
 }
 
 DatasetArchive DatasetArchive::ReadFile(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  GLSC_CHECK_MSG(ReadFileBytes(path, &bytes), "cannot read " << path);
-  return Deserialize(bytes);
+  return Materialize(ArchiveReader::FromFile(path, FileBacking::kPread));
 }
 
 void DatasetArchive::AppendToFile(const std::string& path,
@@ -501,140 +284,85 @@ void DatasetArchive::AppendToFile(const std::string& path,
     WriteFileBytes(path, more.Serialize(options));
     return;
   }
-  std::vector<std::uint8_t> bytes;
-  GLSC_CHECK_MSG(ReadFileBytes(path, &bytes), "cannot read " << path);
-
-  // Minimal v4 parse: header, footer, index and norms. Old record bytes are
-  // reused verbatim — never decoded, never rewritten.
-  ByteReader in(bytes);
-  char magic[4];
-  in.GetBytes(magic, 4);
-  GLSC_CHECK_MSG(std::equal(magic, magic + 4, kMagic), "not a GLSC archive");
-  const std::uint8_t version = in.GetU8();
-  GLSC_CHECK_MSG(version == kVersion,
-                 "cannot append in place to a v"
-                     << static_cast<int>(version)
-                     << " archive; rewrite it through Serialize");
-  const std::string codec = in.GetString();
-  GLSC_CHECK_MSG(codec == more.codec_, "append codec mismatch: archive holds "
-                                           << codec << ", appending "
-                                           << more.codec_);
-  Shape dims(4);
-  std::uint64_t frames_field_pos = 0;  // byte offset of the header's u64 T
-  for (int i = 0; i < 4; ++i) {
-    if (i == 1) frames_field_pos = in.pos();
-    dims[i] = static_cast<std::int64_t>(in.GetU64());
-  }
-  const auto window = static_cast<std::int64_t>(in.GetU64());
-  GLSC_CHECK_MSG(dims[0] == more.dataset_shape_[0] &&
-                     dims[2] == more.dataset_shape_[2] &&
-                     dims[3] == more.dataset_shape_[3],
-                 "append dataset shape mismatch");
-  GLSC_CHECK_MSG(window == more.window_, "append window mismatch");
-  const std::int64_t vars = dims[0];
-  const std::int64_t base_t = dims[1];
+  const std::int64_t vars = more.dataset_shape_[0];
   const std::int64_t more_t = more.dataset_shape_[1];
-  GLSC_CHECK(base_t >= 0 && more_t >= 0 &&
+  GLSC_CHECK(more_t >= 0 &&
              static_cast<std::int64_t>(more.norms_.size()) == vars * more_t);
-  const std::uint64_t header_end = in.pos();
 
-  GLSC_CHECK_MSG(bytes.size() >= header_end + kFooterV4,
-                 "corrupt archive: truncated before v4 footer");
-  ByteReader footer(bytes.data() + bytes.size() - kFooterV4, kFooterV4);
-  const std::uint64_t norms_offset = footer.GetU64();
-  const std::uint64_t index_offset = footer.GetU64();
-  char index_magic[4];
-  footer.GetBytes(index_magic, 4);
-  GLSC_CHECK_MSG(std::equal(index_magic, index_magic + 4, kIndexMagic),
-                 "corrupt archive: bad index magic");
-  GLSC_CHECK_MSG(header_end <= norms_offset && norms_offset <= index_offset &&
-                     index_offset <= bytes.size() - kFooterV4,
-                 "corrupt archive: v4 footer offsets out of order");
-
-  // Old norms, decoded; old index entries, carried over offsets unchanged.
-  ByteReader nb(bytes.data() + norms_offset, index_offset - norms_offset);
-  const std::uint8_t norms_filter_byte = nb.GetU8();
-  const std::uint8_t norms_backend_byte = nb.GetU8();
-  const FilterSpec norms_spec =
-      FilterSpec::FromWire(norms_filter_byte, norms_backend_byte);
-  const std::uint64_t norms_raw_size = nb.GetVarU64();
-  const std::uint64_t norms_stored_size = GetCheckedLength(&nb, "norms block");
-  GLSC_CHECK_MSG(norms_raw_size == static_cast<std::uint64_t>(vars * base_t) *
-                                       2 * sizeof(float),
-                 "corrupt archive: norms block raw size");
-  ValidateFilteredSizes(norms_spec, norms_stored_size, norms_raw_size);
-  std::vector<std::uint8_t> norms_raw(norms_raw_size);
-  DecodeFiltered(bytes.data() + norms_offset + nb.pos(), norms_stored_size,
-                 norms_spec, norms_raw.data(), norms_raw_size, nullptr);
-
-  ByteReader ix(bytes.data() + index_offset,
-                bytes.size() - kFooterV4 - index_offset);
-  const std::uint64_t old_count = ix.GetVarU64();
-  GLSC_CHECK_MSG(old_count <= ix.remaining() / 8,
-                 "corrupt archive: " << old_count << " index entries in "
-                                     << ix.remaining() << " remaining bytes");
-  std::vector<V4Record> records;
-  records.reserve(old_count + more.entries_.size());
-  for (std::uint64_t i = 0; i < old_count; ++i) {
-    V4Record r;
-    r.variable = static_cast<std::int64_t>(ix.GetVarU64());
-    r.t0 = static_cast<std::int64_t>(ix.GetVarU64());
-    r.valid_frames = static_cast<std::int64_t>(ix.GetVarU64());
-    const std::uint8_t filter_byte = ix.GetU8();
-    const std::uint8_t backend_byte = ix.GetU8();
-    r.spec = FilterSpec::FromWire(filter_byte, backend_byte);
-    r.raw_size = ix.GetVarU64();
-    r.offset = ix.GetVarU64();
-    r.stored_size = ix.GetVarU64();
-    records.push_back(r);
+  // The reader validates the existing archive and reads only its header,
+  // norms and index; old record bytes are reused verbatim — never read,
+  // decoded or rewritten. It is dropped before the first write, so no file
+  // handle or mapping outlives the rewrite or truncate below.
+  std::vector<RecordRef> records;
+  std::vector<data::FrameNorm> norms;
+  std::int64_t new_t = 0;
+  std::uint64_t tail_offset = 0;  // the old norms-offset: the rewrite starts
+  std::uint64_t frames_field = 0;  // byte offset of the header's u64 T
+  std::uint64_t old_size = 0;
+  {
+    const ArchiveReader old =
+        ArchiveReader::FromFile(path, FileBacking::kPread);
+    GLSC_CHECK_MSG(old.version() == kVersion,
+                   "cannot append in place to a v"
+                       << old.version()
+                       << " archive; rewrite it through Serialize");
+    GLSC_CHECK_MSG(old.codec() == more.codec_,
+                   "append codec mismatch: archive holds "
+                       << old.codec() << ", appending " << more.codec_);
+    const Shape& dims = old.dataset_shape();
+    GLSC_CHECK_MSG(dims[0] == vars && dims[2] == more.dataset_shape_[2] &&
+                       dims[3] == more.dataset_shape_[3],
+                   "append dataset shape mismatch");
+    GLSC_CHECK_MSG(old.window() == more.window_, "append window mismatch");
+    const std::int64_t base_t = dims[1];
+    new_t = base_t + more_t;
+    records = old.records();
+    // Merged norms, V-major over the combined time axis — exactly the order
+    // a one-shot serialization of the combined record set would encode.
+    norms.resize(static_cast<std::size_t>(vars * new_t));
+    for (std::int64_t v = 0; v < vars; ++v) {
+      for (std::int64_t t = 0; t < base_t; ++t) {
+        norms[static_cast<std::size_t>(v * new_t + t)] = old.norm(v, t);
+      }
+      for (std::int64_t t = 0; t < more_t; ++t) {
+        norms[static_cast<std::size_t>(v * new_t + base_t + t)] =
+            more.norms_[static_cast<std::size_t>(v * more_t + t)];
+      }
+    }
+    tail_offset = old.records_end();
+    // The v4 header ends u64 T | u64 H | u64 W | u64 window.
+    frames_field = old.records_begin() - 4 * sizeof(std::uint64_t);
+    old_size = old.archive_bytes();
   }
 
-  // New records land where the old norms block started.
+  // New records land where the old norms block started, shifted onto the
+  // combined time axis.
   ByteWriter tail;
   for (const auto& entry : more.entries_) {
-    records.push_back(
-        PutV4Record(&tail, norms_offset, entry, options.forced_filter, base_t));
+    records.push_back(PutV4Record(&tail, tail_offset, entry,
+                                  options.forced_filter, new_t - more_t));
   }
-
-  // Merged norms, V-major over the combined time axis — exactly the order a
-  // one-shot serialization of the combined record set would encode.
-  const std::int64_t new_t = base_t + more_t;
-  std::vector<data::FrameNorm> norms(static_cast<std::size_t>(vars * new_t));
-  ByteReader old_norms(norms_raw);
-  for (std::int64_t v = 0; v < vars; ++v) {
-    for (std::int64_t t = 0; t < base_t; ++t) {
-      auto& n = norms[static_cast<std::size_t>(v * new_t + t)];
-      n.mean = old_norms.GetF32();
-      n.range = old_norms.GetF32();
-    }
-    for (std::int64_t t = 0; t < more_t; ++t) {
-      norms[static_cast<std::size_t>(v * new_t + base_t + t)] =
-          more.norms_[static_cast<std::size_t>(v * more_t + t)];
-    }
-  }
-  PutV4Tail(&tail, norms_offset, records, norms, options.forced_filter);
+  PutV4Tail(&tail, tail_offset, records, norms, options.forced_filter);
+  ByteWriter frames;
+  frames.PutU64(static_cast<std::uint64_t>(new_t));
 
   // Splice: overwrite from the old norms offset, patch the header's u64 T in
   // place, and truncate if the rewritten tail came out shorter (possible when
   // the merged norms block compresses better than the old one).
-  const std::uint64_t new_size = norms_offset + tail.size();
+  const std::uint64_t new_size = tail_offset + tail.size();
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     GLSC_CHECK_MSG(f.good(), "cannot open " << path << " for append");
-    f.seekp(static_cast<std::streamoff>(norms_offset));
+    f.seekp(static_cast<std::streamoff>(tail_offset));
     f.write(reinterpret_cast<const char*>(tail.bytes().data()),
             static_cast<std::streamsize>(tail.size()));
-    std::uint8_t t_le[8];
-    for (int i = 0; i < 8; ++i) {
-      t_le[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(new_t) >>
-                                          (8 * i));
-    }
-    f.seekp(static_cast<std::streamoff>(frames_field_pos));
-    f.write(reinterpret_cast<const char*>(t_le), sizeof t_le);
+    f.seekp(static_cast<std::streamoff>(frames_field));
+    f.write(reinterpret_cast<const char*>(frames.bytes().data()),
+            static_cast<std::streamsize>(frames.size()));
     f.flush();
     GLSC_CHECK_MSG(f.good(), "append write to " << path << " failed");
   }
-  if (new_size < bytes.size()) {
+  if (new_size < old_size) {
     std::error_code ec;
     std::filesystem::resize_file(path, new_size, ec);
     GLSC_CHECK_MSG(!ec, "cannot truncate " << path << " after append");

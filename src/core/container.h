@@ -47,17 +47,19 @@
 // pad the final record up to the window length; only the first valid_frames
 // decoded frames are real (see api/session.h).
 //
-// Version 1-3 archives still load unchanged: v3 (inline norms, raw records,
-// 12-byte footer) deserializes on the legacy path, v2 lacks the index/footer,
-// and v1 record bodies are bit-identical to the "glsc" codec payload, so
-// deserialization lifts them into current entries in place. Serialize can
-// still WRITE the v3 layout (ArchiveWriteOptions::version = 3) for
-// compatibility tests and raw-vs-filtered benchmarks.
+// Version 1-3 archives still load unchanged: v3 has inline norms, raw records
+// and a 12-byte footer, v2 lacks the index/footer, and v1 record bodies are
+// bit-identical to the "glsc" codec payload. Serialize can still WRITE the v3
+// layout (ArchiveWriteOptions::version = 3) for compatibility tests and
+// raw-vs-filtered benchmarks.
 //
-// All length/count/size fields are validated against the remaining input
-// before any allocation, so a truncated or hostile archive raises a typed
-// core::ArchiveError (via filters) or std::runtime_error instead of OOMing
-// or crashing.
+// This file holds the writers and the "glsc" payload body codec. Every read
+// of archive bytes — v1 to v4 — goes through core::ArchiveReader, the one
+// parser: Deserialize and ReadFile open with it, run its record-area walk
+// (ArchiveReader::VerifyRecordArea) and materialize every payload;
+// AppendToFile opens with it to take the old header, norms and index. All length/count/size fields are validated against
+// the remaining input before any allocation, so a truncated or hostile
+// archive raises a typed core::ArchiveError instead of OOMing or crashing.
 #pragma once
 
 #include <optional>
@@ -116,9 +118,18 @@ class DatasetArchive {
 
   std::vector<std::uint8_t> Serialize(
       const ArchiveWriteOptions& options = {}) const;
+  // ArchiveReader over `bytes` (borrowed, not copied), then VerifyRecordArea,
+  // then a copy of every record's raw payload. Throws ArchiveError on hostile
+  // or damaged bytes, with the fault ArchiveReader::FromBytes reports for
+  // them.
   static DatasetArchive Deserialize(const std::vector<std::uint8_t>& bytes);
 
   void WriteFile(const std::string& path) const;
+  // Same as Deserialize over ArchiveReader::FromFile with the pread backing:
+  // the header and tail first, then one header read (the walk) and one
+  // payload read per record. No whole-file buffer is held, so peak memory is
+  // the payloads alone, and a file truncated underneath fails typed instead
+  // of faulting through a mapping.
   static DatasetArchive ReadFile(const std::string& path);
 
   // Extends the v4 archive at `path` with `more`'s records WITHOUT rewriting
@@ -129,6 +140,9 @@ class DatasetArchive {
   // its own [V, T_more, H, W] archive. codec, V, H, W and window must match.
   // The result is byte-identical to one-shot serialization of the combined
   // record set (filter selection is deterministic in the payload bytes).
+  // The existing archive is opened with ArchiveReader::FromFile, which reads
+  // only its header and tail and validates them: an archive the reader
+  // rejects throws that ArchiveError before anything is written.
   // Creates the file when it does not exist. v1-v3 archives are rejected —
   // their layout cannot grow in place; rewrite them through Serialize.
   // Not crash-atomic: a failure mid-append leaves the tail unreadable (the

@@ -36,11 +36,9 @@ Tensor DecodeScheduler::DecodeRecord(std::size_t record, std::size_t worker,
   if (options_.fault_injector != nullptr) {
     options_.fault_injector->OnDecode(record);
   }
-  const std::vector<std::uint8_t>* view = reader_->PayloadView(record);
-  return view != nullptr
-             ? workers_[worker]->DecompressWindow(*view, ws)
-             : workers_[worker]->DecompressWindow(
-                   reader_->ReadPayload(record, ws), ws);
+  std::vector<std::uint8_t> scratch;
+  return workers_[worker]->DecompressWindow(
+      reader_->Payload(record, &scratch, ws), ws);
 }
 
 std::vector<Tensor> DecodeScheduler::Fetch(
@@ -185,11 +183,10 @@ std::vector<Tensor> DecodeScheduler::Fetch(
       // Batched dispatch: ONE DecompressWindows call for the whole chunk.
       // The injector hook and payload fetch run per record first; records
       // failing there are published as failures and excluded from the batch.
-      // Payloads the reader cannot expose as views are read into owned_bytes,
-      // which is reserved up front because `payloads` keeps pointers into it.
+      // Each record gets its own scratch vector, since `payloads` holds them
+      // all at once.
       std::vector<std::size_t> live;  // owned[] positions still in the batch
-      std::vector<std::vector<std::uint8_t>> owned_bytes;
-      owned_bytes.reserve(n);
+      std::vector<std::vector<std::uint8_t>> scratch(n);
       std::vector<const std::vector<std::uint8_t>*> payloads;
       payloads.reserve(n);
       live.reserve(n);
@@ -199,12 +196,8 @@ std::vector<Tensor> DecodeScheduler::Fetch(
           if (options_.fault_injector != nullptr) {
             options_.fault_injector->OnDecode(record);
           }
-          const std::vector<std::uint8_t>* view = reader_->PayloadView(record);
-          if (view == nullptr) {
-            owned_bytes.push_back(reader_->ReadPayload(record, ws));
-            view = &owned_bytes.back();
-          }
-          payloads.push_back(view);
+          payloads.push_back(
+              &reader_->Payload(record, &scratch[j - begin], ws));
           live.push_back(j);
         } catch (...) {
           publish_failure(j, std::current_exception());
@@ -222,23 +215,16 @@ std::vector<Tensor> DecodeScheduler::Fetch(
       }
       if (!batch_ok) {
         // The batched call cannot say WHICH payload sank it. Re-decode the
-        // batch per record (injector already consumed its charges above, so
-        // this pass sees the codec's real behavior) to attribute the failure
-        // to exactly the bad record(s) and save the good ones.
-        for (const std::size_t j : live) {
-          const std::size_t record = indices[owned[j]];
+        // fetched payloads per record (injector already consumed its charges
+        // above, so this pass sees the codec's real behavior) to attribute
+        // the failure to exactly the bad record(s) and save the good ones.
+        for (std::size_t k = 0; k < live.size(); ++k) {
           try {
-            const std::vector<std::uint8_t>* view =
-                reader_->PayloadView(record);
-            Tensor recon =
-                view != nullptr
-                    ? workers_[worker]->DecompressWindow(*view, ws)
-                    : workers_[worker]->DecompressWindow(
-                          reader_->ReadPayload(record, ws), ws);
-            check_geometry(recon, record);
-            publish(&j, &recon, 1);
+            Tensor recon = workers_[worker]->DecompressWindow(*payloads[k], ws);
+            check_geometry(recon, indices[owned[live[k]]]);
+            publish(&live[k], &recon, 1);
           } catch (...) {
-            publish_failure(j, std::current_exception());
+            publish_failure(live[k], std::current_exception());
           }
         }
         return;

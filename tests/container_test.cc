@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
+#include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
@@ -39,6 +41,31 @@ CompressedWindow MakeFakeWindow(Rng& rng) {
 std::vector<std::uint8_t> Payload(const CompressedWindow& window) {
   ByteWriter out;
   SerializeWindow(window, &out);
+  return out.Release();
+}
+
+// A complete v4 archive of dims [vars, frames, 1, 1] with no records and an
+// empty norms block.
+std::vector<std::uint8_t> EmptyV4(std::uint64_t vars, std::uint64_t frames) {
+  ByteWriter out;
+  out.PutBytes("GLSC", 4);
+  out.PutU8(4);
+  out.PutString("glsc");
+  out.PutU64(vars);
+  out.PutU64(frames);
+  out.PutU64(1);  // H
+  out.PutU64(1);  // W
+  out.PutU64(8);  // window
+  const std::uint64_t norms_offset = out.size();
+  out.PutU8(0);      // no filter
+  out.PutU8(0);      // no backend
+  out.PutVarU64(0);  // raw size
+  out.PutVarU64(0);  // stored size
+  const std::uint64_t index_offset = out.size();
+  out.PutVarU64(0);  // no records
+  out.PutU64(norms_offset);
+  out.PutU64(index_offset);
+  out.PutBytes("GIDX", 4);
   return out.Release();
 }
 
@@ -133,7 +160,9 @@ TEST(Container, RejectsCorruptMagic) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[0] = 'X';
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  ExpectDeserializeFailsLikeReader(bytes);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kNotAnArchive);
 }
 
 TEST(Container, RejectsUnknownVersion) {
@@ -141,7 +170,9 @@ TEST(Container, RejectsUnknownVersion) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[4] = 99;  // version byte
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  ExpectDeserializeFailsLikeReader(bytes);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kNotAnArchive);
 }
 
 TEST(Container, TruncatedArchiveThrowsInsteadOfCrashing) {
@@ -155,8 +186,8 @@ TEST(Container, TruncatedArchiveThrowsInsteadOfCrashing) {
                           bytes.size() / 4, std::size_t{6}}) {
     const std::vector<std::uint8_t> cut(bytes.begin(),
                                         bytes.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(DatasetArchive::Deserialize(cut), std::runtime_error)
-        << "length " << len;
+    SCOPED_TRACE(len);
+    ExpectDeserializeFailsLikeReader(cut);
   }
 }
 
@@ -168,17 +199,12 @@ TEST(Container, EmptyAndTinyInputsThrowTyped) {
   for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                           std::size_t{4}, std::size_t{5}}) {
     const std::vector<std::uint8_t> bytes(len, 'G');
-    EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error)
-        << "Deserialize, length " << len;
-    std::vector<std::uint8_t> copy = bytes;
-    try {
-      ArchiveReader::FromBytes(std::move(copy));
-      FAIL() << "FromBytes accepted a " << len << "-byte archive";
-    } catch (const ArchiveError& e) {
-      EXPECT_TRUE(e.fault() == ArchiveFault::kNotAnArchive ||
-                  e.fault() == ArchiveFault::kTruncated)
-          << "length " << len;
-    }
+    SCOPED_TRACE(len);
+    const std::optional<ArchiveFault> fault =
+        FaultOf([&] { ArchiveReader::FromBytes(bytes); });
+    EXPECT_TRUE(fault == ArchiveFault::kNotAnArchive ||
+                fault == ArchiveFault::kTruncated);
+    ExpectDeserializeFailsLikeReader(bytes);
   }
 }
 
@@ -199,8 +225,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   hostile.PutVarU64(0);
   hostile.PutVarU64(1ull << 60);  // y-stream "length"
   hostile.PutU8(0);
-  EXPECT_THROW(DatasetArchive::Deserialize(hostile.bytes()),
-               std::runtime_error);
+  ExpectDeserializeFailsLikeReader(hostile.bytes());
 
   // Hostile header: dataset dims whose norm count could never fit the input.
   ByteWriter huge;
@@ -212,7 +237,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   huge.PutU64(16);
   huge.PutU64(16);
   huge.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(huge.bytes()), std::runtime_error);
+  ExpectDeserializeFailsLikeReader(huge.bytes());
 
   // V = T = 2^32 would wrap V*T to zero and sneak past a naive norm-count
   // guard; the per-dimension cap must reject it first.
@@ -225,7 +250,44 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   wrap.PutU64(16);
   wrap.PutU64(16);
   wrap.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(wrap.bytes()), std::runtime_error);
+  ExpectDeserializeFailsLikeReader(wrap.bytes());
+
+  // Dims [2, 2, 2^31, 2^31] each pass the per-dimension cap, but the
+  // [V, T, H, W] element count (2^64) would wrap ShapeNumel to 0, so a full
+  // decode would hand back an empty tensor. A complete v2 archive with no
+  // records (fuzz/corpus-regressions/dims-overflow-header.bin) must be
+  // rejected at the header.
+  ByteWriter overflow;
+  overflow.PutBytes("GLSC", 4);
+  overflow.PutU8(2);
+  overflow.PutString("glsc");
+  for (const std::uint64_t d : {2ull, 2ull, 1ull << 31, 1ull << 31}) {
+    overflow.PutU64(d);
+  }
+  overflow.PutU64(8);
+  for (int i = 0; i < 4; ++i) {
+    overflow.PutF32(0.0f);
+    overflow.PutF32(1.0f);
+  }
+  overflow.PutVarU64(0);  // no records
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(overflow.bytes()); }),
+            ArchiveFault::kCorruptRecord);
+  ExpectDeserializeFailsLikeReader(overflow.bytes());
+
+  // V = 2^31 with T = 0 (fuzz/corpus-regressions/wide-empty-header.bin) is a
+  // valid archive with no norms and no records. Nothing may be sized by the
+  // header's V alone: a per-variable table here would be ~48 GiB.
+  const std::vector<std::uint8_t> wide = EmptyV4(1ull << 31, 0);
+  EXPECT_TRUE(ArchiveReader::FromBytes(wide).records().empty());
+  EXPECT_TRUE(DatasetArchive::Deserialize(wide).entries().empty());
+
+  // V = 2^31, T = 2^30 (norms-size-wrap-header.bin): 2^61 norms of 8 bytes
+  // each wrap a multiplied byte count to 0, which the empty norms block
+  // would then match. The block must be rejected for its size.
+  const std::vector<std::uint8_t> wrapped = EmptyV4(1ull << 31, 1ull << 30);
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(wrapped); }),
+            ArchiveFault::kCorruptIndex);
+  ExpectDeserializeFailsLikeReader(wrapped);
 }
 
 TEST(Container, RejectsRecordOutsideDatasetBounds) {
@@ -244,8 +306,24 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   // dims(32)+window(8)+norms(64)+count(1) -> variable byte follows.
   const std::size_t var_at = 4 + 1 + 5 + 32 + 8 + 64 + 1;
   ASSERT_EQ(bytes[var_at], 0u);
-  bytes[var_at] = 7;
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  auto record_lies = bytes;
+  record_lies[var_at] = 7;
+  // A lazy open reads only the index, which is intact; the record-area walk
+  // Deserialize runs catches the record header disagreeing with it.
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(record_lies); }),
+            std::nullopt);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(record_lies); }),
+            ArchiveFault::kCorruptRecord);
+
+  // The index's copy of the variable (first byte after the index count)
+  // pushed out of bounds: both entry points reject it at the index.
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
+  ASSERT_EQ(bytes[index_offset + 1], 0u);
+  bytes[index_offset + 1] = 7;
+  ExpectDeserializeFailsLikeReader(bytes);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kCorruptIndex);
 }
 
 TEST(Container, EndToEndFileRoundTrip) {

@@ -8,10 +8,13 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
+#include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
+#include "temp_path.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -166,7 +169,7 @@ TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
 }
 
 TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
-  const std::string path = "/tmp/glsc_container_v4_append.glsca";
+  const std::string path = ProcessTempPath("glsc_container_v4_append");
   std::filesystem::remove(path);
 
   const DatasetArchive first = MakeArchive(14, 16);
@@ -215,13 +218,9 @@ TEST(ContainerV4, HostileIndexFilterByteFailsTyped) {
   std::uint64_t index_offset = 0;
   std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
   bytes[index_offset + 4] = 0xFF;  // reserved filter bits set
-  try {
-    ArchiveReader::FromBytes(bytes);
-    FAIL() << "hostile filter byte accepted";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.fault(), ArchiveFault::kCorruptRecord);
-  }
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }),
+            ArchiveFault::kCorruptRecord);
+  ExpectDeserializeFailsLikeReader(bytes);
 }
 
 TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
@@ -242,13 +241,23 @@ TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
   auto bytes = clean;
   for (std::uint64_t i = 0; i < ref.length; ++i) bytes[ref.offset + i] = 0xFF;
   const ArchiveReader reader = ArchiveReader::FromBytes(bytes);
-  try {
-    reader.ReadPayload(0);
-    FAIL() << "corrupt glz stream decoded";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.fault(), ArchiveFault::kCorruptRecord);
-  }
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  std::vector<std::uint8_t> scratch;
+  EXPECT_EQ(FaultOf([&] { reader.Payload(0, &scratch); }),
+            ArchiveFault::kCorruptRecord);
+  // Deserialize fetches every payload through the same call.
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kCorruptRecord);
+}
+
+TEST(ContainerV4, RecordHeaderDisagreeingWithIndexFailsDeserialize) {
+  auto bytes = MakeArchive(24).Serialize();
+  const std::uint64_t first = ArchiveReader::FromBytes(bytes).records_begin();
+  ASSERT_EQ(bytes[first], 0u);  // record 0's variable varint
+  bytes[first] = 1;
+  // Lazy opens never read record headers; the walk Deserialize runs does.
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }), std::nullopt);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kCorruptRecord);
 }
 
 TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
@@ -258,31 +267,32 @@ TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
     auto bytes = clean;
     const std::uint64_t lie = bytes.size();
     std::memcpy(bytes.data() + bytes.size() - 20, &lie, 8);
-    EXPECT_THROW(ArchiveReader::FromBytes(bytes), ArchiveError);
-    EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+    ExpectDeserializeFailsLikeReader(bytes);
   }
   {
     // Truncation anywhere in the tail: typed failure, never a crash.
     for (const std::size_t cut : {1ul, 7ul, 19ul, 20ul, 45ul}) {
       auto bytes = clean;
       bytes.resize(bytes.size() - cut);
-      EXPECT_THROW(ArchiveReader::FromBytes(bytes), ArchiveError);
-      EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+      SCOPED_TRACE(cut);
+      ExpectDeserializeFailsLikeReader(bytes);
     }
   }
 }
 
 TEST(ContainerV4, MmapAndPreadBackingsAreByteIdentical) {
-  const std::string path = "/tmp/glsc_container_v4_backing.glsca";
+  const std::string path = ProcessTempPath("glsc_container_v4_backing");
   const DatasetArchive archive = MakeArchive(19);
   archive.WriteFile(path);
   const ArchiveReader mm = ArchiveReader::FromFile(path, FileBacking::kMmap);
   const ArchiveReader pr = ArchiveReader::FromFile(path, FileBacking::kPread);
   ASSERT_EQ(mm.records().size(), archive.entries().size());
   ASSERT_EQ(pr.records().size(), mm.records().size());
+  std::vector<std::uint8_t> mm_scratch;
+  std::vector<std::uint8_t> pr_scratch;
   for (std::size_t i = 0; i < mm.records().size(); ++i) {
-    const auto payload = mm.ReadPayload(i);
-    EXPECT_EQ(payload, pr.ReadPayload(i));
+    const auto& payload = mm.Payload(i, &mm_scratch);
+    EXPECT_EQ(payload, pr.Payload(i, &pr_scratch));
     EXPECT_EQ(payload, archive.entries()[i].payload);
   }
   EXPECT_EQ(mm.payload_bytes_fetched(), pr.payload_bytes_fetched());
@@ -298,8 +308,9 @@ TEST(ContainerV4, ByteAccountingSeparatesStoredFromDecoded) {
   EXPECT_EQ(reader.decoded_payload_bytes(), 0u);
   std::uint64_t stored = 0;
   std::uint64_t raw = 0;
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    const auto payload = reader.ReadPayload(i);
+    const auto& payload = reader.Payload(i, &scratch);
     EXPECT_EQ(payload.size(), reader.records()[i].raw_size);
     stored += reader.records()[i].length;
     raw += reader.records()[i].raw_size;
@@ -312,24 +323,70 @@ TEST(ContainerV4, ByteAccountingSeparatesStoredFromDecoded) {
 }
 
 TEST(ContainerV4, FilteredDecodeIsAllocationFreeAtSteadyState) {
-  const std::string path = "/tmp/glsc_container_v4_ws.glsca";
+  const std::string path = ProcessTempPath("glsc_container_v4_ws");
   MakeArchive(21).WriteFile(path);
   const ArchiveReader reader = ArchiveReader::FromFile(path);
   tensor::Workspace ws;
   std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> heap;
   // Warm-up pass sizes the workspace slab and the output vector.
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    reader.ReadPayloadInto(i, &out, &ws);
+    reader.Payload(i, &out, &ws);
   }
   const auto slabs = ws.stats().slab_allocations;
   for (int pass = 0; pass < 8; ++pass) {
     for (std::size_t i = 0; i < reader.records().size(); ++i) {
-      reader.ReadPayloadInto(i, &out, &ws);
-      EXPECT_EQ(out, reader.ReadPayload(i));
+      reader.Payload(i, &out, &ws);
+      EXPECT_EQ(out, reader.Payload(i, &heap));
     }
   }
   EXPECT_EQ(ws.stats().slab_allocations, slabs)
       << "steady-state filtered decode allocated a new workspace slab";
+  std::filesystem::remove(path);
+}
+
+TEST(ContainerV4, PayloadBorrowsFromArchiveAndFillsScratchOtherwise) {
+  const DatasetArchive archive = MakeArchive(22);
+  const ArchiveReader borrowed = ArchiveReader::FromArchive(archive);
+  const ArchiveReader bytes = ArchiveReader::FromBytes(archive.Serialize());
+  std::vector<std::uint8_t> scratch;
+  for (std::size_t i = 0; i < archive.entries().size(); ++i) {
+    // FromArchive hands out the archive's own vector: no copy, no counting.
+    EXPECT_EQ(&borrowed.Payload(i, &scratch), &archive.entries()[i].payload);
+    EXPECT_TRUE(scratch.empty());
+    // Byte-backed readers fill (and return) the caller's scratch.
+    EXPECT_EQ(&bytes.Payload(i, &scratch), &scratch);
+    EXPECT_EQ(scratch, archive.entries()[i].payload);
+    scratch.clear();
+  }
+  EXPECT_EQ(borrowed.payload_bytes_fetched(), 0u);
+  EXPECT_GT(bytes.payload_bytes_fetched(), 0u);
+}
+
+TEST(ContainerV4, AppendRejectsArchiveTheReaderRejectsWithoutWriting) {
+  // A v4 archive whose index places its record at variable 5 of a V=1
+  // dataset: the reader refuses it, so append must throw the reader's error
+  // before touching the file, instead of carrying the entry into a grown
+  // archive nothing can open.
+  const std::string path = ProcessTempPath("glsc_append_hostile");
+  DatasetArchive archive("sz", {1, 8, 8, 8}, 8, MakeNorms(1, 8));
+  Rng rng(23);
+  archive.Add(0, 0, 8, StructuredPayload(&rng, 600));
+  auto bytes = archive.Serialize();
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
+  ASSERT_EQ(bytes[index_offset + 1], 0u);  // after the one-byte count
+  bytes[index_offset + 1] = 5;
+  WriteFileBytes(path, bytes);
+
+  const std::optional<ArchiveFault> open_fault =
+      FaultOf([&] { ArchiveReader::FromFile(path); });
+  ASSERT_EQ(open_fault, ArchiveFault::kCorruptIndex);
+  DatasetArchive more("sz", {1, 8, 8, 8}, 8, MakeNorms(1, 8));
+  more.Add(0, 0, 8, StructuredPayload(&rng, 600));
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::AppendToFile(path, more); }),
+            open_fault);
+  EXPECT_EQ(FileBytes(path), bytes);
   std::filesystem::remove(path);
 }
 

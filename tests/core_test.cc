@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <string>
 
 #include "core/glsc_compressor.h"
 #include "core/registry.h"
+#include "temp_path.h"
 #include "util/timer.h"
 #include "tensor/metrics.h"
 #include "tensor/ops.h"
@@ -56,18 +58,22 @@ data::SequenceDataset TinyDataset(std::uint64_t seed = 7) {
   return data::SequenceDataset(data::GenerateClimate(spec));
 }
 
+// One model cache per process: one registration's TearDownTestSuite must not
+// delete the cache the other is about to load.
+std::string ArtifactDir() { return ProcessTempPath("glsc_test_artifacts"); }
+
 class GlscEndToEnd : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new data::SequenceDataset(TinyDataset());
     compressor_ = GetOrTrainGlsc(*dataset_, TinyConfig(), TinyBudget(),
-                                 "/tmp/glsc_test_artifacts", "core_test_tiny_v2")
+                                 ArtifactDir(), "core_test_tiny_v2")
                       .release();
   }
   static void TearDownTestSuite() {
     delete compressor_;
     delete dataset_;
-    std::filesystem::remove_all("/tmp/glsc_test_artifacts");
+    std::filesystem::remove_all(ArtifactDir());
   }
 
   static data::SequenceDataset* dataset_;
@@ -189,7 +195,7 @@ TEST_F(GlscEndToEnd, RegistryCacheHitSkipsTraining) {
   // Second call with the same tag must load the artifact (fast path).
   Timer timer;
   auto again = GetOrTrainGlsc(*dataset_, TinyConfig(), TinyBudget(),
-                              "/tmp/glsc_test_artifacts", "core_test_tiny_v2");
+                              ArtifactDir(), "core_test_tiny_v2");
   EXPECT_LT(timer.Seconds(), 5.0) << "cache load should be near-instant";
   const Tensor window = dataset_->NormalizedWindow(0, 0, 8);
   const Tensor ra = compressor_->Decompress(compressor_->Compress(window, -1.0));

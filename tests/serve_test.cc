@@ -15,10 +15,12 @@
 #include <thread>
 
 #include "api/session.h"
+#include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
+#include "temp_path.h"
 #include "util/rng.h"
 
 namespace glsc::serve {
@@ -129,6 +131,7 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
   EXPECT_EQ(reader.dataset_shape(), archive.dataset_shape());
   EXPECT_EQ(reader.window(), archive.window());
   ASSERT_EQ(reader.records().size(), archive.entries().size());
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
     const auto& ref = reader.records()[i];
     const auto& entry = archive.entries()[i];
@@ -136,7 +139,7 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
     EXPECT_EQ(ref.t0, entry.t0);
     EXPECT_EQ(ref.valid_frames, entry.valid_frames);
     EXPECT_EQ(ref.length, entry.payload.size());
-    EXPECT_EQ(reader.ReadPayload(i), entry.payload);
+    EXPECT_EQ(reader.Payload(i, &scratch), entry.payload);
   }
   EXPECT_FLOAT_EQ(reader.norm(1, 17).mean, archive.norm(1, 17).mean);
   EXPECT_FLOAT_EQ(reader.norm(1, 17).range, archive.norm(1, 17).range);
@@ -168,7 +171,8 @@ TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
 
   const auto hits = reader.RecordsFor(0, 18, 20);
   ASSERT_EQ(hits.size(), 1u);
-  const auto payload = reader.ReadPayload(hits[0]);
+  std::vector<std::uint8_t> scratch;
+  const auto& payload = reader.Payload(hits[0], &scratch);
   EXPECT_EQ(payload, archive.entries()[hits[0]].payload);
   // Exactly that record's payload bytes crossed the file boundary.
   EXPECT_EQ(reader.payload_bytes_fetched(), payload.size());
@@ -189,8 +193,9 @@ TEST(ArchiveReader, BuildsIndexOnTheFlyForV2) {
   // ...and through ArchiveReader, which rebuilds the index by scanning.
   const auto reader = core::ArchiveReader::FromBytes(v2_bytes);
   ASSERT_EQ(reader.records().size(), archive.entries().size());
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    EXPECT_EQ(reader.ReadPayload(i), archive.entries()[i].payload) << i;
+    EXPECT_EQ(reader.Payload(i, &scratch), archive.entries()[i].payload) << i;
     EXPECT_EQ(reader.records()[i].valid_frames,
               archive.entries()[i].valid_frames);
   }
@@ -260,8 +265,9 @@ TEST(ArchiveReader, BuildsIndexOnTheFlyForV1) {
   ByteWriter p0, p1;
   core::SerializeWindow(w0, &p0);
   core::SerializeWindow(w1, &p1);
-  EXPECT_EQ(reader.ReadPayload(0), p0.bytes());
-  EXPECT_EQ(reader.ReadPayload(1), p1.bytes());
+  std::vector<std::uint8_t> scratch;
+  EXPECT_EQ(reader.Payload(0, &scratch), p0.bytes());
+  EXPECT_EQ(reader.Payload(1, &scratch), p1.bytes());
   EXPECT_FLOAT_EQ(reader.norm(0, 3).mean, 3.0f);
 }
 
@@ -277,16 +283,15 @@ TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
         bytes.size() - 40, bytes.size() / 2}) {
     const std::vector<std::uint8_t> cut(
         bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(core::ArchiveReader::FromBytes(cut), std::runtime_error)
-        << "length " << len;
-    EXPECT_THROW(core::DatasetArchive::Deserialize(cut), std::runtime_error)
-        << "length " << len;
+    SCOPED_TRACE(len);
+    core::ExpectDeserializeFailsLikeReader(cut);
   }
 
   // Corrupt index magic.
   auto bad_magic = bytes;
   bad_magic[bad_magic.size() - 1] = 'Z';
   EXPECT_THROW(core::ArchiveReader::FromBytes(bad_magic), std::runtime_error);
+  core::ExpectDeserializeFailsLikeReader(bad_magic);
 
   // Footer pointing the index out of range.
   auto bad_offset = bytes;
@@ -295,6 +300,7 @@ TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
   }
   EXPECT_THROW(core::ArchiveReader::FromBytes(bad_offset),
                std::runtime_error);
+  core::ExpectDeserializeFailsLikeReader(bad_offset);
 }
 
 TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
@@ -450,43 +456,77 @@ TEST(DecodeScheduler, ConcurrentGetsAreSafeAndConsistent) {
 
 TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   // The coalesced DecompressWindows dispatch must be byte-identical to the
-  // per-record dispatch for every (workers, max_batch) combination; the cache
-  // is off so every query pays real decodes through the chosen dispatch.
+  // per-record dispatch for every (workers, max_batch) combination and every
+  // reader backing over the same filtered v4 archive; the cache is off so
+  // every query pays real payload fetches and decodes through the chosen
+  // dispatch.
   const Tensor field = MakeField(163);  // 2 variables, 6 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
   api::DecodeSession session(codec.get(), archive);
   const Tensor reference = session.DecodeAll();
 
-  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
+  const auto bytes = archive.Serialize();
+  const std::string path = ProcessTempPath("glsc_serve_backings");
+  WriteFileBytes(path, bytes);
+  std::vector<std::pair<std::string, core::ArchiveReader>> readers;
+  readers.emplace_back("archive", core::ArchiveReader::FromArchive(archive));
+  readers.emplace_back("bytes", core::ArchiveReader::FromBytes(bytes));
+  readers.emplace_back(
+      "mmap", core::ArchiveReader::FromFile(path, core::FileBacking::kMmap));
+  readers.emplace_back(
+      "pread", core::ArchiveReader::FromFile(path, core::FileBacking::kPread));
+  bool filtered = false;
+  for (const core::RecordRef& ref : readers[1].second.records()) {
+    filtered = filtered || !ref.filter.IsRaw();
+  }
+  ASSERT_TRUE(filtered) << "no record engaged the v4 filter pipeline";
+
   const std::int64_t frames = field.dim(1);
   const std::int64_t hw = field.dim(2) * field.dim(3);
-  for (const std::int64_t workers : {1, 4}) {
-    for (const std::int64_t max_batch : {1, 2, 5, 8}) {
-      ScheduleOptions options;
-      options.workers = workers;
-      options.cache_windows = 0;
-      options.max_batch = max_batch;
-      DecodeScheduler scheduler(&reader, codec.get(), options);
-      const Tensor full = scheduler.GetAll();
-      ASSERT_EQ(full.shape(), reference.shape());
-      EXPECT_EQ(std::memcmp(full.data(), reference.data(),
-                            static_cast<std::size_t>(full.numel()) *
-                                sizeof(float)),
-                0)
-          << workers << " workers, max_batch " << max_batch;
-      for (std::int64_t v = 0; v < field.dim(0); ++v) {
-        const Tensor slice = scheduler.Get(v, 0, frames);
-        EXPECT_EQ(std::memcmp(slice.data(),
-                              reference.data() + v * frames * hw,
-                              static_cast<std::size_t>(frames * hw) *
+  for (const auto& [backing, reader] : readers) {
+    for (const std::int64_t workers : {1, 4}) {
+      for (const std::int64_t max_batch : {1, 2, 5, 8}) {
+        ScheduleOptions options;
+        options.workers = workers;
+        options.cache_windows = 0;
+        options.max_batch = max_batch;
+        DecodeScheduler scheduler(&reader, codec.get(), options);
+        const Tensor full = scheduler.GetAll();
+        ASSERT_EQ(full.shape(), reference.shape());
+        EXPECT_EQ(std::memcmp(full.data(), reference.data(),
+                              static_cast<std::size_t>(full.numel()) *
                                   sizeof(float)),
                   0)
-            << "variable " << v << ", " << workers << " workers, max_batch "
+            << backing << ", " << workers << " workers, max_batch "
             << max_batch;
+        for (std::int64_t v = 0; v < field.dim(0); ++v) {
+          const Tensor slice = scheduler.Get(v, 0, frames);
+          EXPECT_EQ(std::memcmp(slice.data(),
+                                reference.data() + v * frames * hw,
+                                static_cast<std::size_t>(frames * hw) *
+                                    sizeof(float)),
+                    0)
+              << "variable " << v << ", " << backing << ", " << workers
+              << " workers, max_batch " << max_batch;
+        }
       }
     }
   }
+  // The byte-backed readers ran identical query sequences, so they fetched
+  // and unfiltered identical byte counts; FromArchive readers count none.
+  const core::ArchiveReader& memory = readers[1].second;
+  EXPECT_GT(memory.payload_bytes_fetched(), 0u);
+  EXPECT_LT(memory.payload_bytes_fetched(), memory.decoded_payload_bytes());
+  for (std::size_t k = 2; k < readers.size(); ++k) {
+    const core::ArchiveReader& reader = readers[k].second;
+    EXPECT_EQ(reader.payload_bytes_fetched(), memory.payload_bytes_fetched())
+        << readers[k].first;
+    EXPECT_EQ(reader.decoded_payload_bytes(), memory.decoded_payload_bytes())
+        << readers[k].first;
+  }
+  EXPECT_EQ(readers[0].second.payload_bytes_fetched(), 0u);
+  std::filesystem::remove(path);
 }
 
 TEST(DecodeScheduler, ConcurrentIdenticalQueriesDecodeEachRecordOnce) {

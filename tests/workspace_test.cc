@@ -130,13 +130,13 @@ TEST(WorkspaceTest, FilteredArchiveDecodeStaysZeroAllocAtSteadyState) {
   std::vector<std::uint8_t> out;
   for (std::size_t i = 0; i < reader.records().size(); ++i) {
     ASSERT_FALSE(reader.records()[i].filter.IsRaw());
-    reader.ReadPayloadInto(i, &out, &ws);
+    reader.Payload(i, &out, &ws);
   }
   const std::int64_t slabs = ws.stats().slab_allocations;
   const std::int64_t borrows = ws.stats().borrows;
   for (int pass = 0; pass < 16; ++pass) {
     for (std::size_t i = 0; i < reader.records().size(); ++i) {
-      reader.ReadPayloadInto(i, &out, &ws);
+      reader.Payload(i, &out, &ws);
     }
   }
   EXPECT_EQ(ws.stats().slab_allocations, slabs)
