@@ -5,13 +5,14 @@
 //   full     — DecodeSession::DecodeAll over every record (linear scan path)
 //   fetch    — DecodeScheduler::Get over every window with the cache disabled
 //              (every fetch pays a real decode), measured twice over identical
-//              spanning queries: once with max_batch=1 (one DecompressWindow
-//              per record — the serial dispatch) and once with
+//              spanning queries: once with max_batch=1 (batches of one, a
+//              DecompressWindows call per record) and once with
 //              max_batch=--batch (misses coalesced into DecompressWindows).
-//              The two arms differ ONLY in dispatch, and their outputs are
+//              The two arms differ ONLY in batch size, and their outputs are
 //              asserted byte-identical before any number is reported.
-//   alloc    — raw DecompressWindow per record WITHOUT a workspace (the
-//              pre-arena allocating path, kept as the byte-identity reference)
+//   alloc    — raw DecompressWindow per record WITHOUT a workspace: model
+//              codecs then decode in a fresh local arena per call, so this
+//              arm prices the slab growth a reused workspace avoids
 //   arena    — raw DecompressWindow per record WITH a reused workspace
 //
 // Emits BENCH_e2e.json with windows/s + MB/s for the session/scheduler paths,
@@ -101,10 +102,10 @@ int main(int argc, char** argv) {
 
   // -- window fetches through the scheduler (cache off => real decodes) -----
   // Two schedulers over the same archive and the same spanning queries,
-  // differing ONLY in dispatch: max_batch=1 runs one DecompressWindow per
-  // record, max_batch=--batch coalesces each query's misses into
-  // DecompressWindows calls so model-based codecs run one network pass over
-  // the stacked windows.
+  // differing ONLY in batch size: max_batch=1 decodes batches of one,
+  // max_batch=--batch coalesces each query's misses into DecompressWindows
+  // calls so model-based codecs run one network pass over the stacked
+  // windows.
   const std::int64_t batch =
       std::max<std::int64_t>(flags.GetInt("batch", 8), 1);
   auto reader = core::ArchiveReader::FromFile(path);

@@ -2,9 +2,14 @@
 // and decode time — the quantitative backing for Table 2's cost breakdown.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "api/compressor.h"
 #include "codec/gaussian_model.h"
 #include "codec/huffman.h"
 #include "codec/range_coder.h"
+#include "data/dataset.h"
 #include "data/field_generators.h"
 #include "diffusion/spacetime_unet.h"
 #include "nn/attention.h"
@@ -15,6 +20,7 @@
 #include "tensor/ops.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/simd/kernels.h"
+#include "tensor/workspace.h"
 
 namespace {
 
@@ -115,6 +121,37 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
+// im2col over one 16-frame window at the two shapes GLSC decode lowers most,
+// both stride 1 with same padding. Arg 0: a UNet conv, 3x3 over 16 channels
+// of 8x8 latents. Arg 1: the VAE decoder's widest conv, 5x5 over 16
+// channels at 32x32.
+void BM_Im2Col(benchmark::State& state) {
+  const bool vae = state.range(0) == 1;
+  const std::int64_t frames = 16, channels = 16;
+  const std::int64_t edge = vae ? 32 : 8;
+  const std::int64_t k = vae ? 5 : 3;
+  const std::int64_t pad = k / 2;
+  Rng rng(12);
+  Tensor x = Tensor::Randn({frames, channels, edge, edge}, rng);
+  std::vector<float> columns(
+      static_cast<std::size_t>(channels * k * k * edge * edge));
+  std::vector<float> padded(
+      static_cast<std::size_t>(Im2ColPadFloats(edge, edge, pad)));
+  for (auto _ : state) {
+    for (std::int64_t f = 0; f < frames; ++f) {
+      Im2Col(x.data() + f * channels * edge * edge, channels, edge, edge, k, k,
+             1, pad, columns.data(), padded.data());
+    }
+    benchmark::DoNotOptimize(columns.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * frames *
+                          static_cast<std::int64_t>(columns.size()) *
+                          static_cast<std::int64_t>(sizeof(float)));
+  state.SetLabel(vae ? "vae 5x5 16ch 32x32" : "unet 3x3 16ch 8x8");
+}
+BENCHMARK(BM_Im2Col)->Arg(0)->Arg(1);
+
 void BM_ConvForwardBackward(benchmark::State& state) {
   Rng rng(3);
   nn::Conv2d conv(16, 16, 3, 1, 1, rng);
@@ -156,6 +193,41 @@ void BM_UNetForwardLatent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UNetForwardLatent);
+
+// GLSC window decode through the codec's one inference path, Arg windows
+// per DecompressWindows call (1 is the single-window case). Decode cost does
+// not depend on training, so the weights are the seeded random init; 6 DDIM
+// steps on [16, 32, 32] windows, one workspace reused across calls as the
+// decode scheduler does.
+void BM_GlscDecodeBatch(benchmark::State& state) {
+  const std::int64_t batch = state.range(0);
+  api::CodecOptions options;
+  options.sample_steps = 6;
+  auto codec = api::Compressor::Create("glsc", options);
+  data::FieldSpec spec;
+  spec.frames = 16 * batch;
+  spec.height = 32;
+  spec.width = 32;
+  spec.seed = 13;
+  const Tensor field =
+      data::GenerateClimate(spec).Reshape({spec.frames, 32, 32});
+  const std::vector<data::FrameNorm> norms(16, data::FrameNorm{0.0f, 1.0f});
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::int64_t b = 0; b < batch; ++b) {
+    payloads.push_back(codec->CompressWindow(
+        field.Slice0(b * 16, (b + 1) * 16).Clone(), {}, norms));
+  }
+  std::vector<const std::vector<std::uint8_t>*> views;
+  for (const auto& p : payloads) views.push_back(&p);
+  tensor::Workspace ws;
+  for (auto _ : state) {
+    std::vector<Tensor> out = codec->DecompressWindows(views, &ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);  // windows
+  state.SetLabel(simd::IsaName(simd::ActiveIsa()));
+}
+BENCHMARK(BM_GlscDecodeBatch)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void BM_UNetForwardPixel(benchmark::State& state) {
   diffusion::UNetConfig config;

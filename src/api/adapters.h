@@ -92,7 +92,7 @@ class GlscAdapter final : public Compressor {
       const std::vector<data::FrameNorm>& norms) override;
   Tensor DecompressWindow(const std::vector<std::uint8_t>& payload) override;
   // Workspace-aware hot paths: the diffusion sampler + VAE decode run out of
-  // `ws` (byte-identical results, zero steady-state allocations).
+  // `ws` (byte-identical results, no workspace slab growth in steady state).
   std::vector<std::uint8_t> CompressWindow(
       const Tensor& window, const ErrorBound& bound,
       const std::vector<data::FrameNorm>& norms,

@@ -189,10 +189,6 @@ Tensor VaeHyperprior::DecodeLatent(const Tensor& y_hat) {
   return decoder_.Forward(y_hat, /*training=*/false);
 }
 
-Tensor VaeHyperprior::DecodeLatent(const Tensor& y_hat, tensor::Workspace* ws) {
-  return decoder_.Forward(y_hat, ws);
-}
-
 Tensor VaeHyperprior::DecodeLatentBatched(const Tensor& y_hat,
                                           tensor::Workspace* ws) {
   return decoder_.ForwardBatched(y_hat, ws);

@@ -73,11 +73,10 @@ class VaeHyperprior {
   Tensor EncodeLatent(const Tensor& x);
   // Decoder reconstruction from (quantized or generated) latents.
   Tensor DecodeLatent(const Tensor& y_hat);
-  // Workspace variant: the reconstruction (and all decoder activations)
-  // borrows arena memory valid until the caller's scope rewinds.
-  Tensor DecodeLatent(const Tensor& y_hat, tensor::Workspace* ws);
-  // Batched workspace variant: the decoder convolutions fuse all leading-dim
-  // frames (stacked windows) into merged GEMMs. Byte-identical output.
+  // Workspace variant, the one GLSC decode uses: the decoder convolutions
+  // fuse all leading-dim frames (stacked windows) into merged GEMMs, and the
+  // reconstruction (with all decoder activations) borrows arena memory
+  // valid until the caller's scope rewinds. Byte-identical to DecodeLatent.
   Tensor DecodeLatentBatched(const Tensor& y_hat, tensor::Workspace* ws);
   // Full entropy-coded compression of a frame batch.
   VaeBitstream Compress(const Tensor& x);

@@ -35,53 +35,79 @@ GlscCompressor::GlscCompressor(const GlscConfig& config)
   gen_idx_ = diffusion::GeneratedIndices(key_idx_, config_.window);
 }
 
-Tensor GlscCompressor::DecodeWindowFromLatents(const Tensor& y_keys,
-                                               std::uint32_t sample_seed,
-                                               std::int64_t sample_steps,
-                                               const Shape& window_shape,
-                                               tensor::Workspace* ws) {
+std::vector<Tensor> GlscCompressor::DecodeWindowsFromLatents(
+    const std::vector<Tensor>& y_keys,
+    const std::vector<std::uint32_t>& sample_seeds, std::int64_t sample_steps,
+    const Shape& window_shape, tensor::Workspace* ws) {
+  const std::int64_t batch = static_cast<std::int64_t>(y_keys.size());
+  GLSC_CHECK(batch >= 1 && sample_seeds.size() == y_keys.size());
   if (sample_steps <= 0) sample_steps = config_.sample_steps;
-  // Both sides derive the min-max bounds from the keyframe latents (§3.3
-  // normalization; see conditioner.h for why this stores nothing).
-  const diffusion::LatentNorm norm = diffusion::LatentNorm::FromTensor(y_keys);
+  tensor::Workspace local_ws;
+  if (ws == nullptr) ws = &local_ws;
+  // Every intermediate below borrows from `ws` and rewinds when this scope
+  // closes; only the owned reconstructions escape.
+  tensor::Workspace::Scope scope(ws);
 
-  Rng sample_rng(sample_seed);
-  diffusion::SamplerConfig sampler_cfg;
-  sampler_cfg.steps = sample_steps;
-
-  if (ws != nullptr) {
-    // Arena path: every intermediate below borrows from `ws` and rewinds when
-    // this scope closes; only the owned reconstruction escapes. Byte-identical
-    // to the allocating path (tests/workspace_test.cc holds this invariant).
-    tensor::Workspace::Scope scope(ws);
-    const Tensor keys_normed = norm.Normalize(y_keys, ws);
-    const Tensor gen_normed = diffusion::SampleConditional(
-        &unet_, schedule_, sampler_cfg, keys_normed, key_idx_, config_.window,
-        sample_rng, ws);
-    Tensor gen_latents = norm.Denormalize(gen_normed, ws);
-    RoundInPlace(&gen_latents);
-    const Tensor full_latents =
-        diffusion::Compose(gen_latents, y_keys, gen_idx_, key_idx_, ws);
-    const Tensor decoded = vae_.DecodeLatent(full_latents, ws);
-    // Lift out of the arena before the scope rewinds.
-    return decoded.Reshape({window_shape[0], window_shape[1], window_shape[2]})
-        .Clone();
+  // Stack raw and normalized keyframe latents: [B*K, C, h, w]. Each window
+  // is normalized by min-max bounds derived from its own keyframe latents,
+  // which the encoder derives identically (§3.3 normalization; see
+  // conditioner.h for why this stores nothing).
+  const std::int64_t key_elems = y_keys[0].numel();
+  Shape stacked_shape = y_keys[0].shape();
+  stacked_shape[0] *= batch;
+  Tensor keys_stacked = ws->NewTensor(stacked_shape);
+  Tensor keys_normed = ws->NewTensor(stacked_shape);
+  std::vector<diffusion::LatentNorm> norms;
+  norms.reserve(static_cast<std::size_t>(batch));
+  for (std::int64_t w = 0; w < batch; ++w) {
+    const Tensor& yk = y_keys[static_cast<std::size_t>(w)];
+    GLSC_CHECK(yk.numel() == key_elems);
+    norms.push_back(diffusion::LatentNorm::FromTensor(yk));
+    std::copy_n(yk.data(), key_elems, keys_stacked.data() + w * key_elems);
+    norms.back().Normalize(yk.data(), key_elems,
+                           keys_normed.data() + w * key_elems);
   }
 
-  const Tensor keys_normed = norm.Normalize(y_keys);
-  const Tensor gen_normed = diffusion::SampleConditional(
+  // One sampling generator per window, seeded from its stored header.
+  std::vector<Rng> rng_storage(sample_seeds.begin(), sample_seeds.end());
+  std::vector<Rng*> rngs;
+  rngs.reserve(rng_storage.size());
+  for (Rng& r : rng_storage) rngs.push_back(&r);
+
+  diffusion::SamplerConfig sampler_cfg;
+  sampler_cfg.steps = sample_steps;
+  const Tensor gen_normed = diffusion::SampleConditionalBatch(
       &unet_, schedule_, sampler_cfg, keys_normed, key_idx_, config_.window,
-      sample_rng);
+      rngs, ws);  // [B*G, C, h, w]
 
-  // Generated latents return to integer latent space (the VAE decoder was
-  // trained on quantized latents).
-  const Tensor gen_latents = Round(norm.Denormalize(gen_normed));
-  const Tensor full_latents =
-      diffusion::Compose(gen_latents, y_keys, gen_idx_, key_idx_);
+  // Per-window denormalization (each window has its own bounds), then the
+  // shared rounding: generated latents return to integer latent space, since
+  // the VAE decoder was trained on quantized latents.
+  Tensor gen_latents = ws->NewTensor(gen_normed.shape());
+  const std::int64_t gen_elems = gen_normed.numel() / batch;
+  for (std::int64_t w = 0; w < batch; ++w) {
+    norms[static_cast<std::size_t>(w)].Denormalize(
+        gen_normed.data() + w * gen_elems, gen_elems,
+        gen_latents.data() + w * gen_elems);
+  }
+  RoundInPlace(&gen_latents);
 
-  const Tensor decoded = vae_.DecodeLatent(full_latents);  // [N, 1, h*4, w*4]
-  return decoded.Reshape(
-      {window_shape[0], window_shape[1], window_shape[2]});
+  const Tensor full_latents = diffusion::ComposeBatch(
+      gen_latents, keys_stacked, gen_idx_, key_idx_, batch, ws);
+  const Tensor decoded =
+      vae_.DecodeLatentBatched(full_latents, ws);  // [B*N, 1, H, W]
+
+  // Lift each window out of the arena before the scope rewinds.
+  const std::int64_t frames = window_shape[0];
+  std::vector<Tensor> out;
+  out.reserve(static_cast<std::size_t>(batch));
+  for (std::int64_t w = 0; w < batch; ++w) {
+    out.push_back(decoded.Slice0(w * frames, (w + 1) * frames)
+                      .Reshape({window_shape[0], window_shape[1],
+                                window_shape[2]})
+                      .Clone());
+  }
+  return out;
 }
 
 CompressedWindow GlscCompressor::Compress(const Tensor& window, double tau,
@@ -105,10 +131,10 @@ CompressedWindow GlscCompressor::Compress(const Tensor& window, double tau,
       keys.Reshape({keys.dim(0), 1, keys.dim(1), keys.dim(2)});
   out.keyframes = vae_.Compress(keys_batch);
 
-  // 2. Decoder-identical reconstruction.
-  const Tensor y_keys = vae_.DecompressLatents(out.keyframes, ws);
-  Tensor recon = DecodeWindowFromLatents(y_keys, out.sample_seed, sample_steps,
-                                         out.window_shape, ws);
+  // 2. Decoder-identical reconstruction: a decode batch of one.
+  Tensor recon = DecodeWindowsFromLatents(
+      {vae_.DecompressLatents(out.keyframes, ws)}, {out.sample_seed},
+      sample_steps, out.window_shape, ws)[0];
 
   // 3. Error-bound corrections per frame.
   if (tau > 0.0) {
@@ -132,136 +158,42 @@ CompressedWindow GlscCompressor::Compress(const Tensor& window, double tau,
 Tensor GlscCompressor::Decompress(const CompressedWindow& compressed,
                                   std::int64_t sample_steps,
                                   tensor::Workspace* ws) {
-  const Tensor y_keys = vae_.DecompressLatents(compressed.keyframes, ws);
-  Tensor recon =
-      DecodeWindowFromLatents(y_keys, compressed.sample_seed, sample_steps,
-                              compressed.window_shape, ws);
-  if (!compressed.corrections.empty()) {
-    const std::int64_t hw =
-        compressed.window_shape[1] * compressed.window_shape[2];
-    for (std::int64_t f = 0; f < compressed.window_shape[0]; ++f) {
-      const auto& payload = compressed.corrections[static_cast<std::size_t>(f)];
-      if (payload.empty()) continue;
-      Tensor frame({compressed.window_shape[1], compressed.window_shape[2]});
-      std::copy_n(recon.data() + f * hw, hw, frame.data());
-      pca_.Apply(payload, &frame);
-      std::copy_n(frame.data(), hw, recon.data() + f * hw);
-    }
-  }
-  return recon;
+  return DecompressBatch({&compressed}, sample_steps, ws)[0];
 }
 
 std::vector<Tensor> GlscCompressor::DecompressBatch(
     const std::vector<const CompressedWindow*>& windows,
     std::int64_t sample_steps, tensor::Workspace* ws) {
-  std::vector<Tensor> out;
-  if (windows.empty()) return out;
-  if (sample_steps <= 0) sample_steps = config_.sample_steps;
-  const std::int64_t batch = static_cast<std::int64_t>(windows.size());
-
-  tensor::Workspace local_ws;
-  if (ws == nullptr) ws = &local_ws;
-
+  if (windows.empty()) return {};
   // One UNet pass covers every window, so the batch must agree on geometry.
   const Shape& wshape = windows[0]->window_shape;
+  // Entropy + hyper decode stays per window (owned latents).
+  std::vector<Tensor> y_keys;
+  std::vector<std::uint32_t> seeds;
+  y_keys.reserve(windows.size());
+  seeds.reserve(windows.size());
   for (const CompressedWindow* cw : windows) {
     GLSC_CHECK(cw != nullptr);
     GLSC_CHECK_MSG(cw->window_shape == wshape,
                    "batched decode needs uniform window geometry");
-  }
-
-  // Entropy + hyper decode and normalization bounds stay per window: the
-  // bounds are derived from each window's own keyframe latents, exactly as
-  // the serial decoder does (owned tensors, they outlive the scope below).
-  std::vector<Tensor> y_keys;
-  std::vector<diffusion::LatentNorm> norms;
-  y_keys.reserve(static_cast<std::size_t>(batch));
-  norms.reserve(static_cast<std::size_t>(batch));
-  for (const CompressedWindow* cw : windows) {
     y_keys.push_back(vae_.DecompressLatents(cw->keyframes, ws));
-    norms.push_back(diffusion::LatentNorm::FromTensor(y_keys.back()));
+    seeds.push_back(cw->sample_seed);
   }
+  std::vector<Tensor> out =
+      DecodeWindowsFromLatents(y_keys, seeds, sample_steps, wshape, ws);
 
-  out.reserve(static_cast<std::size_t>(batch));
-  {
-    tensor::Workspace::Scope scope(ws);
-
-    // Stack raw and normalized keyframe latents: [B*K, C, h, w].
-    const std::int64_t key_elems = y_keys[0].numel();
-    Shape stacked_shape = y_keys[0].shape();
-    stacked_shape[0] *= batch;
-    Tensor keys_stacked = ws->NewTensor(stacked_shape);
-    Tensor keys_normed = ws->NewTensor(stacked_shape);
-    for (std::int64_t w = 0; w < batch; ++w) {
-      const Tensor& yk = y_keys[static_cast<std::size_t>(w)];
-      GLSC_CHECK(yk.numel() == key_elems);
-      std::copy_n(yk.data(), key_elems, keys_stacked.data() + w * key_elems);
-      // Same formula as LatentNorm::Normalize, written into the slab.
-      const diffusion::LatentNorm& nm = norms[static_cast<std::size_t>(w)];
-      const float scale = 2.0f / (nm.hi - nm.lo);
-      const float* src = yk.data();
-      float* dst = keys_normed.data() + w * key_elems;
-      for (std::int64_t i = 0; i < key_elems; ++i) {
-        dst[i] = (src[i] - nm.lo) * scale - 1.0f;
-      }
-    }
-
-    // Per-window generators, seeded exactly as the serial decoder seeds its
-    // sampling RNG.
-    std::vector<Rng> rng_storage;
-    rng_storage.reserve(static_cast<std::size_t>(batch));
-    for (const CompressedWindow* cw : windows) {
-      rng_storage.emplace_back(cw->sample_seed);
-    }
-    std::vector<Rng*> rngs;
-    rngs.reserve(static_cast<std::size_t>(batch));
-    for (Rng& r : rng_storage) rngs.push_back(&r);
-
-    diffusion::SamplerConfig sampler_cfg;
-    sampler_cfg.steps = sample_steps;
-    const Tensor gen_normed = diffusion::SampleConditionalBatch(
-        &unet_, schedule_, sampler_cfg, keys_normed, key_idx_, config_.window,
-        rngs, ws);  // [B*G, C, h, w]
-
-    // Per-window denormalization (each window has its own bounds), then the
-    // shared integer rounding.
-    Tensor gen_latents = ws->NewTensor(gen_normed.shape());
-    const std::int64_t gen_elems = gen_normed.numel() / batch;
-    for (std::int64_t w = 0; w < batch; ++w) {
-      const diffusion::LatentNorm& nm = norms[static_cast<std::size_t>(w)];
-      const float scale = (nm.hi - nm.lo) / 2.0f;
-      const float* src = gen_normed.data() + w * gen_elems;
-      float* dst = gen_latents.data() + w * gen_elems;
-      for (std::int64_t i = 0; i < gen_elems; ++i) {
-        dst[i] = (src[i] + 1.0f) * scale + nm.lo;
-      }
-    }
-    RoundInPlace(&gen_latents);
-
-    const Tensor full_latents = diffusion::ComposeBatch(
-        gen_latents, keys_stacked, gen_idx_, key_idx_, batch, ws);
-    const Tensor decoded =
-        vae_.DecodeLatentBatched(full_latents, ws);  // [B*N, 1, H, W]
-
-    // Lift each window out of the arena; PCA corrections stay per frame.
-    const std::int64_t frames = wshape[0];
-    for (std::int64_t w = 0; w < batch; ++w) {
-      Tensor recon = decoded.Slice0(w * frames, (w + 1) * frames)
-                         .Reshape({wshape[0], wshape[1], wshape[2]})
-                         .Clone();
-      const CompressedWindow& cw = *windows[static_cast<std::size_t>(w)];
-      if (!cw.corrections.empty()) {
-        const std::int64_t hw = wshape[1] * wshape[2];
-        for (std::int64_t f = 0; f < frames; ++f) {
-          const auto& payload = cw.corrections[static_cast<std::size_t>(f)];
-          if (payload.empty()) continue;
-          Tensor frame({wshape[1], wshape[2]});
-          std::copy_n(recon.data() + f * hw, hw, frame.data());
-          pca_.Apply(payload, &frame);
-          std::copy_n(frame.data(), hw, recon.data() + f * hw);
-        }
-      }
-      out.push_back(std::move(recon));
+  // PCA corrections stay per window and per frame.
+  const std::int64_t hw = wshape[1] * wshape[2];
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const CompressedWindow& cw = *windows[w];
+    if (cw.corrections.empty()) continue;
+    for (std::int64_t f = 0; f < wshape[0]; ++f) {
+      const auto& payload = cw.corrections[static_cast<std::size_t>(f)];
+      if (payload.empty()) continue;
+      Tensor frame({wshape[1], wshape[2]});
+      std::copy_n(out[w].data() + f * hw, hw, frame.data());
+      pca_.Apply(payload, &frame);
+      std::copy_n(frame.data(), hw, out[w].data() + f * hw);
     }
   }
   return out;
@@ -272,9 +204,9 @@ Tensor GlscCompressor::Reconstruct(const Tensor& window, std::uint32_t seed,
   const Tensor keys = diffusion::GatherFrames(window, key_idx_);
   const Tensor keys_batch =
       keys.Reshape({keys.dim(0), 1, keys.dim(1), keys.dim(2)});
-  const Tensor y_keys = Round(vae_.EncodeLatent(keys_batch));
-  return DecodeWindowFromLatents(y_keys, seed, sample_steps, window.shape(),
-                                 /*ws=*/nullptr);
+  return DecodeWindowsFromLatents({Round(vae_.EncodeLatent(keys_batch))},
+                                  {seed}, sample_steps, window.shape(),
+                                  /*ws=*/nullptr)[0];
 }
 
 void GlscCompressor::Save(ByteWriter* out) {

@@ -81,28 +81,29 @@ class GlscCompressor {
   // `sample_steps` <= 0 uses config().sample_steps. When `recon_out` is
   // non-null it receives the decoder-identical reconstruction computed during
   // compression (with corrections applied when tau > 0), saving callers a
-  // redundant Decompress pass.
+  // redundant Decompress pass. The reconstruction is a decode batch of one.
   //
-  // A non-null `ws` routes the diffusion sampler + VAE decode through the
-  // workspace arena (zero steady-state heap allocations; see
-  // tensor/workspace.h). Results are byte-identical to the allocating path
-  // and always OWNED — arena memory never escapes these calls.
+  // Every decode below runs the sampler + VAE decode in a workspace arena:
+  // `ws` when non-null (reused across calls, a steady-state loop grows no
+  // slabs; see tensor/workspace.h), otherwise a local one. Results are
+  // always OWNED — arena memory never escapes these calls.
   CompressedWindow Compress(const Tensor& window, double tau,
                             std::int64_t sample_steps = 0,
                             Tensor* recon_out = nullptr,
                             tensor::Workspace* ws = nullptr);
+  // One window: DecompressBatch of one.
   Tensor Decompress(const CompressedWindow& compressed,
                     std::int64_t sample_steps = 0,
                     tensor::Workspace* ws = nullptr);
 
-  // Batched decompression: decodes B windows through ONE diffusion-sampler
-  // run and ONE VAE decode, with the windows' frames stacked along dim 0 so
-  // the UNet and decoder GEMMs are B× wider. Entropy decode, normalization
-  // bounds, the sampling RNG, and PCA corrections remain strictly per window,
-  // so each returned tensor is byte-identical to Decompress on that window
-  // alone (tests/batched_decode_test.cc holds this). All windows must share
-  // window_shape. `sample_steps` <= 0 uses config().sample_steps; with a null
-  // `ws` a local arena is used. Results are always owned.
+  // Decodes B windows through ONE diffusion-sampler run and ONE VAE decode,
+  // with the windows' frames stacked along dim 0 so the UNet and decoder
+  // GEMMs are B× wider. Entropy decode, normalization bounds, the sampling
+  // RNG, and PCA corrections remain strictly per window, so each returned
+  // tensor is independent of its batch-mates (tests/batched_decode_test.cc
+  // holds this against a reference built from the allocating pieces). All
+  // windows must share window_shape. `sample_steps` <= 0 uses
+  // config().sample_steps.
   std::vector<Tensor> DecompressBatch(
       const std::vector<const CompressedWindow*>& windows,
       std::int64_t sample_steps = 0, tensor::Workspace* ws = nullptr);
@@ -117,11 +118,15 @@ class GlscCompressor {
   void Load(ByteReader* in);
 
  private:
-  Tensor DecodeWindowFromLatents(const Tensor& y_keys,
-                                 std::uint32_t sample_seed,
-                                 std::int64_t sample_steps,
-                                 const Shape& window_shape,
-                                 tensor::Workspace* ws);
+  // The one inference body: each window's keyframe latents and sampling
+  // seed -> its reconstruction [N, H, W] before PCA corrections, through one
+  // batched sampler run and one VAE decode in `ws` (a local arena when
+  // null). B == 1 is the single-window case.
+  std::vector<Tensor> DecodeWindowsFromLatents(
+      const std::vector<Tensor>& y_keys,
+      const std::vector<std::uint32_t>& sample_seeds,
+      std::int64_t sample_steps, const Shape& window_shape,
+      tensor::Workspace* ws);
 
   GlscConfig config_;
   compress::VaeHyperprior vae_;

@@ -58,38 +58,18 @@ std::vector<std::int64_t> GeneratedIndices(
   return gen;
 }
 
-namespace {
-
-void GatherFramesInto(const Tensor& window,
-                      const std::vector<std::int64_t>& idx, Tensor* out) {
+Tensor GatherFrames(const Tensor& window,
+                    const std::vector<std::int64_t>& idx) {
+  GLSC_CHECK(window.rank() >= 2);
+  Shape out_shape = window.shape();
+  out_shape[0] = static_cast<std::int64_t>(idx.size());
+  Tensor out = Tensor::Empty(out_shape);
   const std::int64_t row = window.numel() / window.dim(0);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     GLSC_CHECK(idx[i] >= 0 && idx[i] < window.dim(0));
     std::copy_n(window.data() + idx[i] * row, row,
-                out->data() + static_cast<std::int64_t>(i) * row);
+                out.data() + static_cast<std::int64_t>(i) * row);
   }
-}
-
-Shape GatheredShape(const Tensor& window, const std::vector<std::int64_t>& idx) {
-  GLSC_CHECK(window.rank() >= 2);
-  Shape out_shape = window.shape();
-  out_shape[0] = static_cast<std::int64_t>(idx.size());
-  return out_shape;
-}
-
-}  // namespace
-
-Tensor GatherFrames(const Tensor& window,
-                    const std::vector<std::int64_t>& idx) {
-  Tensor out = Tensor::Empty(GatheredShape(window, idx));
-  GatherFramesInto(window, idx, &out);
-  return out;
-}
-
-Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx,
-                    tensor::Workspace* ws) {
-  Tensor out = ws->NewTensor(GatheredShape(window, idx));
-  GatherFramesInto(window, idx, &out);
   return out;
 }
 
@@ -104,40 +84,16 @@ void ScatterFrames(const Tensor& packed, const std::vector<std::int64_t>& idx,
   }
 }
 
-namespace {
-
-Shape ComposedShape(const Tensor& generated, const Tensor& conditioning,
-                    const std::vector<std::int64_t>& gen_idx,
-                    const std::vector<std::int64_t>& key_idx) {
-  const std::int64_t frames =
-      static_cast<std::int64_t>(gen_idx.size() + key_idx.size());
+Tensor Compose(const Tensor& generated, const Tensor& conditioning,
+               const std::vector<std::int64_t>& gen_idx,
+               const std::vector<std::int64_t>& key_idx) {
   GLSC_CHECK(generated.dim(0) == static_cast<std::int64_t>(gen_idx.size()));
   GLSC_CHECK(conditioning.dim(0) == static_cast<std::int64_t>(key_idx.size()));
   Shape out_shape = generated.rank() > 0 ? generated.shape()
                                          : conditioning.shape();
-  out_shape[0] = frames;
-  return out_shape;
-}
-
-}  // namespace
-
-Tensor Compose(const Tensor& generated, const Tensor& conditioning,
-               const std::vector<std::int64_t>& gen_idx,
-               const std::vector<std::int64_t>& key_idx) {
+  out_shape[0] = static_cast<std::int64_t>(gen_idx.size() + key_idx.size());
   // The two scatters cover every frame index, so no zero-fill is needed.
-  Tensor out =
-      Tensor::Empty(ComposedShape(generated, conditioning, gen_idx, key_idx));
-  ScatterFrames(generated, gen_idx, &out);
-  ScatterFrames(conditioning, key_idx, &out);
-  return out;
-}
-
-Tensor Compose(const Tensor& generated, const Tensor& conditioning,
-               const std::vector<std::int64_t>& gen_idx,
-               const std::vector<std::int64_t>& key_idx,
-               tensor::Workspace* ws) {
-  Tensor out =
-      ws->NewTensor(ComposedShape(generated, conditioning, gen_idx, key_idx));
+  Tensor out = Tensor::Empty(out_shape);
   ScatterFrames(generated, gen_idx, &out);
   ScatterFrames(conditioning, key_idx, &out);
   return out;
@@ -207,49 +163,27 @@ LatentNorm LatentNorm::FromTensor(const Tensor& t) {
   return norm;
 }
 
-namespace {
-
-void NormalizeInto(const Tensor& t, float lo, float hi, Tensor* out) {
+void LatentNorm::Normalize(const float* src, std::int64_t n,
+                           float* dst) const {
   const float scale = 2.0f / (hi - lo);
-  const float* src = t.data();
-  float* dst = out->data();
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    dst[i] = (src[i] - lo) * scale - 1.0f;
-  }
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = (src[i] - lo) * scale - 1.0f;
 }
 
-void DenormalizeInto(const Tensor& t, float lo, float hi, Tensor* out) {
+void LatentNorm::Denormalize(const float* src, std::int64_t n,
+                             float* dst) const {
   const float scale = (hi - lo) / 2.0f;
-  const float* src = t.data();
-  float* dst = out->data();
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    dst[i] = (src[i] + 1.0f) * scale + lo;
-  }
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = (src[i] + 1.0f) * scale + lo;
 }
-
-}  // namespace
 
 Tensor LatentNorm::Normalize(const Tensor& t) const {
   Tensor out = Tensor::Empty(t.shape());
-  NormalizeInto(t, lo, hi, &out);
-  return out;
-}
-
-Tensor LatentNorm::Normalize(const Tensor& t, tensor::Workspace* ws) const {
-  Tensor out = ws->NewTensor(t.shape());
-  NormalizeInto(t, lo, hi, &out);
+  Normalize(t.data(), t.numel(), out.data());
   return out;
 }
 
 Tensor LatentNorm::Denormalize(const Tensor& t) const {
   Tensor out = Tensor::Empty(t.shape());
-  DenormalizeInto(t, lo, hi, &out);
-  return out;
-}
-
-Tensor LatentNorm::Denormalize(const Tensor& t, tensor::Workspace* ws) const {
-  Tensor out = ws->NewTensor(t.shape());
-  DenormalizeInto(t, lo, hi, &out);
+  Denormalize(t.data(), t.numel(), out.data());
   return out;
 }
 

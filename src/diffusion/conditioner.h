@@ -46,10 +46,6 @@ std::vector<std::int64_t> GeneratedIndices(
 Tensor Compose(const Tensor& generated, const Tensor& conditioning,
                const std::vector<std::int64_t>& gen_idx,
                const std::vector<std::int64_t>& key_idx);
-Tensor Compose(const Tensor& generated, const Tensor& conditioning,
-               const std::vector<std::int64_t>& gen_idx,
-               const std::vector<std::int64_t>& key_idx,
-               tensor::Workspace* ws);
 
 // Batched ⊕ over `batch` stacked windows: `generated` is [B*G, C, H, W]
 // (window 0's G-frames first), `conditioning` is [B*K, C, H, W]; returns
@@ -62,8 +58,6 @@ Tensor ComposeBatch(const Tensor& generated, const Tensor& conditioning,
 
 // Gathers the listed frames of a [N, C, H, W] window into a packed tensor.
 Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx);
-Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx,
-                    tensor::Workspace* ws);
 
 // Batched gather over `batch` stacked windows: `window` is [B*N, C, H, W];
 // returns [B*|idx|, C, H, W], window-major.
@@ -82,9 +76,10 @@ struct LatentNorm {
 
   static LatentNorm FromTensor(const Tensor& t);
   Tensor Normalize(const Tensor& t) const;
-  Tensor Normalize(const Tensor& t, tensor::Workspace* ws) const;
   Tensor Denormalize(const Tensor& t) const;
-  Tensor Denormalize(const Tensor& t, tensor::Workspace* ws) const;
+  // The same maps over raw buffers, for callers writing into arena slabs.
+  void Normalize(const float* src, std::int64_t n, float* dst) const;
+  void Denormalize(const float* src, std::int64_t n, float* dst) const;
 };
 
 }  // namespace glsc::diffusion

@@ -9,9 +9,10 @@
 namespace glsc::diffusion {
 namespace {
 
-// The allocating reference path: every step allocates its temporaries.
-// Kept verbatim so the workspace path below can be byte-identity-tested
-// against it (tests/workspace_test.cc).
+// The allocating reference path: every step allocates its temporaries and
+// runs the training-mode UNet forward. Kept so the batched inference path
+// below can be byte-identity-tested against an independent implementation
+// (tests/workspace_test.cc, tests/batched_decode_test.cc).
 Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
                         const SamplerConfig& config, const Tensor& keyframes,
                         const std::vector<std::int64_t>& key_idx,
@@ -84,81 +85,6 @@ Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
   return x;
 }
 
-// Arena path: x persists at the caller's arena level; every step's
-// activations (window, UNet, eps, x0) live inside a per-step Scope and are
-// rewound before the next step, so after step 1 grows the arena to its
-// high-water mark the loop performs zero heap allocations.
-Tensor SampleWithWorkspace(SpaceTimeUNet* model, const NoiseSchedule& schedule,
-                           const SamplerConfig& config, const Tensor& keyframes,
-                           const std::vector<std::int64_t>& key_idx,
-                           const std::vector<std::int64_t>& gen_idx,
-                           Rng& rng, tensor::Workspace* ws) {
-  Shape gen_shape = keyframes.shape();
-  gen_shape[0] = static_cast<std::int64_t>(gen_idx.size());
-
-  std::vector<std::int64_t> ladder = schedule.Respace(config.steps);
-  std::reverse(ladder.begin(), ladder.end());
-
-  // Same draw order as Tensor::Randn.
-  Tensor x = ws->NewTensor(gen_shape);
-  {
-    float* p = x.data();
-    for (std::int64_t i = 0; i < x.numel(); ++i) p[i] = rng.NormalF();
-  }
-
-  for (std::size_t step = 0; step < ladder.size(); ++step) {
-    const std::int64_t t = ladder[step];
-    const bool last = step + 1 == ladder.size();
-    const std::int64_t t_prev = last ? -1 : ladder[step + 1];
-
-    tensor::Workspace::Scope step_scope(ws);
-    const Tensor window = Compose(x, keyframes, gen_idx, key_idx, ws);
-    const Tensor eps_full = model->Forward(window, t, ws);
-    const Tensor eps = GatherFrames(eps_full, gen_idx, ws);
-
-    const double ab_t = schedule.alpha_bar(t);
-    const double ab_prev = last ? 1.0 : schedule.alpha_bar(t_prev);
-
-    const float inv_sqrt_ab = static_cast<float>(1.0 / std::sqrt(ab_t));
-    const float noise_coeff = static_cast<float>(std::sqrt(1.0 - ab_t));
-    Tensor x0 = ws->NewTensor(gen_shape);
-    {
-      const float* px = x.data();
-      const float* pe = eps.data();
-      float* p0 = x0.data();
-      for (std::int64_t i = 0; i < x0.numel(); ++i) {
-        p0[i] = (px[i] - noise_coeff * pe[i]) * inv_sqrt_ab;
-      }
-    }
-    ClampInPlace(&x0, -1.5f, 1.5f);
-
-    if (last) {
-      // x0 lives inside the step scope; persist it into x before rewinding.
-      std::copy_n(x0.data(), x0.numel(), x.data());
-      break;
-    }
-
-    const double sigma2 =
-        config.eta * config.eta * (1.0 - ab_prev) / (1.0 - ab_t) *
-        (1.0 - ab_t / ab_prev);
-    const double dir_coeff =
-        std::sqrt(std::max(1.0 - ab_prev - sigma2, 0.0));
-    const float c0 = static_cast<float>(std::sqrt(ab_prev));
-    const float c1 = static_cast<float>(dir_coeff);
-    const float cs = static_cast<float>(std::sqrt(std::max(sigma2, 0.0)));
-    {
-      const float* p0 = x0.data();
-      const float* pe = eps.data();
-      float* px = x.data();
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const float noise = cs > 0.0f ? cs * rng.NormalF() : 0.0f;
-        px[i] = c0 * p0[i] + c1 * pe[i] + noise;
-      }
-    }
-  }
-  return x;
-}
-
 }  // namespace
 
 Tensor SampleConditionalBatch(SpaceTimeUNet* model,
@@ -187,7 +113,7 @@ Tensor SampleConditionalBatch(SpaceTimeUNet* model,
   std::vector<std::int64_t> ladder = schedule.Respace(config.steps);
   std::reverse(ladder.begin(), ladder.end());
 
-  // x_T per window, preserving each window's serial draw order.
+  // x_T per window, in the draw order of Tensor::Randn on that window alone.
   Tensor x = ws->NewTensor(gen_shape);
   for (std::int64_t w = 0; w < batch; ++w) {
     float* p = x.data() + w * per_window;
@@ -255,16 +181,11 @@ Tensor SampleConditionalBatch(SpaceTimeUNet* model,
 Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
                          const SamplerConfig& config, const Tensor& keyframes,
                          const std::vector<std::int64_t>& key_idx,
-                         std::int64_t frames, Rng& rng,
-                         tensor::Workspace* ws) {
+                         std::int64_t frames, Rng& rng) {
   GLSC_CHECK(keyframes.rank() == 4);
   GLSC_CHECK(keyframes.dim(0) == static_cast<std::int64_t>(key_idx.size()));
   const std::vector<std::int64_t> gen_idx = GeneratedIndices(key_idx, frames);
   GLSC_CHECK(!gen_idx.empty());
-  if (ws != nullptr) {
-    return SampleWithWorkspace(model, schedule, config, keyframes, key_idx,
-                               gen_idx, rng, ws);
-  }
   return SampleAllocating(model, schedule, config, keyframes, key_idx, gen_idx,
                           rng);
 }

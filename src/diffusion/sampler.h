@@ -24,26 +24,28 @@ struct SamplerConfig {
 // `keyframes`: packed [K, C, H, W] (normalized to [-1,1]);
 // returns packed generated frames [N-K, C, H, W] (normalized domain).
 //
-// With a non-null `ws` the loop runs allocation-free in steady state: the
-// trajectory tensor x lives in the arena at the call's scope, and each
-// denoising step opens a Workspace::Scope around the UNet forward so all
-// per-step activations rewind before the next step. The result then BORROWS
-// arena memory — callers must consume or Clone() it before their enclosing
-// scope rewinds. Output is byte-identical to the allocating path.
+// The allocating reference: every step allocates its temporaries and runs
+// the training-mode UNet forward. Inference goes through
+// SampleConditionalBatch, which tests hold byte-identical to this.
 Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
                          const SamplerConfig& config, const Tensor& keyframes,
                          const std::vector<std::int64_t>& key_idx,
-                         std::int64_t frames, Rng& rng,
-                         tensor::Workspace* ws = nullptr);
+                         std::int64_t frames, Rng& rng);
 
-// Batched sampling over B windows stacked along dim 0. `keyframes` is
-// [B*K, C, H, W] (window 0's keyframes first) and `rngs` holds one generator
-// per window, positioned exactly where the per-window SampleConditional call
-// would start drawing. Every denoising step runs the UNet once over all B
-// windows; each window's slice of the returned [B*G, C, H, W] tensor is
-// byte-identical to the serial workspace call for that window (all draws —
-// the initial noise and any eta > 0 stochasticity — happen per window in the
-// serial order). Requires a workspace; the result borrows arena memory.
+// The inference sampler, over B windows stacked along dim 0 (B == 1 is the
+// single-window case). `keyframes` is [B*K, C, H, W] (window 0's keyframes
+// first) and `rngs` holds one generator per window, positioned exactly where
+// SampleConditional on that window would start drawing. Every denoising
+// step runs the UNet once over all B windows; each window's slice of the
+// returned [B*G, C, H, W] tensor is byte-identical to SampleConditional for
+// that window (all draws — the initial noise and any eta > 0 stochasticity
+// — happen per window in that call's order).
+//
+// Requires a workspace. The trajectory lives in the arena at the call's
+// scope and each step opens a Workspace::Scope around the UNet forward, so
+// per-step activations rewind before the next step and a steady-state loop
+// grows no slabs. The result BORROWS arena memory — callers must consume or
+// Clone() it before their enclosing scope rewinds.
 Tensor SampleConditionalBatch(SpaceTimeUNet* model,
                               const NoiseSchedule& schedule,
                               const SamplerConfig& config,

@@ -48,31 +48,6 @@ Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb) {
   return Add(x, k);
 }
 
-Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb,
-                         tensor::Workspace* ws) {
-  Tensor h = gn1_.Forward(x, ws);
-  act1_.ForwardInPlace(&h);
-  h = conv1_.Forward(h, ws);
-  const Tensor p =
-      temb_proj_.Forward(act_temb_.Forward(temb, ws), ws);  // [1, C]
-  const std::int64_t frames = h.dim(0);
-  const std::int64_t hw = h.dim(2) * h.dim(3);
-  float* ph = h.data();
-  const float* pp = p.data();
-  for (std::int64_t n = 0; n < frames; ++n) {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float shift = pp[c];
-      float* row = ph + (n * channels_ + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) row[i] += shift;
-    }
-  }
-  Tensor k = gn2_.Forward(h, ws);
-  act2_.ForwardInPlace(&k);
-  k = conv2_.Forward(k, ws);
-  Axpy(1.0f, x, &k);  // residual: same values as Add(x, k)
-  return k;
-}
-
 Tensor ResBlock::ForwardBatched(const Tensor& x, const Tensor& temb,
                                 tensor::Workspace* ws) {
   Tensor h = gn1_.Forward(x, ws);
@@ -161,18 +136,6 @@ Tensor SpatialAttentionBlock::Forward(const Tensor& x, tensor::Workspace* ws) {
   return back;
 }
 
-Tensor SpatialAttentionBlock::ForwardBatched(const Tensor& x,
-                                             tensor::Workspace* ws) {
-  GLSC_CHECK(x.rank() == 4);
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor seq = x.Permute({0, 2, 3, 1}, ws).Reshape({n, h * w, c});
-  norm_.ForwardInPlace(&seq);
-  Tensor out = attn_.ForwardBatched(seq, ws);
-  Tensor back = out.Reshape({n, h, w, c}).Permute({0, 3, 1, 2}, ws);
-  Axpy(1.0f, x, &back);  // residual
-  return back;
-}
-
 Tensor SpatialAttentionBlock::Backward(const Tensor& grad_out) {
   const std::int64_t n = cached_shape_[0], c = cached_shape_[1],
                      h = cached_shape_[2], w = cached_shape_[3];
@@ -208,14 +171,7 @@ Tensor TemporalAttentionBlock::Forward(const Tensor& x, bool training) {
 
 Tensor TemporalAttentionBlock::Forward(const Tensor& x,
                                        tensor::Workspace* ws) {
-  GLSC_CHECK(x.rank() == 4);
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor seq = x.Permute({2, 3, 0, 1}, ws).Reshape({h * w, n, c});
-  norm_.ForwardInPlace(&seq);
-  Tensor out = attn_.Forward(seq, ws);
-  Tensor back = out.Reshape({h, w, n, c}).Permute({2, 3, 0, 1}, ws);
-  Axpy(1.0f, x, &back);
-  return back;
+  return ForwardBatchedWindows(x, /*windows=*/1, ws);
 }
 
 Tensor TemporalAttentionBlock::ForwardBatchedWindows(const Tensor& x,
@@ -229,12 +185,12 @@ Tensor TemporalAttentionBlock::ForwardBatchedWindows(const Tensor& x,
   // [B*N, C, H, W] -> [B, H, W, N, C] -> [B*H*W, N, C]: each window's frames
   // form their own length-N sequence, so attention never crosses windows.
   // The permutation {0,3,4,1,2} is self-inverse, and for B == 1 it moves
-  // memory exactly like the rank-4 {2,3,0,1} of the serial path.
+  // memory exactly like the rank-4 {2,3,0,1} of the training forward.
   Tensor seq = x.Reshape({windows, n, c, h, w})
                    .Permute({0, 3, 4, 1, 2}, ws)
                    .Reshape({windows * h * w, n, c});
   norm_.ForwardInPlace(&seq);
-  Tensor out = attn_.ForwardBatched(seq, ws);
+  Tensor out = attn_.Forward(seq, ws);
   Tensor back = out.Reshape({windows, h, w, n, c})
                     .Permute({0, 3, 4, 1, 2}, ws)
                     .Reshape({bn, c, h, w});
@@ -321,36 +277,6 @@ Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t) {
 }
 
 Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t,
-                              tensor::Workspace* ws) {
-  GLSC_CHECK(y_t.rank() == 4 && y_t.dim(1) == config_.EffectiveIn());
-  GLSC_CHECK_MSG(y_t.dim(2) % 2 == 0 && y_t.dim(3) % 2 == 0,
-                 "latent H,W must be even for the down/up pair");
-
-  // Time embedding local to this call (the member cache serves Backward).
-  Tensor temb =
-      nn::SinusoidalTimeEmbedding(t, config_.model_channels, ws)
-          .Reshape({1, config_.model_channels});
-  temb = temb_fc1_.Forward(temb, ws);
-  temb_act_.ForwardInPlace(&temb);
-  temb = temb_fc2_.Forward(temb, ws);
-
-  Tensor h0 = conv_in_.Forward(y_t, ws);
-  Tensor h1 = res1_.Forward(h0, temb, ws);
-  if (config_.stage1_attention) {
-    h1 = tattn1_.Forward(sattn1_.Forward(h1, ws), ws);
-  }
-  Tensor h2 = down_.Forward(h1, ws);
-  h2 = res2_.Forward(h2, temb, ws);
-  h2 = tattn2_.Forward(sattn2_.Forward(h2, ws), ws);
-  Tensor u = up_conv_.Forward(up_.Forward(h2, ws), ws);
-  Axpy(1.0f, h1, &u);  // skip connection, same values as Add(u, h1)
-  Tensor h3 = res3_.Forward(u, temb, ws);
-  Tensor g = gn_out_.Forward(h3, ws);
-  act_out_.ForwardInPlace(&g);
-  return conv_out_.Forward(g, ws);
-}
-
-Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t,
                               tensor::Workspace* ws, std::int64_t windows) {
   GLSC_CHECK(y_t.rank() == 4 && y_t.dim(1) == config_.EffectiveIn());
   GLSC_CHECK_MSG(y_t.dim(2) % 2 == 0 && y_t.dim(3) % 2 == 0,
@@ -371,13 +297,11 @@ Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t,
   Tensor h0 = conv_in_.ForwardBatched(y_t, ws);
   Tensor h1 = res1_.ForwardBatched(h0, temb, ws);
   if (config_.stage1_attention) {
-    h1 = tattn1_.ForwardBatchedWindows(sattn1_.ForwardBatched(h1, ws), windows,
-                                       ws);
+    h1 = tattn1_.ForwardBatchedWindows(sattn1_.Forward(h1, ws), windows, ws);
   }
   Tensor h2 = down_.ForwardBatched(h1, ws);
   h2 = res2_.ForwardBatched(h2, temb, ws);
-  h2 = tattn2_.ForwardBatchedWindows(sattn2_.ForwardBatched(h2, ws), windows,
-                                     ws);
+  h2 = tattn2_.ForwardBatchedWindows(sattn2_.Forward(h2, ws), windows, ws);
   Tensor u = up_conv_.ForwardBatched(up_.Forward(h2, ws), ws);
   Axpy(1.0f, h1, &u);  // skip connection
   Tensor h3 = res3_.ForwardBatched(u, temb, ws);

@@ -53,12 +53,11 @@ class ResBlock {
            const std::string& name);
 
   Tensor Forward(const Tensor& x, const Tensor& temb);
-  // Workspace inference forward: result and temporaries borrow arena memory;
-  // no activations are cached (never follow with Backward).
-  Tensor Forward(const Tensor& x, const Tensor& temb, tensor::Workspace* ws);
-  // As the workspace forward, but the convolutions fuse all leading-dim
-  // frames into merged GEMMs. Byte-identical output; the temb shift
-  // broadcast is per (frame, channel) either way.
+  // Workspace inference forward: result and temporaries borrow arena memory
+  // and nothing is cached (never follow with Backward). The convolutions
+  // fuse all leading-dim frames into merged GEMMs; output is byte-identical
+  // to Forward, since the temb shift broadcast is per (frame, channel)
+  // either way.
   Tensor ForwardBatched(const Tensor& x, const Tensor& temb,
                         tensor::Workspace* ws);
   // Returns dx; accumulates d(temb) into grad_temb (shape [1, temb_dim]).
@@ -80,10 +79,9 @@ class SpatialAttentionBlock : public nn::Layer {
   SpatialAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                         const std::string& name);
   Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   // Frames attend only within themselves, so stacked windows batch for free
-  // along dim 0; uses the pooled-scratch attention core. Byte-identical.
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
+  // along dim 0: this one workspace forward serves any batch.
+  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> Params() override;
   std::string Name() const override { return "SpatialAttentionBlock"; }
@@ -100,11 +98,12 @@ class TemporalAttentionBlock : public nn::Layer {
   TemporalAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                          const std::string& name);
   Tensor Forward(const Tensor& x, bool training) override;
+  // One window: ForwardBatchedWindows with windows == 1.
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   // Batched temporal attention over `windows` stacked windows: x is
   // [B*N, C, H, W] and frames attend only within their own window (sequence
   // length stays N — windows never mix). Byte-identical per window to the
-  // rank-4 path; windows == 1 reproduces it exactly.
+  // training forward on that window alone.
   Tensor ForwardBatchedWindows(const Tensor& x, std::int64_t windows,
                                tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out) override;
@@ -127,19 +126,17 @@ class SpaceTimeUNet {
   // ORIGINAL (pre-respacing) schedule, so fine-tuned few-step models keep a
   // consistent embedding. Returns estimated noise, same shape as input.
   Tensor Forward(const Tensor& y_t, std::int64_t t);
-  // Workspace inference forward: numerically identical to Forward, but every
-  // activation (result included) borrows arena memory and nothing is cached,
-  // so steady-state sampler loops perform zero heap allocations. Never
-  // follow with Backward.
-  Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws);
-  // Batched workspace forward over `windows` stacked windows: y_t is
-  // [B*N, C_lat, H, W] with the B windows' frames concatenated along dim 0.
-  // One pass denoises all B windows — convolutions and attention fuse into
-  // B×-wider GEMMs, and temporal attention keeps each window's frames in
-  // their own length-N sequence. Every window's slice of the output is
-  // byte-identical to running the rank-4 workspace Forward on that window
-  // alone; windows == 1 reproduces it exactly. All windows share the
-  // timestep t (the DDIM ladder is config-determined, not data-dependent).
+  // The inference forward, over `windows` stacked windows: y_t is
+  // [B*N, C_lat, H, W] with the B windows' frames concatenated along dim 0
+  // (windows == 1 is the single-window case). One pass denoises all B
+  // windows — convolutions and attention fuse into B×-wider GEMMs, and
+  // temporal attention keeps each window's frames in their own length-N
+  // sequence. Every window's slice of the output is byte-identical to the
+  // training Forward on that window alone. Every activation (result
+  // included) borrows arena memory and nothing is cached, so steady-state
+  // sampler loops grow no workspace slabs; never follow with Backward. All
+  // windows share the timestep t (the DDIM ladder is config-determined, not
+  // data-dependent).
   Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws,
                  std::int64_t windows);
   Tensor Backward(const Tensor& grad_out);

@@ -54,13 +54,9 @@ void SplitHeads(const float* src, float* pq, float* pk, float* pv,
 }
 
 // scores = Q K^T / sqrt(hd); attn = softmax(scores); out = attn V.
-// The per-(batch, head) products are tiny (L x hd with hd = dim/heads), so
-// on batched paths a pooled GemmScratch keeps the GEMM packing buffers alive
-// across the whole bh loop; values are byte-identical either way.
 void AttentionCore(const float* pq, const float* pk, const float* pv,
                    float* pattn, float* pout, std::int64_t bh_count,
-                   std::int64_t l, std::int64_t head_dim,
-                   GemmScratch* scratch = nullptr) {
+                   std::int64_t l, std::int64_t head_dim) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   for (std::int64_t bh = 0; bh < bh_count; ++bh) {
     const float* q = pq + bh * l * head_dim;
@@ -69,11 +65,11 @@ void AttentionCore(const float* pq, const float* pk, const float* pv,
     float* attn = pattn + bh * l * l;
     float* out = pout + bh * l * head_dim;
     Gemm(false, true, l, l, head_dim, scale, q, head_dim, k, head_dim, 0.0f,
-         attn, l, scratch);
+         attn, l);
     const simd::KernelTable& kernels = simd::ActiveKernels();
     for (std::int64_t r = 0; r < l; ++r) kernels.softmax_row(attn + r * l, l);
     Gemm(false, false, l, head_dim, l, 1.0f, attn, l, v, head_dim, 0.0f, out,
-         head_dim, scratch);
+         head_dim);
   }
 }
 
@@ -133,33 +129,6 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {
   Tensor heads_out = ws->NewTensor({b, heads_, l, head_dim_});
   AttentionCore(q.data(), k.data(), v.data(), attn.data(), heads_out.data(),
                 b * heads_, l, head_dim_);
-
-  Tensor merged = ws->NewTensor({b, l, dim_});
-  MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);
-  return proj_.Forward(merged, ws);
-}
-
-Tensor MultiHeadSelfAttention::ForwardBatched(const Tensor& x,
-                                              tensor::Workspace* ws) {
-  if (ws == nullptr) return Forward(x, /*training=*/false);
-  GLSC_CHECK(x.rank() == 3 && x.dim(2) == dim_);
-  const std::int64_t b = x.dim(0);
-  const std::int64_t l = x.dim(1);
-
-  // Identical to the workspace forward except the attention core reuses the
-  // member GemmScratch: batched decode runs thousands of tiny per-head
-  // products, where per-call pack allocation would dominate the arithmetic.
-  Tensor qkv = qkv_.Forward(x, ws);
-  Tensor q = ws->NewTensor({b, heads_, l, head_dim_});
-  Tensor k = ws->NewTensor({b, heads_, l, head_dim_});
-  Tensor v = ws->NewTensor({b, heads_, l, head_dim_});
-  SplitHeads(qkv.data(), q.data(), k.data(), v.data(), b, l, heads_, head_dim_,
-             dim_);
-
-  Tensor attn = ws->NewTensor({b, heads_, l, l});
-  Tensor heads_out = ws->NewTensor({b, heads_, l, head_dim_});
-  AttentionCore(q.data(), k.data(), v.data(), attn.data(), heads_out.data(),
-                b * heads_, l, head_dim_, &gemm_scratch_);
 
   Tensor merged = ws->NewTensor({b, l, dim_});
   MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include "nn/linear.h"
-#include "tensor/gemm.h"
 
 namespace glsc::nn {
 
@@ -22,10 +21,6 @@ class MultiHeadSelfAttention : public Layer {
   // x: [B, L, D] -> [B, L, D]
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  // Workspace forward with pooled GEMM packing scratch across the per-head
-  // product loop (the products are tiny, so per-call pack allocation is the
-  // dominant cost there). Byte-identical to Forward(x, ws).
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
   std::string Name() const override { return "MultiHeadSelfAttention"; }
@@ -39,9 +34,6 @@ class MultiHeadSelfAttention : public Layer {
   // Caches for backward.
   Tensor cached_q_, cached_k_, cached_v_;  // [B, heads, L, head_dim]
   Tensor cached_attn_;                     // [B, heads, L, L] (post-softmax)
-  // Pooled GEMM packing buffers for ForwardBatched (thread-confined, like
-  // Conv2d's column scratch).
-  GemmScratch gemm_scratch_;
 };
 
 // Row-wise softmax over the last dimension; exposed for tests.

@@ -9,6 +9,17 @@
 #include "tensor/im2col.h"
 
 namespace glsc::nn {
+namespace {
+
+// Grow-only scratch: repeated calls on same-shaped inputs never re-allocate.
+float* GrowScratch(std::vector<float>* buf, std::int64_t floats) {
+  if (static_cast<std::int64_t>(buf->size()) < floats) {
+    buf->resize(static_cast<std::size_t>(floats));
+  }
+  return buf->data();
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
@@ -23,27 +34,6 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
   weight_ = Param(name + ".weight",
                   Tensor::Uniform({out_c_, fan_in}, rng, -bound, bound));
   bias_ = Param(name + ".bias", Tensor::Uniform({out_c_}, rng, -bound, bound));
-}
-
-float* Conv2d::ColScratch(std::int64_t floats) {
-  if (static_cast<std::int64_t>(col_scratch_.size()) < floats) {
-    col_scratch_.resize(static_cast<std::size_t>(floats));
-  }
-  return col_scratch_.data();
-}
-
-float* Conv2d::GradColScratch(std::int64_t floats) {
-  if (static_cast<std::int64_t>(grad_col_scratch_.size()) < floats) {
-    grad_col_scratch_.resize(static_cast<std::size_t>(floats));
-  }
-  return grad_col_scratch_.data();
-}
-
-float* Conv2d::BatchOutScratch(std::int64_t floats) {
-  if (static_cast<std::int64_t>(batch_out_scratch_.size()) < floats) {
-    batch_out_scratch_.resize(static_cast<std::size_t>(floats));
-  }
-  return batch_out_scratch_.data();
 }
 
 Shape Conv2d::OutputShape(const Tensor& x) const {
@@ -64,16 +54,17 @@ void Conv2d::ForwardInto(const Tensor& x, Tensor* y) {
 
   // Im2Col writes every element (padding included), so the cached scratch
   // needs no clearing between calls.
-  float* columns = ColScratch(col_rows * col_cols);
+  float* columns = GrowScratch(&col_scratch_, col_rows * col_cols);
+  float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));
   for (std::int64_t b = 0; b < batch; ++b) {
     Im2Col(x.data() + b * in_c_ * h * w, in_c_, h, w, kernel_, kernel_,
-           stride_, pad_, columns);
+           stride_, pad_, columns, padded);
     // y_b = W [out_c, col_rows] * columns [col_rows, col_cols], with the
     // per-channel bias fused into the final-panel write-back.
     GemmEx(false, false, out_c_, col_cols, col_rows, 1.0f,
            weight_.value.data(), col_rows, columns, col_cols, 0.0f,
            y->data() + b * out_c_ * col_cols, col_cols, bias_.value.data(),
-           GemmEpilogue::kBiasRow, &gemm_scratch_);
+           GemmEpilogue::kBiasRow);
   }
 }
 
@@ -95,8 +86,9 @@ void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
     return;
   }
 
-  float* columns = ColScratch(col_rows * chunk * col_cols);
-  float* staged = BatchOutScratch(out_c_ * chunk * col_cols);
+  float* columns = GrowScratch(&col_scratch_, col_rows * chunk * col_cols);
+  float* staged = GrowScratch(&batch_out_scratch_, out_c_ * chunk * col_cols);
+  float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));
   for (std::int64_t b0 = 0; b0 < batch; b0 += chunk) {
     const std::int64_t bc = std::min(chunk, batch - b0);
     const std::int64_t total_cols = bc * col_cols;
@@ -105,12 +97,12 @@ void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
     // reused scratch needs no clearing.
     for (std::int64_t f = 0; f < bc; ++f) {
       Im2ColLd(x.data() + (b0 + f) * in_c_ * h * w, in_c_, h, w, kernel_,
-               kernel_, stride_, pad_, columns + f * col_cols, total_cols);
+               kernel_, stride_, pad_, columns + f * col_cols, total_cols,
+               padded);
     }
     GemmEx(false, false, out_c_, total_cols, col_rows, 1.0f,
            weight_.value.data(), col_rows, columns, total_cols, 0.0f, staged,
-           total_cols, bias_.value.data(), GemmEpilogue::kBiasRow,
-           &gemm_scratch_);
+           total_cols, bias_.value.data(), GemmEpilogue::kBiasRow);
     // Un-interleave [out_c, bc * col_cols] back into per-frame NCHW planes.
     for (std::int64_t f = 0; f < bc; ++f) {
       float* dst = y->data() + (b0 + f) * out_c_ * col_cols;
@@ -156,15 +148,16 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   Tensor grad_in = Tensor::Empty(x.shape());
   // Shares the Forward scratch (same shape for same input geometry) plus a
   // second buffer for dcolumns; neither re-allocates in steady state.
-  float* columns = ColScratch(col_rows * col_cols);
-  float* grad_cols = GradColScratch(col_rows * col_cols);
+  float* columns = GrowScratch(&col_scratch_, col_rows * col_cols);
+  float* grad_cols = GrowScratch(&grad_col_scratch_, col_rows * col_cols);
+  float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));
 
   for (std::int64_t b = 0; b < batch; ++b) {
     const float* g_b = grad_out.data() + b * out_c_ * col_cols;
 
     // dW += g_b [out_c, cols] * columns^T [cols, col_rows]
     Im2Col(x.data() + b * in_c_ * h * w, in_c_, h, w, kernel_, kernel_,
-           stride_, pad_, columns);
+           stride_, pad_, columns, padded);
     Gemm(false, true, out_c_, col_rows, col_cols, 1.0f, g_b, col_cols,
          columns, col_cols, 1.0f, weight_.grad.data(), col_rows);
 

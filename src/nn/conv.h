@@ -4,8 +4,9 @@
 // simpler backward pass than transposed convolution).
 #pragma once
 
+#include <vector>
+
 #include "nn/layer.h"
-#include "tensor/gemm.h"
 
 namespace glsc::nn {
 
@@ -38,22 +39,18 @@ class Conv2d : public Layer {
   void ForwardInto(const Tensor& x, Tensor* y);
   void ForwardBatchedInto(const Tensor& x, Tensor* y);
 
-  // Grow-only im2col scratch shared by Forward (any overload) and Backward,
-  // so repeated calls on same-shaped inputs never re-allocate. Layer
-  // instances are confined to one thread (sessions clone per worker), so a
-  // member scratch is safe.
-  float* ColScratch(std::int64_t floats);
-  float* GradColScratch(std::int64_t floats);
-  float* BatchOutScratch(std::int64_t floats);
-
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Param weight_;  // [out_c, in_c * k * k]
   Param bias_;    // [out_c]
   Tensor cached_input_;
+  // Grow-only scratch shared by Forward (any overload) and Backward, so
+  // repeated calls on same-shaped inputs never re-allocate. Layer instances
+  // are confined to one thread (sessions clone per worker), so member
+  // scratch is safe.
   std::vector<float> col_scratch_;        // im2col columns
+  std::vector<float> pad_scratch_;        // one zero-padded input plane
   std::vector<float> grad_col_scratch_;   // backward dcolumns
   std::vector<float> batch_out_scratch_;  // merged-GEMM output staging
-  GemmScratch gemm_scratch_;              // pooled GEMM packing buffers
 };
 
 // Nearest-neighbour 2x spatial upsampling. Backward is a 2x2 sum-pool of the

@@ -164,23 +164,7 @@ std::vector<Tensor> DecodeScheduler::Fetch(
       MutexLock lock(*worker_mu_[worker]);
       tensor::Workspace* ws = workspaces_[worker].get();
 
-      if (options_.max_batch <= 1 || n == 1) {
-        // Per-record dispatch: max_batch <= 1 (legacy behavior, the "serial"
-        // arm of bench_e2e_decode) and single-record tails take the exact
-        // code path this scheduler always had.
-        for (std::size_t j = begin; j < begin + n; ++j) {
-          try {
-            Tensor recon = DecodeRecord(indices[owned[j]], worker, ws);
-            check_geometry(recon, indices[owned[j]]);
-            publish(&j, &recon, 1);
-          } catch (...) {
-            publish_failure(j, std::current_exception());
-          }
-        }
-        return;
-      }
-
-      // Batched dispatch: ONE DecompressWindows call for the whole chunk.
+      // ONE DecompressWindows call for the whole chunk, whatever its size.
       // The injector hook and payload fetch run per record first; records
       // failing there are published as failures and excluded from the batch.
       // Each record gets its own scratch vector, since `payloads` holds them
@@ -206,14 +190,19 @@ std::vector<Tensor> DecodeScheduler::Fetch(
       if (live.empty()) return;
 
       std::vector<Tensor> recons;
-      bool batch_ok = true;
+      std::exception_ptr batch_error;
       try {
         recons = workers_[worker]->DecompressWindows(payloads, ws);
         GLSC_CHECK(recons.size() == live.size());
       } catch (...) {
-        batch_ok = false;
+        batch_error = std::current_exception();
       }
-      if (!batch_ok) {
+      if (batch_error != nullptr && live.size() == 1) {
+        // A batch of one already names its failing record.
+        publish_failure(live[0], batch_error);
+        return;
+      }
+      if (batch_error != nullptr) {
         // The batched call cannot say WHICH payload sank it. Re-decode the
         // fetched payloads per record (injector already consumed its charges
         // above, so this pass sees the codec's real behavior) to attribute

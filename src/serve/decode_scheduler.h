@@ -62,9 +62,9 @@ struct ScheduleOptions {
   // Cache-miss records owned by one worker are coalesced into batched
   // Compressor::DecompressWindows calls of at most this many payloads, so
   // model-based codecs (GLSC) run ONE diffusion/VAE pass over the stacked
-  // windows instead of one per record. <= 1 restores the per-record
-  // DecompressWindow dispatch. Results are byte-identical either way —
-  // batching is a dispatch choice, never a quality choice.
+  // windows instead of one per record. <= 1 means batches of one. Results
+  // are byte-identical for any value — batching is a dispatch choice, never
+  // a quality choice.
   std::int64_t max_batch = 8;
   // Borrowed test seam, consulted before every record decode when non-null
   // (see fault_injector.h). Must outlive the scheduler.

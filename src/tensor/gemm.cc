@@ -126,15 +126,6 @@ void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
             std::int64_t k, float alpha, const float* a, std::int64_t lda,
             const float* b, std::int64_t ldb, float beta, float* c,
             std::int64_t ldc, const float* bias, GemmEpilogue epilogue) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, bias,
-         epilogue, nullptr);
-}
-
-void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-            std::int64_t k, float alpha, const float* a, std::int64_t lda,
-            const float* b, std::int64_t ldb, float beta, float* c,
-            std::int64_t ldc, const float* bias, GemmEpilogue epilogue,
-            GemmScratch* scratch) {
   GLSC_CHECK(m >= 0 && n >= 0 && k >= 0);
   GLSC_CHECK(epilogue == GemmEpilogue::kNone || bias != nullptr);
   if (m == 0 || n == 0) return;
@@ -170,17 +161,15 @@ void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       static_cast<std::size_t>(((kMC + mr - 1) / mr) * mr * kKC);
   const std::size_t b_elems =
       static_cast<std::size_t>(((kNC + nr - 1) / nr) * nr * kKC);
-  // With a caller-provided scratch the buffer persists across calls (packed
+  // One grow-only buffer per thread, reused by every call on it: packed
   // panels are fully written before the micro-kernel reads them, so stale
-  // contents cannot leak into the product); otherwise allocate per call.
-  std::vector<float> local_storage;
-  float* storage;
-  if (scratch != nullptr) {
-    storage = scratch->Ensure(a_elems + b_elems + 32);
-  } else {
-    local_storage.resize(a_elems + b_elems + 32);
-    storage = local_storage.data();
+  // contents cannot leak into the product. It grows on a thread's first
+  // call, and again only if a dispatch override switches to wider tiles.
+  thread_local std::vector<float> pack_storage;
+  if (pack_storage.size() < a_elems + b_elems + 32) {
+    pack_storage.resize(a_elems + b_elems + 32);
   }
+  float* const storage = pack_storage.data();
   auto align64 = [](float* p) {
     return reinterpret_cast<float*>(
         (reinterpret_cast<std::uintptr_t>(p) + 63) & ~std::uintptr_t{63});
@@ -226,14 +215,6 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t ldc) {
   GemmEx(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
          nullptr, GemmEpilogue::kNone);
-}
-
-void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, float alpha, const float* a, std::int64_t lda,
-          const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc, GemmScratch* scratch) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-         nullptr, GemmEpilogue::kNone, scratch);
 }
 
 void MatMul(const float* a, const float* b, float* c, std::int64_t m,

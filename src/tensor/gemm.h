@@ -7,34 +7,15 @@
 // by all levels. GemmEx additionally fuses a bias (+ optional SiLU) epilogue
 // into the final-panel write-back so callers like Conv2d and Dense do not
 // re-walk their output tensors.
+//
+// Packing goes through one grow-only buffer per thread (~660 KB, sized by
+// the cache blocking, not the problem), so no call allocates in steady state
+// and concurrent callers on different threads never share it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace glsc {
-
-// Reusable packing buffer for GEMM-heavy inner loops (attention cores, the
-// batched conv path). GemmEx sizes its packing scratch by the fixed cache
-// blocking rather than the problem, so for tiny products the per-call
-// allocation dominates the arithmetic; threading one GemmScratch through a
-// loop of calls hoists that cost out of the loop. Results are byte-identical
-// with or without a scratch. Not thread-safe: confine each instance to one
-// thread (mirror of Conv2d's column scratch discipline).
-class GemmScratch {
- public:
-  // Returns a buffer with room for at least `elems` floats, growing if
-  // needed. Contents are unspecified; GEMM packing fully overwrites the
-  // region it reads.
-  float* Ensure(std::size_t elems) {
-    if (buf_.size() < elems) buf_.resize(elems);
-    return buf_.data();
-  }
-
- private:
-  std::vector<float> buf_;
-};
 
 // Fused epilogue applied to C after the product is fully accumulated.
 //  kBiasRow:  C[i][j] += bias[i]   (bias has m entries; conv channel bias)
@@ -55,20 +36,6 @@ void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
             std::int64_t k, float alpha, const float* a, std::int64_t lda,
             const float* b, std::int64_t ldb, float beta, float* c,
             std::int64_t ldc, const float* bias, GemmEpilogue epilogue);
-
-// As above, but packs through `scratch` when non-null instead of allocating
-// per call. Passing nullptr is identical to the plain overload.
-void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-            std::int64_t k, float alpha, const float* a, std::int64_t lda,
-            const float* b, std::int64_t ldb, float beta, float* c,
-            std::int64_t ldc, const float* bias, GemmEpilogue epilogue,
-            GemmScratch* scratch);
-
-// Gemm with pooled packing scratch; see GemmScratch.
-void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, float alpha, const float* a, std::int64_t lda,
-          const float* b, std::int64_t ldb, float beta, float* c,
-          std::int64_t ldc, GemmScratch* scratch);
 
 // Convenience: C(MxN) = A(MxK) * B(KxN), contiguous row-major, overwrite C.
 void MatMul(const float* a, const float* b, float* c, std::int64_t m,

@@ -2,6 +2,7 @@
 
 #include <execinfo.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +68,13 @@ Graph& GetGraph() {
 }
 
 // Per-thread held-lock list. A handful of entries at most; linear scans are
-// fine and keep the structure trivially async-safe for the abort path.
-thread_local std::vector<const void*> tls_held;
+// fine and keep the structure trivially async-safe for the abort path. Plain
+// arrays with no destructor: static destructors that run after the main
+// thread's thread_local objects are gone (the global ThreadPool's, which
+// locks its queue mutex) still acquire through these hooks.
+constexpr int kMaxHeld = 64;
+thread_local const void* tls_held[kMaxHeld];
+thread_local int tls_held_count = 0;
 
 // Depth-first search for a path from `from` to `target` over recorded edges,
 // collecting the edge chain. Caller holds the graph mutex.
@@ -137,6 +143,16 @@ void DescribeMutex(const Graph& graph, const void* mu) {
   std::abort();
 }
 
+void PushHeld(const void* mu) {
+  if (tls_held_count == kMaxHeld) {
+    Graph& graph = GetGraph();
+    const std::lock_guard<std::mutex> lock(graph.mu);
+    AbortWithReport(graph, "TOO MANY MUTEXES HELD BY ONE THREAD", mu, nullptr,
+                    nullptr);
+  }
+  tls_held[tls_held_count++] = mu;
+}
+
 }  // namespace
 
 void OnCreate(const void* mu, const char* name, int rank) {
@@ -161,19 +177,20 @@ void OnDestroy(const void* mu) {
 
 void OnAcquire(const void* mu) {
   Graph& graph = GetGraph();
-  for (const void* held : tls_held) {
-    if (held == mu) {
+  for (int i = 0; i < tls_held_count; ++i) {
+    if (tls_held[i] == mu) {
       const std::lock_guard<std::mutex> lock(graph.mu);
       AbortWithReport(graph, "SELF-DEADLOCK (mutex already held by this thread)",
                       mu, mu, nullptr);
     }
   }
-  if (!tls_held.empty()) {
+  if (tls_held_count > 0) {
     const std::lock_guard<std::mutex> lock(graph.mu);
     const auto target_it = graph.nodes.find(mu);
     const int target_rank =
         (target_it != graph.nodes.end()) ? target_it->second.rank : 0;
-    for (const void* held : tls_held) {
+    for (int i = 0; i < tls_held_count; ++i) {
+      const void* held = tls_held[i];
       // Rank discipline: ranked mutexes are acquired in strictly increasing
       // rank order. Checked against every held lock, not just the newest, so
       // an unranked lock in between cannot launder an inversion.
@@ -197,27 +214,28 @@ void OnAcquire(const void* mu) {
       }
     }
   }
-  tls_held.push_back(mu);
+  PushHeld(mu);
 }
 
 void OnTryAcquired(const void* mu) {
-  for (const void* held : tls_held) {
-    if (held == mu) {
+  for (int i = 0; i < tls_held_count; ++i) {
+    if (tls_held[i] == mu) {
       Graph& graph = GetGraph();
       const std::lock_guard<std::mutex> lock(graph.mu);
       AbortWithReport(graph, "SELF-DEADLOCK (try_lock on a held mutex)", mu, mu,
                       nullptr);
     }
   }
-  tls_held.push_back(mu);
+  PushHeld(mu);
 }
 
 void OnRelease(const void* mu) {
   // Usually LIFO, but Mutex::Unlock permits out-of-order release; scan from
-  // the back.
-  for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
-    if (*it == mu) {
-      tls_held.erase(std::next(it).base());
+  // the back and close the gap.
+  for (int i = tls_held_count - 1; i >= 0; --i) {
+    if (tls_held[i] == mu) {
+      std::copy(tls_held + i + 1, tls_held + tls_held_count, tls_held + i);
+      --tls_held_count;
       return;
     }
   }
@@ -230,6 +248,6 @@ void OnRelease(const void* mu) {
                   nullptr, nullptr);
 }
 
-int HeldCount() { return static_cast<int>(tls_held.size()); }
+int HeldCount() { return tls_held_count; }
 
 }  // namespace glsc::lockcheck

@@ -1,13 +1,17 @@
-// Byte-identity of the batched decode stack against the serial workspace
-// path, at every dispatch level the tentpole touches:
+// Byte-identity of the batched inference stack — the one path every GLSC
+// decode takes, B == 1 included — against independent references:
 //
 //   Conv2d::ForwardBatched        — frame-merged im2col GEMM vs per-frame
-//   MultiHeadSelfAttention        — pooled-scratch forward vs plain workspace
-//   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs B
-//                                   rank-4 passes
-//   SampleConditionalBatch        — batched DDIM ladder vs per-window sampling
-//   VaeHyperprior::DecodeLatent-  — merged decoder convolutions
-//   GlscCompressor::DecompressB.  — the full pipeline, B ∈ {1, 2, 5}
+//   MultiHeadSelfAttention        — workspace forward vs training forward
+//   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs the
+//                                   training forward per window
+//   SampleConditionalBatch        — batched DDIM ladder vs the allocating
+//                                   sampler per window
+//   VaeHyperprior::DecodeLatent-  — merged decoder convolutions vs the
+//                                   allocating decode
+//   GlscCompressor::DecompressB.  — the full pipeline, B ∈ {1, 2, 5}, vs
+//                                   the decoder written out from the
+//                                   allocating pieces (glsc_reference.h)
 //
 // "Identical" here always means bitwise: batching is a dispatch choice, never
 // a quality choice. Untrained weights are fine — the pipeline is
@@ -24,6 +28,7 @@
 #include "diffusion/noise_schedule.h"
 #include "diffusion/sampler.h"
 #include "diffusion/spacetime_unet.h"
+#include "glsc_reference.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "tensor/tensor.h"
@@ -66,8 +71,8 @@ TEST(BatchedAttention, ForwardBatchedMatchesForward) {
   nn::MultiHeadSelfAttention attn(8, 2, rng);
   for (const std::int64_t batch : {1, 3, 6}) {
     Tensor x = Tensor::Randn({batch, 5, 8}, rng);
+    const Tensor ref = attn.Forward(x, /*training=*/false);
     Workspace ws;
-    const Tensor ref = attn.Forward(x, &ws);
     const Tensor batched = attn.ForwardBatched(x, &ws);
     ExpectBytesEqual(ref, batched);
   }
@@ -89,12 +94,11 @@ TEST(BatchedUNet, StackedWindowsMatchSerialPerWindow) {
     const Tensor out = unet.Forward(stacked, /*t=*/17, &ws, batch);
     ASSERT_EQ(out.shape(), stacked.shape());
     for (std::int64_t b = 0; b < batch; ++b) {
-      // Serial reference: the rank-4 workspace forward on this window alone.
+      // Reference: the training forward on this window alone.
       Tensor window = Tensor::Empty({n, c, h, w});
       std::memcpy(window.data(), stacked.data() + b * n * c * h * w,
                   static_cast<std::size_t>(n * c * h * w) * sizeof(float));
-      Workspace serial_ws;
-      const Tensor ref = unet.Forward(window, /*t=*/17, &serial_ws);
+      const Tensor ref = unet.Forward(window, /*t=*/17);
       ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * n * c * h * w,
                                static_cast<std::size_t>(n * c * h * w) *
                                    sizeof(float)))
@@ -140,11 +144,10 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
       Tensor window_keys = Tensor::Empty({k, c, h, w});
       std::memcpy(window_keys.data(), keys.data() + b * k * c * h * w,
                   static_cast<std::size_t>(k * c * h * w) * sizeof(float));
+      // Reference: the allocating sampler on this window alone.
       Rng serial_rng(100 + static_cast<std::uint64_t>(b));
-      Workspace serial_ws;
       const Tensor ref = diffusion::SampleConditional(
-          &unet, schedule, sampler, window_keys, key_idx, frames, serial_rng,
-          &serial_ws);
+          &unet, schedule, sampler, window_keys, key_idx, frames, serial_rng);
       ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * g * c * h * w,
                                static_cast<std::size_t>(g * c * h * w) *
                                    sizeof(float)))
@@ -164,15 +167,16 @@ TEST(BatchedVae, DecodeLatentBatchedMatchesSerial) {
   Rng rng(51);
   for (const std::int64_t frames : {1, 4, 10}) {
     Tensor y = Tensor::Randn({frames, 4, 4, 4}, rng);
+    const Tensor ref = vae.DecodeLatent(y);
     Workspace ws;
-    const Tensor ref = vae.DecodeLatent(y, &ws);
     const Tensor batched = vae.DecodeLatentBatched(y, &ws);
     ExpectBytesEqual(ref, batched);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Full pipeline: DecompressBatch vs Decompress, window by window.
+// Full pipeline: DecompressBatch vs the allocating reference decoder, window
+// by window.
 // ---------------------------------------------------------------------------
 
 core::GlscConfig SmallGlscConfig() {
@@ -218,7 +222,11 @@ TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
   }
 
   std::vector<Tensor> refs;
-  for (const auto& cw : compressed) refs.push_back(glsc.Decompress(cw));
+  for (const auto& cw : compressed) {
+    refs.push_back(ReferenceDecompress(&glsc, cw));
+  }
+  // The single-window entry point is a batch of one.
+  ExpectBytesEqual(refs[0], glsc.Decompress(compressed[0]));
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
                                   std::size_t{5}}) {

@@ -6,9 +6,11 @@
 //     enough that shedding and tenant-limit rejections actually happen.
 //   - DecodeScheduler with a one-window cache under concurrent Get, so
 //     eviction and the single-flight table churn constantly.
+//   - GEMM from several threads at once, each packing into its own
+//     per-thread buffer.
 //
-// Every successful Get is compared byte-for-byte against a single-threaded
-// reference decode — concurrency must never change bytes. The suites run
+// Every successful Get (and every product) is compared byte-for-byte against
+// a single-threaded reference — concurrency must never change bytes. The suites run
 // under the default gate for functional coverage and under the TSan lane
 // (scripts/check.sh CHECK_SANITIZE=thread) for race coverage.
 #include <gtest/gtest.h>
@@ -28,6 +30,8 @@
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
 #include "serve/shard_manager.h"
+#include "tensor/gemm.h"
+#include "util/rng.h"
 
 namespace glsc::serve {
 namespace {
@@ -218,6 +222,54 @@ TEST(ConcurrencyStress, SchedulerTinyCacheChurn) {
   // The one-window cache forces constant re-decodes: strictly more record
   // decodes than the 3 records the archive holds proves eviction churned.
   EXPECT_GT(scheduler.decoded_records(), 3);
+}
+
+// GEMM packs into one grow-only buffer per thread. Four threads run products
+// of different shapes in a loop, each thread starting at a different shape so
+// the buffers see interleaved sizes. The shapes include m > 132, k > 256 and
+// n > 512, so every cache-blocking loop runs more than once and repacks.
+// Each result must match the serial product byte for byte; a buffer shared
+// across threads would show up as a mismatch here and as a race under TSan.
+TEST(ConcurrencyStress, GemmPerThreadPackBuffer) {
+  struct Case {
+    std::int64_t m, n, k;
+    bool trans_a, trans_b;
+    Tensor a, b, want;
+  };
+  std::vector<Case> cases = {{7, 9, 5, false, false, {}, {}, {}},
+                             {140, 37, 300, false, true, {}, {}, {}},
+                             {33, 530, 70, true, false, {}, {}, {}},
+                             {150, 600, 280, false, false, {}, {}, {}},
+                             {5, 17, 260, true, true, {}, {}, {}}};
+  Rng rng(61);
+  for (Case& c : cases) {
+    c.a = Tensor::Randn({c.m * c.k}, rng);
+    c.b = Tensor::Randn({c.k * c.n}, rng);
+    c.want = Tensor::Empty({c.m * c.n});
+    Gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, 1.0f, c.a.data(),
+         c.trans_a ? c.m : c.k, c.b.data(), c.trans_b ? c.k : c.n, 0.0f,
+         c.want.data(), c.n);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (int i = 0; i < kRounds * static_cast<int>(cases.size()); ++i) {
+        const Case& c = cases[static_cast<std::size_t>(tid + i) % cases.size()];
+        Tensor got = Tensor::Empty({c.m * c.n});
+        Gemm(c.trans_a, c.trans_b, c.m, c.n, c.k, 1.0f, c.a.data(),
+             c.trans_a ? c.m : c.k, c.b.data(), c.trans_b ? c.k : c.n, 0.0f,
+             got.data(), c.n);
+        if (!SameBytes(got, c.want)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

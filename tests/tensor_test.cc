@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -153,7 +156,7 @@ TEST(Im2Col, KnownValues) {
   Tensor x({1, 3, 3});
   for (std::int64_t i = 0; i < 9; ++i) x[i] = static_cast<float>(i);
   std::vector<float> cols(4 * 4);
-  Im2Col(x.data(), 1, 3, 3, 2, 2, 1, 0, cols.data());
+  Im2Col(x.data(), 1, 3, 3, 2, 2, 1, 0, cols.data(), /*padded=*/nullptr);
   // Row 0 = kernel offset (0,0): values at output positions.
   EXPECT_FLOAT_EQ(cols[0], 0.0f);
   EXPECT_FLOAT_EQ(cols[1], 1.0f);
@@ -162,6 +165,89 @@ TEST(Im2Col, KnownValues) {
   // Row 3 = kernel offset (1,1).
   EXPECT_FLOAT_EQ(cols[12], 4.0f);
   EXPECT_FLOAT_EQ(cols[15], 8.0f);
+}
+
+// The per-element lowering Im2ColLd used before it copied from a padded
+// plane, kept as the reference: every output element tests its own source
+// bounds and writes 0 outside the frame.
+void NaiveIm2ColLd(const float* input, std::int64_t channels,
+                   std::int64_t height, std::int64_t width, std::int64_t k,
+                   std::int64_t stride, std::int64_t pad, float* columns,
+                   std::int64_t col_ld) {
+  const std::int64_t oh = ConvOutDim(height, k, stride, pad);
+  const std::int64_t ow = ConvOutDim(width, k, stride, pad);
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float* in_c = input + c * height * width;
+    for (std::int64_t ki = 0; ki < k; ++ki) {
+      for (std::int64_t kj = 0; kj < k; ++kj) {
+        float* out_row = columns + ((c * k + ki) * k + kj) * col_ld;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * stride - pad + ki;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * stride - pad + kj;
+            const bool inside = iy >= 0 && iy < height && ix >= 0 && ix < width;
+            out_row[oy * ow + ox] = inside ? in_c[iy * width + ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Byte identity of the padded-plane lowering against the naive loop, packed
+// and as one frame inside a wider column matrix (col_ld > OH*OW, frame at
+// column 3). Small frames under wide kernels (H or W of 1 or 2 with kernel
+// 5, pad 2) give column rows that fall entirely in padding. The buffers
+// start filled with a sentinel, so a write outside the frame's columns shows
+// up too, and the padding scratch starts as NaN, since its contents are
+// unspecified on entry.
+TEST(Im2Col, MatchesNaiveLoweringOverShapes) {
+  Rng rng(17);
+  const Tensor source = Tensor::Randn({16, 32, 32}, rng);
+  const float kSentinel = -7.0f;
+  int cases = 0;
+  for (const std::int64_t ch : {1, 3, 16}) {
+    for (const std::int64_t h : {1, 2, 5, 8, 17, 32}) {
+      for (const std::int64_t w : {1, 2, 5, 8, 17, 32}) {
+        for (const std::int64_t k : {1, 3, 5}) {
+          for (const std::int64_t stride : {1, 2}) {
+            for (const std::int64_t pad : {0, 1, 2}) {
+              const std::int64_t oh = ConvOutDim(h, k, stride, pad);
+              const std::int64_t ow = ConvOutDim(w, k, stride, pad);
+              if (oh <= 0 || ow <= 0) continue;
+              const std::int64_t rows = ch * k * k;
+              const std::int64_t cols = oh * ow;
+              std::vector<float> padded(
+                  static_cast<std::size_t>(Im2ColPadFloats(h, w, pad)),
+                  std::numeric_limits<float>::quiet_NaN());
+              for (const std::int64_t ld : {cols, cols + 7}) {
+                const std::int64_t offset = ld == cols ? 0 : 3;
+                std::vector<float> want(static_cast<std::size_t>(rows * ld),
+                                        kSentinel);
+                std::vector<float> got = want;
+                NaiveIm2ColLd(source.data(), ch, h, w, k, stride, pad,
+                              want.data() + offset, ld);
+                if (ld == cols) {
+                  Im2Col(source.data(), ch, h, w, k, k, stride, pad,
+                         got.data(), padded.data());
+                } else {
+                  Im2ColLd(source.data(), ch, h, w, k, k, stride, pad,
+                           got.data() + offset, ld, padded.data());
+                }
+                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                         want.size() * sizeof(float)))
+                    << "C=" << ch << " H=" << h << " W=" << w << " k=" << k
+                    << " stride=" << stride << " pad=" << pad
+                    << " col_ld=" << ld;
+              }
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1500);
 }
 
 // col2im is the adjoint of im2col: <Im2Col(x), c> == <x, Col2Im(c)>.
@@ -174,7 +260,9 @@ TEST(Im2Col, AdjointProperty) {
   Tensor c = Tensor::Randn({ch * k * k, oh * ow}, rng);
 
   Tensor ix({ch * k * k, oh * ow});
-  Im2Col(x.data(), ch, h, w, k, k, stride, pad, ix.data());
+  std::vector<float> padded(
+      static_cast<std::size_t>(Im2ColPadFloats(h, w, pad)));
+  Im2Col(x.data(), ch, h, w, k, k, stride, pad, ix.data(), padded.data());
   Tensor cx({ch, h, w});
   Col2Im(c.data(), ch, h, w, k, k, stride, pad, cx.data());
 

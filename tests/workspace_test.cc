@@ -1,4 +1,4 @@
-// Workspace arena + zero-allocation inference path tests: arena mechanics
+// Workspace arena + workspace inference path tests: arena mechanics
 // (alignment, scoped rewind, cached-slab reuse, stats), borrowed-storage
 // Tensor semantics, and byte-identity of every workspace-aware Forward /
 // decode path against the allocating reference — at both dispatch
@@ -15,6 +15,7 @@
 #include "core/glsc_compressor.h"
 #include "data/field_generators.h"
 #include "diffusion/sampler.h"
+#include "glsc_reference.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
@@ -312,7 +313,7 @@ TEST(WorkspaceNnTest, SequentialChainMatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Diffusion stack byte identity + zero steady-state allocations.
+// Diffusion stack byte identity + no steady-state workspace slab growth.
 // ---------------------------------------------------------------------------
 
 diffusion::UNetConfig SmallUNetConfig() {
@@ -331,7 +332,7 @@ TEST(WorkspaceDiffusionTest, UNetForwardMatches) {
   const Tensor ref = unet.Forward(y, 17);
   unet.Backward(Tensor::Zeros(ref.shape()));  // clear the forward caches
   Workspace ws;
-  const Tensor got = unet.Forward(y, 17, &ws);
+  const Tensor got = unet.Forward(y, 17, &ws, /*windows=*/1);
   ExpectBytesEqual(ref, got);
 }
 
@@ -353,22 +354,21 @@ TEST(WorkspaceDiffusionTest, SamplerByteIdenticalAndZeroSteadyStateAllocs) {
   {
     Workspace::Scope scope(&ws);
     Rng rng_ws(123);
-    const Tensor got = diffusion::SampleConditional(&unet, schedule, config,
-                                                    keyframes, key_idx, 8,
-                                                    rng_ws, &ws);
+    const Tensor got = diffusion::SampleConditionalBatch(
+        &unet, schedule, config, keyframes, key_idx, 8, {&rng_ws}, &ws);
     ExpectBytesEqual(ref, got);
   }
 
   // The first run grew the arena to its high-water mark; from now on the
-  // sampler loop must be allocation-free, even at MORE steps per window
+  // sampler loop must grow no slabs, even at MORE steps per window
   // (per-step scopes rewind to the same bump state every step).
   const std::int64_t grown = ws.stats().slab_allocations;
   config.steps = 8;
   for (int round = 0; round < 2; ++round) {
     Workspace::Scope scope(&ws);
     Rng rng_ws(123);
-    (void)diffusion::SampleConditional(&unet, schedule, config, keyframes,
-                                       key_idx, 8, rng_ws, &ws);
+    (void)diffusion::SampleConditionalBatch(&unet, schedule, config, keyframes,
+                                            key_idx, 8, {&rng_ws}, &ws);
   }
   EXPECT_EQ(ws.stats().slab_allocations, grown)
       << "steady-state sampler loop allocated new slabs";
@@ -412,7 +412,8 @@ TEST(WorkspaceGlscTest, DecompressByteIdenticalAndSteadyState) {
   const Tensor window = SmallWindow();
   const core::CompressedWindow compressed = glsc.Compress(window, -1.0);
 
-  const Tensor ref = glsc.Decompress(compressed);
+  const Tensor ref = ReferenceDecompress(&glsc, compressed);
+  ExpectBytesEqual(ref, glsc.Decompress(compressed));  // local arena
   Workspace ws;
   const Tensor got = glsc.Decompress(compressed, 0, &ws);
   EXPECT_FALSE(got.borrowed());  // arena memory must not escape
@@ -440,6 +441,10 @@ TEST(WorkspaceGlscTest, CompressByteIdentical) {
   EXPECT_EQ(a.keyframes.z_stream, b.keyframes.z_stream);
   EXPECT_EQ(a.sample_seed, b.sample_seed);
   ExpectBytesEqual(recon_ref, recon_ws);
+  // The encoder's reconstruction is the decoder's output, and so is
+  // Reconstruct's (coding is lossless).
+  ExpectBytesEqual(ReferenceDecompress(&glsc, a), recon_ref);
+  ExpectBytesEqual(recon_ref, glsc.Reconstruct(window, a.sample_seed));
 }
 
 TEST(WorkspaceApiTest, AdapterDecompressMatchesAcrossWorkspaces) {
