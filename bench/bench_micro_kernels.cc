@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "api/compressor.h"
@@ -109,22 +110,42 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(0)->Arg(1);
 
+// Conv2d inference forward over one 16-frame window at the shapes GLSC
+// decode runs: Arg 0-2 the VAE decoder (16->16 5x5 at 32x32 and at 16x16,
+// 16->1 3x3 at 32x32), Arg 3 a UNet ResBlock conv (16->16 3x3 at 8x8). All
+// stride 1 with same padding, one workspace reused as the decoder does.
 void BM_Conv2dForward(benchmark::State& state) {
-  const auto edge = state.range(0);
+  struct ConvShape {
+    std::int64_t in_c, out_c, kernel, edge;
+    const char* label;
+  };
+  static constexpr ConvShape kShapes[] = {
+      {16, 16, 5, 32, "vae 16->16 5x5 32x32"},
+      {16, 16, 5, 16, "vae 16->16 5x5 16x16"},
+      {16, 1, 3, 32, "vae 16->1 3x3 32x32"},
+      {16, 16, 3, 8, "unet 16->16 3x3 8x8"}};
+  const ConvShape& shape = kShapes[state.range(0)];
   Rng rng(2);
-  nn::Conv2d conv(16, 16, 3, 1, 1, rng);
-  Tensor x = Tensor::Randn({4, 16, edge, edge}, rng);
+  nn::Conv2d conv(shape.in_c, shape.out_c, shape.kernel, 1, shape.kernel / 2,
+                  rng);
+  Tensor x = Tensor::Randn({16, shape.in_c, shape.edge, shape.edge}, rng);
+  tensor::Workspace ws;
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, false);
+    tensor::Workspace::Scope scope(&ws);
+    Tensor y = conv.Forward(x, &ws);
     benchmark::DoNotOptimize(y.data());
   }
+  state.SetItemsProcessed(state.iterations() * 2 * 16 * shape.out_c *
+                          shape.in_c * shape.kernel * shape.kernel *
+                          shape.edge * shape.edge);  // flops
+  state.SetLabel(shape.label);
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Conv2dForward)->DenseRange(0, 3);
 
-// im2col over one 16-frame window at the two shapes GLSC decode lowers most,
-// both stride 1 with same padding. Arg 0: a UNet conv, 3x3 over 16 channels
-// of 8x8 latents. Arg 1: the VAE decoder's widest conv, 5x5 over 16
-// channels at 32x32.
+// im2col over one 16-frame window, the lowering Conv2d::Backward runs (the
+// forward packs GEMM panels from padded frames instead). Arg 0: a UNet
+// conv, 3x3 over 16 channels of 8x8 latents. Arg 1: the VAE decoder's
+// widest conv, 5x5 over 16 channels at 32x32.
 void BM_Im2Col(benchmark::State& state) {
   const bool vae = state.range(0) == 1;
   const std::int64_t frames = 16, channels = 16;
@@ -164,19 +185,31 @@ void BM_ConvForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForwardBackward);
 
+// The four attention blocks of the GLSC UNet at the workload geometry (a
+// 16-frame window of 8x8 latents, 16 model channels, 4 heads of width 4),
+// inference forward with a reused workspace. Arg 0/1: spatial / temporal at
+// 8x8 (L = 64 / 16); Arg 2/3: spatial / temporal after the 2x downsample
+// (L = 16 / 16).
 void BM_AttentionForward(benchmark::State& state) {
-  const auto len = state.range(0);
+  const bool temporal = state.range(0) % 2 == 1;
+  const std::int64_t edge = state.range(0) < 2 ? 8 : 4;
   Rng rng(4);
-  nn::MultiHeadSelfAttention attn(32, 4, rng);
-  Tensor x = Tensor::Randn({4, len, 32}, rng);
+  diffusion::SpatialAttentionBlock spatial(16, 4, rng, "sattn");
+  diffusion::TemporalAttentionBlock temporal_block(16, 4, rng, "tattn");
+  nn::Layer& block = temporal ? static_cast<nn::Layer&>(temporal_block)
+                              : static_cast<nn::Layer&>(spatial);
+  Tensor x = Tensor::Randn({16, 16, edge, edge}, rng);
+  tensor::Workspace ws;
   for (auto _ : state) {
-    Tensor y = attn.Forward(x, false);
-    // Consume the cache so the next Forward starts clean.
-    attn.Backward(Tensor::Zeros(y.shape()));
+    tensor::Workspace::Scope scope(&ws);
+    Tensor y = block.Forward(x, &ws);
     benchmark::DoNotOptimize(y.data());
   }
+  state.SetLabel(std::string(temporal ? "temporal" : "spatial") + " " +
+                 std::to_string(edge) + "x" + std::to_string(edge) + " " +
+                 simd::IsaName(simd::ActiveIsa()));
 }
-BENCHMARK(BM_AttentionForward)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_AttentionForward)->DenseRange(0, 3);
 
 void BM_UNetForwardLatent(benchmark::State& state) {
   diffusion::UNetConfig config;

@@ -151,8 +151,12 @@ fi
 #
 # Sanitizer lane: CHECK_SANITIZE=address,undefined (any -fsanitize= list)
 # builds a separate instrumented tree and runs the concurrency-heavy serving
-# suites under it. Off by default — the instrumented build roughly doubles
-# gate time — but cheap to request when touching serve/ or util/.
+# suites plus the kernel suites under it: tensor (GEMM, implicit-GEMM
+# convolution packing, im2col), nn (layers), simd (every dispatch level,
+# attention kernel included), batched_decode and workspace (the inference
+# path end to end). Off by default — the instrumented build roughly doubles
+# gate time — but cheap to request when touching serve/, util/ or the
+# kernels.
 # CHECK_SANITIZE=thread is special-cased onto the GLSC_TSAN option (TSan is
 # incompatible with ASan in one binary) and gets the stress suite plus the
 # documented libstdc++ suppressions (tsan.supp). Both trees default the
@@ -173,9 +177,10 @@ elif [[ -n "${CHECK_SANITIZE:-}" ]]; then
   cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLSC_SANITIZE="$CHECK_SANITIZE"
   cmake --build "$SAN_DIR" -j"$JOBS" \
-      --target shard_manager_test serve_test concurrency_stress_test
+      --target shard_manager_test serve_test concurrency_stress_test \
+               tensor_test nn_test simd_test batched_decode_test workspace_test
   ctest --test-dir "$SAN_DIR" --output-on-failure -j"$JOBS" \
-      -R '^(shard_manager_test|serve_test|concurrency_stress_test)(_scalar)?$'
+      -R '^(shard_manager_test|serve_test|concurrency_stress_test|tensor_test|nn_test|simd_test|batched_decode_test|workspace_test)(_scalar)?$'
 fi
 
 # Opt-in debug-checker lane: CHECK_DEBUG=1 builds a RelWithDebInfo tree with

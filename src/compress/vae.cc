@@ -191,7 +191,7 @@ Tensor VaeHyperprior::DecodeLatent(const Tensor& y_hat) {
 
 Tensor VaeHyperprior::DecodeLatentBatched(const Tensor& y_hat,
                                           tensor::Workspace* ws) {
-  return decoder_.ForwardBatched(y_hat, ws);
+  return decoder_.Forward(y_hat, ws);
 }
 
 void VaeHyperprior::HyperForwardInference(const Tensor& y, Tensor* z_hat,

@@ -48,11 +48,11 @@ Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb) {
   return Add(x, k);
 }
 
-Tensor ResBlock::ForwardBatched(const Tensor& x, const Tensor& temb,
-                                tensor::Workspace* ws) {
+Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb,
+                         tensor::Workspace* ws) {
   Tensor h = gn1_.Forward(x, ws);
   act1_.ForwardInPlace(&h);
-  h = conv1_.ForwardBatched(h, ws);
+  h = conv1_.Forward(h, ws);
   const Tensor p =
       temb_proj_.Forward(act_temb_.Forward(temb, ws), ws);  // [1, C]
   const std::int64_t frames = h.dim(0);
@@ -68,7 +68,7 @@ Tensor ResBlock::ForwardBatched(const Tensor& x, const Tensor& temb,
   }
   Tensor k = gn2_.Forward(h, ws);
   act2_.ForwardInPlace(&k);
-  k = conv2_.ForwardBatched(k, ws);
+  k = conv2_.Forward(k, ws);
   Axpy(1.0f, x, &k);  // residual
   return k;
 }
@@ -294,20 +294,20 @@ Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t,
   temb_act_.ForwardInPlace(&temb);
   temb = temb_fc2_.Forward(temb, ws);
 
-  Tensor h0 = conv_in_.ForwardBatched(y_t, ws);
-  Tensor h1 = res1_.ForwardBatched(h0, temb, ws);
+  Tensor h0 = conv_in_.Forward(y_t, ws);
+  Tensor h1 = res1_.Forward(h0, temb, ws);
   if (config_.stage1_attention) {
     h1 = tattn1_.ForwardBatchedWindows(sattn1_.Forward(h1, ws), windows, ws);
   }
-  Tensor h2 = down_.ForwardBatched(h1, ws);
-  h2 = res2_.ForwardBatched(h2, temb, ws);
+  Tensor h2 = down_.Forward(h1, ws);
+  h2 = res2_.Forward(h2, temb, ws);
   h2 = tattn2_.ForwardBatchedWindows(sattn2_.Forward(h2, ws), windows, ws);
-  Tensor u = up_conv_.ForwardBatched(up_.Forward(h2, ws), ws);
+  Tensor u = up_conv_.Forward(up_.Forward(h2, ws), ws);
   Axpy(1.0f, h1, &u);  // skip connection
-  Tensor h3 = res3_.ForwardBatched(u, temb, ws);
+  Tensor h3 = res3_.Forward(u, temb, ws);
   Tensor g = gn_out_.Forward(h3, ws);
   act_out_.ForwardInPlace(&g);
-  return conv_out_.ForwardBatched(g, ws);
+  return conv_out_.Forward(g, ws);
 }
 
 Tensor SpaceTimeUNet::Backward(const Tensor& grad_out) {

@@ -54,12 +54,10 @@ class ResBlock {
 
   Tensor Forward(const Tensor& x, const Tensor& temb);
   // Workspace inference forward: result and temporaries borrow arena memory
-  // and nothing is cached (never follow with Backward). The convolutions
-  // fuse all leading-dim frames into merged GEMMs; output is byte-identical
-  // to Forward, since the temb shift broadcast is per (frame, channel)
-  // either way.
-  Tensor ForwardBatched(const Tensor& x, const Tensor& temb,
-                        tensor::Workspace* ws);
+  // and nothing is cached (never follow with Backward). Byte-identical to
+  // Forward, since the temb shift broadcast is per (frame, channel) either
+  // way.
+  Tensor Forward(const Tensor& x, const Tensor& temb, tensor::Workspace* ws);
   // Returns dx; accumulates d(temb) into grad_temb (shape [1, temb_dim]).
   Tensor Backward(const Tensor& grad_out, Tensor* grad_temb);
   std::vector<nn::Param*> Params();

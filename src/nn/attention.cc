@@ -53,23 +53,17 @@ void SplitHeads(const float* src, float* pq, float* pk, float* pv,
   }
 }
 
-// scores = Q K^T / sqrt(hd); attn = softmax(scores); out = attn V.
+// scores = Q K^T / sqrt(hd); attn = softmax(scores); out = attn V, one
+// fused kernel call per (batch, head). Training and inference share it.
 void AttentionCore(const float* pq, const float* pk, const float* pv,
                    float* pattn, float* pout, std::int64_t bh_count,
                    std::int64_t l, std::int64_t head_dim) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const simd::KernelTable& kernels = simd::ActiveKernels();
   for (std::int64_t bh = 0; bh < bh_count; ++bh) {
-    const float* q = pq + bh * l * head_dim;
-    const float* k = pk + bh * l * head_dim;
-    const float* v = pv + bh * l * head_dim;
-    float* attn = pattn + bh * l * l;
-    float* out = pout + bh * l * head_dim;
-    Gemm(false, true, l, l, head_dim, scale, q, head_dim, k, head_dim, 0.0f,
-         attn, l);
-    const simd::KernelTable& kernels = simd::ActiveKernels();
-    for (std::int64_t r = 0; r < l; ++r) kernels.softmax_row(attn + r * l, l);
-    Gemm(false, false, l, head_dim, l, 1.0f, attn, l, v, head_dim, 0.0f, out,
-         head_dim);
+    const std::int64_t offset = bh * l * head_dim;
+    kernels.attention_head(pq + offset, pk + offset, pv + offset, l, head_dim,
+                           scale, pattn + bh * l * l, pout + offset);
   }
 }
 

@@ -45,92 +45,56 @@ Shape Conv2d::OutputShape(const Tensor& x) const {
   return {x.dim(0), out_c_, oh, ow};
 }
 
-void Conv2d::ForwardInto(const Tensor& x, Tensor* y) {
+void Conv2d::Apply(const Tensor& x, Tensor* y) {
   const std::int64_t batch = x.dim(0);
   const std::int64_t h = x.dim(2);
   const std::int64_t w = x.dim(3);
-  const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
-  const std::int64_t col_cols = y->dim(2) * y->dim(3);
+  const std::int64_t ph = h + 2 * pad_;
+  const std::int64_t pw = w + 2 * pad_;
+  const std::int64_t cols = y->dim(2) * y->dim(3);
 
-  // Im2Col writes every element (padding included), so the cached scratch
-  // needs no clearing between calls.
-  float* columns = GrowScratch(&col_scratch_, col_rows * col_cols);
-  float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));
-  for (std::int64_t b = 0; b < batch; ++b) {
-    Im2Col(x.data() + b * in_c_ * h * w, in_c_, h, w, kernel_, kernel_,
-           stride_, pad_, columns, padded);
-    // y_b = W [out_c, col_rows] * columns [col_rows, col_cols], with the
-    // per-channel bias fused into the final-panel write-back.
-    GemmEx(false, false, out_c_, col_cols, col_rows, 1.0f,
-           weight_.value.data(), col_rows, columns, col_cols, 0.0f,
-           y->data() + b * out_c_ * col_cols, col_cols, bias_.value.data(),
-           GemmEpilogue::kBiasRow);
-  }
-}
-
-void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t h = x.dim(2);
-  const std::int64_t w = x.dim(3);
-  const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
-  const std::int64_t col_cols = y->dim(2) * y->dim(3);
-
-  // Frames per merged GEMM, capped so the wide column matrix stays ~4 MiB
-  // (L2-friendly; GEMM throughput is already saturated well before that).
-  constexpr std::int64_t kMergeScratchFloats = std::int64_t{1} << 20;
-  const std::int64_t chunk = std::max<std::int64_t>(
-      1, std::min(batch, kMergeScratchFloats / (col_rows * col_cols)));
-  if (chunk <= 1) {
-    // One frame already fills the budget; merging would buy nothing.
-    ForwardInto(x, y);
-    return;
-  }
-
-  float* columns = GrowScratch(&col_scratch_, col_rows * chunk * col_cols);
-  float* staged = GrowScratch(&batch_out_scratch_, out_c_ * chunk * col_cols);
-  float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));
+  // Frames per GEMM: enough to fill one GEMM column block, so small frames
+  // still pack the weights once per block rather than once per frame.
+  const std::int64_t chunk =
+      std::min(batch, (kGemmBlockCols + cols - 1) / cols);
+  float* padded =
+      pad_ > 0 ? GrowScratch(&pad_scratch_, chunk * in_c_ * ph * pw) : nullptr;
+  float* staged =
+      chunk > 1 ? GrowScratch(&stage_scratch_, out_c_ * chunk * cols) : nullptr;
   for (std::int64_t b0 = 0; b0 < batch; b0 += chunk) {
     const std::int64_t bc = std::min(chunk, batch - b0);
-    const std::int64_t total_cols = bc * col_cols;
-    // Frame f's patches occupy columns [f*col_cols, (f+1)*col_cols) of one
-    // [col_rows, total_cols] matrix; every element gets written, so the
-    // reused scratch needs no clearing.
-    for (std::int64_t f = 0; f < bc; ++f) {
-      Im2ColLd(x.data() + (b0 + f) * in_c_ * h * w, in_c_, h, w, kernel_,
-               kernel_, stride_, pad_, columns + f * col_cols, total_cols,
-               padded);
+    const float* frames = x.data() + b0 * in_c_ * h * w;
+    if (pad_ > 0) {
+      PadPlanes(frames, bc * in_c_, h, w, pad_, padded);
+      frames = padded;
     }
-    GemmEx(false, false, out_c_, total_cols, col_rows, 1.0f,
-           weight_.value.data(), col_rows, columns, total_cols, 0.0f, staged,
-           total_cols, bias_.value.data(), GemmEpilogue::kBiasRow);
-    // Un-interleave [out_c, bc * col_cols] back into per-frame NCHW planes.
+    // One frame's output is already an NCHW plane set; several frames come
+    // out as [out_c, bc * cols] and are un-interleaved below.
+    float* out = bc > 1 ? staged : y->data() + b0 * out_c_ * cols;
+    ConvGemm(out_c_, weight_.value.data(), in_c_ * kernel_ * kernel_,
+             ConvFrames{frames, bc, in_c_, ph, pw, kernel_, stride_}, out,
+             bc * cols, bias_.value.data(), GemmEpilogue::kBiasRow);
+    if (bc == 1) continue;
     for (std::int64_t f = 0; f < bc; ++f) {
-      float* dst = y->data() + (b0 + f) * out_c_ * col_cols;
+      float* dst = y->data() + (b0 + f) * out_c_ * cols;
       for (std::int64_t c = 0; c < out_c_; ++c) {
-        std::memcpy(dst + c * col_cols, staged + c * total_cols + f * col_cols,
-                    static_cast<std::size_t>(col_cols) * sizeof(float));
+        std::memcpy(dst + c * cols, staged + c * bc * cols + f * cols,
+                    static_cast<std::size_t>(cols) * sizeof(float));
       }
     }
   }
 }
 
-Tensor Conv2d::ForwardBatched(const Tensor& x, tensor::Workspace* ws) {
-  Tensor y =
-      ws != nullptr ? ws->NewTensor(OutputShape(x)) : Tensor::Empty(OutputShape(x));
-  ForwardBatchedInto(x, &y);
-  return y;
-}
-
 Tensor Conv2d::Forward(const Tensor& x, bool /*training*/) {
   Tensor y = Tensor::Empty(OutputShape(x));
   cached_input_ = x;
-  ForwardInto(x, &y);
+  Apply(x, &y);
   return y;
 }
 
 Tensor Conv2d::Forward(const Tensor& x, tensor::Workspace* ws) {
   Tensor y = ws->NewTensor(OutputShape(x));
-  ForwardInto(x, &y);
+  Apply(x, &y);
   return y;
 }
 
@@ -146,8 +110,8 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   const std::int64_t col_cols = oh * ow;
 
   Tensor grad_in = Tensor::Empty(x.shape());
-  // Shares the Forward scratch (same shape for same input geometry) plus a
-  // second buffer for dcolumns; neither re-allocates in steady state.
+  // Grow-only scratch for the columns, dcolumns and one padded plane;
+  // nothing re-allocates in steady state.
   float* columns = GrowScratch(&col_scratch_, col_rows * col_cols);
   float* grad_cols = GrowScratch(&grad_col_scratch_, col_rows * col_cols);
   float* padded = GrowScratch(&pad_scratch_, Im2ColPadFloats(h, w, pad_));

@@ -1,7 +1,9 @@
-// 2D convolution layers in NCHW layout, lowered to GEMM via im2col.
-// Downsampling uses stride-2 convolutions; upsampling uses nearest-neighbour
-// 2x upsample followed by a convolution (checkerboard-free and with a much
-// simpler backward pass than transposed convolution).
+// 2D convolution layers in NCHW layout. The forward pass is an implicit
+// GEMM (ConvGemm, tensor/gemm.h) over zero-padded frames; the backward pass
+// lowers through im2col. Downsampling uses stride-2 convolutions;
+// upsampling uses nearest-neighbour 2x upsample followed by a convolution
+// (checkerboard-free and with a much simpler backward pass than transposed
+// convolution).
 #pragma once
 
 #include <vector>
@@ -16,15 +18,13 @@ class Conv2d : public Layer {
          std::int64_t kernel, std::int64_t stride, std::int64_t pad, Rng& rng,
          const std::string& name = "conv");
 
-  // x: [B, C_in, H, W] -> [B, C_out, OH, OW]
+  // x: [B, C_in, H, W] -> [B, C_out, OH, OW]. Both overloads run one body,
+  // which merges frames along the GEMM N dimension: a chunk of frames is
+  // one weight pass instead of one GEMM per frame. Per-element
+  // accumulation order does not depend on the column position, so the
+  // output does not depend on the chunking.
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  // Merges frames along the GEMM N dimension: im2col for a chunk of frames
-  // lands side by side in one wide column matrix, so the whole chunk is one
-  // weight pass instead of one GEMM per frame. Byte-identical to Forward
-  // (per-output-element accumulation order does not depend on the column
-  // position). Works without a workspace (allocates the output then).
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
   std::string Name() const override { return "Conv2d"; }
@@ -33,24 +33,23 @@ class Conv2d : public Layer {
   std::int64_t out_channels() const { return out_c_; }
 
  private:
-  // Shared forward kernel: [B, C_out, OH, OW] output shape for x, and the
-  // im2col + fused-bias GEMM loop writing into the (Empty or arena) output.
+  // The forward body: [B, C_out, OH, OW] output shape for x, and the
+  // pad + implicit-GEMM loop writing into the (Empty or arena) output.
   Shape OutputShape(const Tensor& x) const;
-  void ForwardInto(const Tensor& x, Tensor* y);
-  void ForwardBatchedInto(const Tensor& x, Tensor* y);
+  void Apply(const Tensor& x, Tensor* y);
 
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Param weight_;  // [out_c, in_c * k * k]
   Param bias_;    // [out_c]
   Tensor cached_input_;
-  // Grow-only scratch shared by Forward (any overload) and Backward, so
-  // repeated calls on same-shaped inputs never re-allocate. Layer instances
-  // are confined to one thread (sessions clone per worker), so member
-  // scratch is safe.
-  std::vector<float> col_scratch_;        // im2col columns
-  std::vector<float> pad_scratch_;        // one zero-padded input plane
-  std::vector<float> grad_col_scratch_;   // backward dcolumns
-  std::vector<float> batch_out_scratch_;  // merged-GEMM output staging
+  // Grow-only scratch, so repeated calls on same-shaped inputs never
+  // re-allocate. Layer instances are confined to one thread (sessions clone
+  // per worker), so member scratch is safe.
+  std::vector<float> pad_scratch_;       // forward: a chunk of padded frames;
+                                         // backward: one padded plane
+  std::vector<float> stage_scratch_;     // forward: multi-frame GEMM output
+  std::vector<float> col_scratch_;       // backward: im2col columns
+  std::vector<float> grad_col_scratch_;  // backward: dcolumns
 };
 
 // Nearest-neighbour 2x spatial upsampling. Backward is a 2x2 sum-pool of the

@@ -7,10 +7,6 @@ Tensor Layer::Forward(const Tensor& x, tensor::Workspace* ws) {
   return Forward(x, /*training=*/false);
 }
 
-Tensor Layer::ForwardBatched(const Tensor& x, tensor::Workspace* ws) {
-  return Forward(x, ws);
-}
-
 bool Layer::ForwardInPlace(Tensor* x) {
   (void)x;
   return false;
@@ -31,20 +27,6 @@ Tensor Sequential::Forward(const Tensor& x, tensor::Workspace* ws) {
   for (auto& layer : layers_) {
     if (chain_owned && layer->ForwardInPlace(&h)) continue;
     h = layer->Forward(h, ws);
-    chain_owned = true;
-  }
-  return h;
-}
-
-Tensor Sequential::ForwardBatched(const Tensor& x, tensor::Workspace* ws) {
-  Tensor h = x;
-  // Same ownership reasoning as the workspace forward: intermediates are
-  // chain-owned, so in-place layers may overwrite them. Non-in-place layers
-  // get the batched forward so convs fuse across the whole leading dim.
-  bool chain_owned = false;
-  for (auto& layer : layers_) {
-    if (chain_owned && layer->ForwardInPlace(&h)) continue;
-    h = layer->ForwardBatched(h, ws);
     chain_owned = true;
   }
   return h;

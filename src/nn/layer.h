@@ -43,6 +43,8 @@ class Layer {
   // Workspace-aware INFERENCE forward: the result (and any scratch) is
   // allocated from `ws` (non-null), so the returned tensor borrows arena
   // memory valid only until the caller's enclosing Workspace::Scope rewinds.
+  // Dim 0 is the batch (stacked windows x frames in batched decode); layers
+  // may fuse work across it, as Conv2d merges frames into wide GEMMs.
   // Overriding layers cache nothing — never follow with Backward.
   // Numerically identical to Forward(x, /*training=*/false). The default
   // falls back to the allocating inference forward, which MAY cache the
@@ -50,13 +52,6 @@ class Layer {
   // must override this (every built-in layer does) or it would retain a
   // dangling view past the scope rewind.
   virtual Tensor Forward(const Tensor& x, tensor::Workspace* ws);
-
-  // Batched inference forward: like Forward(x, ws) but the layer may fuse
-  // work across the full leading dimension (stacked windows x frames) — e.g.
-  // Conv2d merges all frames into wide GEMMs instead of one GEMM per frame.
-  // Output is byte-identical to Forward(x, ws); the default simply falls
-  // back to it. Layers that never see batched decode need not override.
-  virtual Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws);
 
   // In-place inference where shapes allow (elementwise layers, norms):
   // overwrites *x with the layer output and returns true; the default
@@ -92,7 +87,6 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
   std::string Name() const override { return "Sequential"; }

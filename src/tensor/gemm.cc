@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/im2col.h"
 #include "tensor/simd/kernels.h"
 #include "util/check.h"
 
@@ -13,10 +14,13 @@ namespace {
 // Cache-blocking parameters. The micro-kernel works on mr x nr tiles of C
 // (tile dims come from the dispatched kernel table) with the K loop innermost
 // over packed panels; sizes are chosen so an MC x KC panel of A (~128 KiB)
-// stays L2-resident.
+// stays L2-resident. The K panel length is shared with the attention
+// kernels, which must split their sums where GEMM does.
 constexpr std::int64_t kMC = 132;  // multiple of both 4 and 6 (tile heights)
-constexpr std::int64_t kKC = 256;
-constexpr std::int64_t kNC = 512;
+constexpr std::int64_t kKC = simd::kGemmKC;
+constexpr std::int64_t kNC = kGemmBlockCols;
+// Widest micro-tile of any kernel table (AVX-512's 32 columns).
+constexpr std::int64_t kMaxNr = 32;
 
 // Packs a row-major (possibly transposed) block of A into column-panel order:
 // consecutive mr-row strips, each strip laid out K-major. Full strips take
@@ -101,6 +105,84 @@ void PackB(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
   }
 }
 
+// Packs a block of the implicit column matrix of a convolution in PackB's
+// layout, reading the padded planes directly. Entry (row (c, ki, kj),
+// column (f, oy, ox)) sits at
+//   data[(f*C*H*W + oy*stride*W + ox*stride) + (c*H*W + ki*W + kj)],
+// a column offset plus a row offset. A strip's columns split into runs that
+// stay inside one output row, and each run is one copy per K row: plain
+// copies at stride 1, a strided copy otherwise. Ragged strips are
+// zero-filled past jb, as PackB fills them. Row and column indices advance
+// incrementally; only the block's first entry is found by division.
+void PackConvB(const ConvFrames& in, std::int64_t oh, std::int64_t ow,
+               std::int64_t k0, std::int64_t k, std::int64_t col0,
+               std::int64_t n, std::int64_t nr, float* packed) {
+  const std::int64_t plane = in.height * in.width;
+  const std::int64_t taps = in.kernel * in.kernel;
+  const std::int64_t stride = in.stride;
+  std::int64_t row_offset[kKC];
+  {
+    std::int64_t c = k0 / taps;
+    std::int64_t ki = k0 % taps / in.kernel;
+    std::int64_t kj = k0 % in.kernel;
+    for (std::int64_t p = 0; p < k; ++p) {
+      row_offset[p] = c * plane + ki * in.width + kj;
+      if (++kj == in.kernel) {
+        kj = 0;
+        if (++ki == in.kernel) {
+          ki = 0;
+          ++c;
+        }
+      }
+    }
+  }
+  struct Run {
+    std::int64_t dst, len, src;
+  };
+  Run runs[kMaxNr];
+  std::int64_t f = col0 / (oh * ow);
+  std::int64_t oy = col0 % (oh * ow) / ow;
+  std::int64_t ox = col0 % ow;
+  for (std::int64_t j = 0; j < n; j += nr) {
+    const std::int64_t jb = std::min(nr, n - j);
+    int count = 0;
+    for (std::int64_t jj = 0; jj < jb;) {
+      const std::int64_t len = std::min(ow - ox, jb - jj);
+      runs[count++] = {jj, len,
+                       f * in.channels * plane + (oy * in.width + ox) * stride};
+      jj += len;
+      ox += len;
+      if (ox == ow) {
+        ox = 0;
+        if (++oy == oh) {
+          oy = 0;
+          ++f;
+        }
+      }
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float* src_row = in.data + row_offset[p];
+      for (int r = 0; r < count; ++r) {
+        const float* src = src_row + runs[r].src;
+        float* dst = packed + runs[r].dst;
+        const std::int64_t len = runs[r].len;
+        if (stride == 1) {
+          // Fixed-size copies inline; runs are short (one output row).
+          std::int64_t x = 0;
+          for (; x + 8 <= len; x += 8) {
+            std::memcpy(dst + x, src + x, 8 * sizeof(float));
+          }
+          for (; x < len; ++x) dst[x] = src[x];
+        } else {
+          for (std::int64_t x = 0; x < len; ++x) dst[x] = src[x * stride];
+        }
+      }
+      if (jb < nr) std::fill(packed + jb, packed + nr, 0.0f);
+      packed += nr;
+    }
+  }
+}
+
 // Applies the fused epilogue to rows [row0, row0+nrows) x cols
 // [col0, col0+ncols) of C.
 void ApplyEpilogue(const simd::KernelTable& kernels, float* c, std::int64_t ldc,
@@ -120,12 +202,15 @@ void ApplyEpilogue(const simd::KernelTable& kernels, float* c, std::int64_t ldc,
   }
 }
 
-}  // namespace
-
-void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-            std::int64_t k, float alpha, const float* a, std::int64_t lda,
-            const float* b, std::int64_t ldb, float beta, float* c,
-            std::int64_t ldc, const float* bias, GemmEpilogue epilogue) {
+// The blocked GEMM loop, with B supplied by `pack_b(k0, kb, col0, nb, nr,
+// packed)`, which writes the kb x nb block of B at (k0, col0) as PackB
+// does: nr-column strips, K-major within a strip, ragged strips
+// zero-filled.
+template <typename PackBlockB>
+void BlockedGemm(bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+                 float alpha, const float* a, std::int64_t lda,
+                 const PackBlockB& pack_b, float beta, float* c,
+                 std::int64_t ldc, const float* bias, GemmEpilogue epilogue) {
   GLSC_CHECK(m >= 0 && n >= 0 && k >= 0);
   GLSC_CHECK(epilogue == GemmEpilogue::kNone || bias != nullptr);
   if (m == 0 || n == 0) return;
@@ -184,7 +269,7 @@ void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       // Once the last K panel has been accumulated, a micro-tile of C is
       // final and the epilogue can run on it while it is still cache-hot.
       const bool final_panel = p0 + kb == k;
-      PackB(trans_b, b, ldb, p0, kb, j0, nb, nr, packed_b);
+      pack_b(p0, kb, j0, nb, nr, packed_b);
       for (std::int64_t i0 = 0; i0 < m; i0 += kMC) {
         const std::int64_t mb = std::min(kMC, m - i0);
         PackA(trans_a, a, lda, i0, mb, p0, kb, mr, packed_a);
@@ -207,6 +292,38 @@ void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       }
     }
   }
+}
+
+}  // namespace
+
+void GemmEx(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+            std::int64_t k, float alpha, const float* a, std::int64_t lda,
+            const float* b, std::int64_t ldb, float beta, float* c,
+            std::int64_t ldc, const float* bias, GemmEpilogue epilogue) {
+  BlockedGemm(
+      trans_a, m, n, k, alpha, a, lda,
+      [&](std::int64_t k0, std::int64_t kb, std::int64_t col0,
+          std::int64_t nb, std::int64_t nr, float* packed) {
+        PackB(trans_b, b, ldb, k0, kb, col0, nb, nr, packed);
+      },
+      beta, c, ldc, bias, epilogue);
+}
+
+void ConvGemm(std::int64_t m, const float* a, std::int64_t lda,
+              const ConvFrames& in, float* c, std::int64_t ldc,
+              const float* bias, GemmEpilogue epilogue) {
+  const std::int64_t oh = ConvOutDim(in.height, in.kernel, in.stride, 0);
+  const std::int64_t ow = ConvOutDim(in.width, in.kernel, in.stride, 0);
+  GLSC_CHECK(in.frames >= 0 && in.stride >= 1 && oh > 0 && ow > 0);
+  GLSC_CHECK(simd::ActiveKernels().nr <= kMaxNr);
+  BlockedGemm(
+      false, m, in.frames * oh * ow, in.channels * in.kernel * in.kernel,
+      1.0f, a, lda,
+      [&](std::int64_t k0, std::int64_t kb, std::int64_t col0,
+          std::int64_t nb, std::int64_t nr, float* packed) {
+        PackConvB(in, oh, ow, k0, kb, col0, nb, nr, packed);
+      },
+      0.0f, c, ldc, bias, epilogue);
 }
 
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,

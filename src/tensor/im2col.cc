@@ -4,46 +4,45 @@
 
 namespace glsc {
 
+void PadPlanes(const float* input, std::int64_t planes, std::int64_t height,
+               std::int64_t width, std::int64_t pad, float* padded) {
+  const std::int64_t pw = width + 2 * pad;
+  const std::size_t edge_bytes = static_cast<std::size_t>(pad) * sizeof(float);
+  const std::size_t row_bytes = static_cast<std::size_t>(width) * sizeof(float);
+  for (std::int64_t i = 0; i < planes; ++i) {
+    const float* src = input + i * height * width;
+    std::memset(padded, 0, static_cast<std::size_t>(pad * pw) * sizeof(float));
+    padded += pad * pw;
+    for (std::int64_t y = 0; y < height; ++y) {
+      std::memset(padded, 0, edge_bytes);
+      std::memcpy(padded + pad, src + y * width, row_bytes);
+      std::memset(padded + pad + width, 0, edge_bytes);
+      padded += pw;
+    }
+    std::memset(padded, 0, static_cast<std::size_t>(pad * pw) * sizeof(float));
+    padded += pad * pw;
+  }
+}
+
 void Im2Col(const float* input, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
             std::int64_t stride, std::int64_t pad, float* columns,
             float* padded) {
   const std::int64_t oh = ConvOutDim(height, kh, stride, pad);
   const std::int64_t ow = ConvOutDim(width, kw, stride, pad);
-  Im2ColLd(input, channels, height, width, kh, kw, stride, pad, columns,
-           oh * ow, padded);
-}
-
-void Im2ColLd(const float* input, std::int64_t channels, std::int64_t height,
-              std::int64_t width, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad, float* columns,
-              std::int64_t col_ld, float* padded) {
-  const std::int64_t oh = ConvOutDim(height, kh, stride, pad);
-  const std::int64_t ow = ConvOutDim(width, kw, stride, pad);
   const std::int64_t pw = width + 2 * pad;  // padded plane row length
-  const std::size_t row_bytes = static_cast<std::size_t>(width) * sizeof(float);
-  // The border is zeroed once; each channel then rewrites only the interior,
-  // so the border stays zero for every channel.
-  if (pad > 0) {
-    std::memset(padded, 0,
-                static_cast<std::size_t>(Im2ColPadFloats(height, width, pad)) *
-                    sizeof(float));
-  }
   // Row index of `columns` is (c, ki, kj); column index is (oy, ox). Output
   // pixel (oy, ox) under tap (ki, kj) reads padded (oy*stride + ki,
   // ox*stride + kj), which the output-size formula keeps inside the plane.
   for (std::int64_t c = 0; c < channels; ++c) {
-    const float* in_c = input + c * height * width;
-    const float* plane = in_c;
+    const float* plane = input + c * height * width;
     if (pad > 0) {
-      for (std::int64_t y = 0; y < height; ++y) {
-        std::memcpy(padded + (y + pad) * pw + pad, in_c + y * width, row_bytes);
-      }
+      PadPlanes(plane, 1, height, width, pad, padded);
       plane = padded;
     }
     for (std::int64_t ki = 0; ki < kh; ++ki) {
       for (std::int64_t kj = 0; kj < kw; ++kj) {
-        float* out_row = columns + ((c * kh + ki) * kw + kj) * col_ld;
+        float* out_row = columns + ((c * kh + ki) * kw + kj) * oh * ow;
         for (std::int64_t oy = 0; oy < oh; ++oy) {
           const float* src = plane + (oy * stride + ki) * pw + kj;
           float* dst = out_row + oy * ow;

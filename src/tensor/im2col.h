@@ -1,11 +1,19 @@
-// im2col / col2im lowering for 2D convolutions (NCHW layout). Convolution
-// forward becomes one GEMM per batch element; the backward data pass uses
-// col2im to scatter-add gradients back to input positions.
+// im2col / col2im lowering for 2D convolutions (NCHW layout). The forward
+// pass never builds the column matrix: Conv2d pads its frames with
+// PadPlanes and ConvGemm (tensor/gemm.h) packs GEMM panels straight from
+// the padded planes. Im2Col remains for the backward weight gradient, and
+// Col2Im scatter-adds gradients back to input positions.
 #pragma once
 
 #include <cstdint>
 
 namespace glsc {
+
+// Writes `planes` consecutive [height, width] planes as zero-padded
+// [height + 2*pad, width + 2*pad] planes, back to back in `padded`. Every
+// output float is written, so `padded` needs no clearing.
+void PadPlanes(const float* input, std::int64_t planes, std::int64_t height,
+               std::int64_t width, std::int64_t pad, float* padded);
 
 // Expands input[C, H, W] into columns[C*KH*KW, OH*OW] for a convolution with
 // the given stride and symmetric zero padding. Each channel is lowered from
@@ -18,23 +26,14 @@ void Im2Col(const float* input, std::int64_t channels, std::int64_t height,
             std::int64_t stride, std::int64_t pad, float* columns,
             float* padded);
 
-// As Im2Col, but writes each of the C*KH*KW rows with leading dimension
-// `col_ld` (in floats) instead of the packed OH*OW. Lets several frames share
-// one wide column matrix: point `columns` at frame f's first column inside a
-// [C*KH*KW, col_ld] buffer and the frames' patches land side by side, ready
-// for a single merged GEMM.
-void Im2ColLd(const float* input, std::int64_t channels, std::int64_t height,
-              std::int64_t width, std::int64_t kh, std::int64_t kw,
-              std::int64_t stride, std::int64_t pad, float* columns,
-              std::int64_t col_ld, float* padded);
-
 // Inverse scatter-add of Im2Col: accumulates columns back into input layout.
 // `input` must be zero-initialized by the caller.
 void Col2Im(const float* columns, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
             std::int64_t stride, std::int64_t pad, float* input);
 
-// Scratch floats Im2Col/Im2ColLd need for one zero-padded channel plane.
+// Scratch floats Im2Col needs for one zero-padded channel plane (0 when
+// pad == 0, where it reads the input planes directly).
 inline std::int64_t Im2ColPadFloats(std::int64_t height, std::int64_t width,
                                     std::int64_t pad) {
   return pad > 0 ? (height + 2 * pad) * (width + 2 * pad) : 0;

@@ -69,6 +69,7 @@ KernelTable Merge(const KernelTable* specialized, const KernelTable& scalar) {
   if (t.norm_affine == nullptr) t.norm_affine = scalar.norm_affine;
   if (t.norm_affine_vec == nullptr) t.norm_affine_vec = scalar.norm_affine_vec;
   if (t.bias_act_row == nullptr) t.bias_act_row = scalar.bias_act_row;
+  if (t.attention_head == nullptr) t.attention_head = scalar.attention_head;
   if (t.shuffle_bytes == nullptr) t.shuffle_bytes = scalar.shuffle_bytes;
   if (t.unshuffle_bytes == nullptr) t.unshuffle_bytes = scalar.unshuffle_bytes;
   if (t.bit_transpose == nullptr) t.bit_transpose = scalar.bit_transpose;

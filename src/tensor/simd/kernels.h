@@ -11,6 +11,12 @@
 // bottom of KernelTable move bits only (no arithmetic on values), so every
 // level is REQUIRED to be byte-identical to the scalar reference. The
 // filters_test suite enforces that identity at each dispatch level.
+//
+// Within one level, attention_head is REQUIRED to be bit-identical to the
+// composition it replaces at that level: Gemm(scale * q k^T), the level's
+// softmax_row, then Gemm(attn v). It forms every product element exactly
+// as the level's GEMM does (see attention_head below); simd_test enforces
+// the identity at each dispatch level.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +27,12 @@ namespace glsc::simd {
 
 // Activation selector for the fused GEMM epilogue.
 enum : int { kActNone = 0, kActSiLU = 1 };
+
+// Length of GEMM's K panels (tensor/gemm.cc). Each element of C is summed
+// in index order within a panel, starting from zero, and each panel's sum
+// is then added to C as c = c + alpha * sum, so the panel length is part of
+// the arithmetic: attention_head splits its products at the same points.
+inline constexpr std::int64_t kGemmKC = 256;
 
 struct KernelTable {
   IsaLevel level;
@@ -56,6 +68,18 @@ struct KernelTable {
   // then applies the selected activation in place.
   void (*bias_act_row)(float* row, std::int64_t n, float row_bias,
                        const float* col_bias, int act);
+
+  // ---- attention ----
+  // One head of scaled dot-product attention; q, k, v and out are [l, hd],
+  // attn is [l, l], all row-major and contiguous:
+  //   attn = scale * q k^T; softmax_row over each row of attn; out = attn v.
+  // Each product element is formed as the level's GEMM forms it: terms in
+  // index order within kGemmKC-long K panels, from zero, each panel's sum
+  // added as c = c + alpha * sum onto c = 0 (fused multiply-add at AVX2 and
+  // AVX-512, multiply then add at scalar and SSE2).
+  void (*attention_head)(const float* q, const float* k, const float* v,
+                         std::int64_t l, std::int64_t hd, float scale,
+                         float* attn, float* out);
 
   // ---- container byte filters (bit-exact at every level) ----
   // Splits `nelem` elements of `elem` bytes each into contiguous byte planes:

@@ -215,6 +215,114 @@ void SoftmaxRowAvx2(float* row, std::int64_t n) {
   for (; i < n; ++i) row[i] *= inv;
 }
 
+// ---- attention ----
+
+// Lanes [0, n) of an 8-lane mask, for the ragged column block.
+inline __m256i LeadingLanes(std::int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// R rows of one 8-column block of C over one K panel, each element formed
+// as GemmMicroAvx2 forms it: acc from zero, one FMA per term in index order,
+// then c = fma(alpha, acc, c), with c = 0 on the first panel. Row r of A
+// starts at a + r * lda; B row p is the 8 floats at b + p * ldb. kMasked
+// limits B loads and C accesses to the lanes set in `mask`.
+template <int R, bool kMasked>
+inline void PanelRowsAvx2(const float* a, std::int64_t lda, const float* b,
+                          std::int64_t ldb, std::int64_t kb, float alpha,
+                          __m256i mask, bool first, float* c,
+                          std::int64_t ldc) {
+  __m256 acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (std::int64_t p = 0; p < kb; ++p) {
+    const __m256 bv = kMasked ? _mm256_maskload_ps(b + p * ldb, mask)
+                              : _mm256_loadu_ps(b + p * ldb);
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + r * lda + p), bv,
+                               acc[r]);
+    }
+  }
+  const __m256 valpha = _mm256_set1_ps(alpha);
+  for (int r = 0; r < R; ++r) {
+    float* crow = c + r * ldc;
+    __m256 cv = _mm256_setzero_ps();
+    if (!first) {
+      cv = kMasked ? _mm256_maskload_ps(crow, mask) : _mm256_loadu_ps(crow);
+    }
+    cv = _mm256_fmadd_ps(valpha, acc[r], cv);
+    if (kMasked) {
+      _mm256_maskstore_ps(crow, mask, cv);
+    } else {
+      _mm256_storeu_ps(crow, cv);
+    }
+  }
+}
+
+// One `width`-column block (1..8) of all `rows` rows of C over one K panel,
+// four rows at a time so four FMA chains are in flight.
+template <bool kMasked>
+void PanelAvx2(const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, std::int64_t rows, std::int64_t kb,
+               float alpha, __m256i mask, bool first, float* c,
+               std::int64_t ldc) {
+  std::int64_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    PanelRowsAvx2<4, kMasked>(a + i * lda, lda, b, ldb, kb, alpha, mask,
+                              first, c + i * ldc, ldc);
+  }
+  for (; i < rows; ++i) {
+    PanelRowsAvx2<1, kMasked>(a + i * lda, lda, b, ldb, kb, alpha, mask,
+                              first, c + i * ldc, ldc);
+  }
+}
+
+void ColumnBlockAvx2(const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, std::int64_t rows, std::int64_t kb,
+                     float alpha, std::int64_t width, bool first, float* c,
+                     std::int64_t ldc) {
+  if (width == 8) {
+    PanelAvx2<false>(a, lda, b, ldb, rows, kb, alpha, _mm256_setzero_si256(),
+                     first, c, ldc);
+  } else {
+    PanelAvx2<true>(a, lda, b, ldb, rows, kb, alpha, LeadingLanes(width),
+                    first, c, ldc);
+  }
+}
+
+// Kept in this file so its FMAs compile as GemmMicroAvx2's do; AVX-512,
+// whose GEMM also fuses, inherits it with this softmax.
+void AttentionHeadAvx2(const float* q, const float* k, const float* v,
+                       std::int64_t l, std::int64_t hd, float scale,
+                       float* attn, float* out) {
+  // attn = scale * q k^T. GEMM's B here is k^T, so each 8-key block of a K
+  // panel is first transposed into kt ([kb, 8], zero past the last key).
+  alignas(32) float kt[kGemmKC * 8];
+  for (std::int64_t p0 = 0; p0 < hd; p0 += kGemmKC) {
+    const std::int64_t kb = std::min(kGemmKC, hd - p0);
+    for (std::int64_t j0 = 0; j0 < l; j0 += 8) {
+      const std::int64_t width = std::min<std::int64_t>(8, l - j0);
+      for (std::int64_t p = 0; p < kb; ++p) {
+        for (std::int64_t jj = 0; jj < 8; ++jj) {
+          kt[p * 8 + jj] = jj < width ? k[(j0 + jj) * hd + p0 + p] : 0.0f;
+        }
+      }
+      ColumnBlockAvx2(q + p0, hd, kt, 8, l, kb, scale, width, p0 == 0,
+                      attn + j0, l);
+    }
+  }
+  for (std::int64_t i = 0; i < l; ++i) SoftmaxRowAvx2(attn + i * l, l);
+  // out = attn v, eight value columns at a time.
+  for (std::int64_t p0 = 0; p0 < l; p0 += kGemmKC) {
+    const std::int64_t kb = std::min(kGemmKC, l - p0);
+    for (std::int64_t d0 = 0; d0 < hd; d0 += 8) {
+      const std::int64_t width = std::min<std::int64_t>(8, hd - d0);
+      ColumnBlockAvx2(attn + p0, l, v + p0 * hd + d0, hd, l, kb, 1.0f, width,
+                      p0 == 0, out + d0, hd);
+    }
+  }
+}
+
 void MomentsAvx2(const float* x, std::int64_t n, double* sum, double* sumsq) {
   __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
   __m256d q0 = _mm256_setzero_pd(), q1 = _mm256_setzero_pd();
@@ -417,6 +525,7 @@ const KernelTable kAvx2Table = {
     NormAffineAvx2,
     NormAffineVecAvx2,
     BiasActRowAvx2,
+    AttentionHeadAvx2,
     nullptr,  // shuffle_bytes   (inherited from scalar)
     nullptr,  // unshuffle_bytes (inherited from scalar)
     BitTransposeAvx2,

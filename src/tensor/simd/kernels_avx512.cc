@@ -143,6 +143,7 @@ const KernelTable kAvx512Table = {
     nullptr,  // norm_affine
     nullptr,  // norm_affine_vec
     nullptr,  // bias_act_row
+    nullptr,  // attention_head  (inherited from AVX2: both use FMA)
     nullptr,  // shuffle_bytes
     nullptr,  // unshuffle_bytes
     nullptr,  // bit_transpose   (installed at runtime when avx512bw exists)

@@ -61,6 +61,41 @@ void SoftmaxRowScalar(float* row, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) row[i] *= inv;
 }
 
+// One element of a GEMM product, formed as GemmMicroScalar forms it: the
+// terms a[p * a_step] * b[p * b_step] summed in index order within each
+// kGemmKC-long K panel, from zero, and each panel's sum added to the element
+// as c += alpha * acc, starting from c = 0.
+float GemmElementScalar(const float* a, std::int64_t a_step, const float* b,
+                        std::int64_t b_step, std::int64_t k, float alpha) {
+  float c = 0.0f;
+  for (std::int64_t p0 = 0; p0 < k; p0 += kGemmKC) {
+    const std::int64_t p_end = std::min(k, p0 + kGemmKC);
+    float acc = 0.0f;
+    for (std::int64_t p = p0; p < p_end; ++p) {
+      acc += a[p * a_step] * b[p * b_step];
+    }
+    c += alpha * acc;
+  }
+  return c;
+}
+
+// Kept in this file so it compiles under GemmMicroScalar's flags; SSE2,
+// whose GEMM also multiplies then adds, inherits it with this softmax.
+void AttentionHeadScalar(const float* q, const float* k, const float* v,
+                         std::int64_t l, std::int64_t hd, float scale,
+                         float* attn, float* out) {
+  for (std::int64_t i = 0; i < l; ++i) {
+    float* row = attn + i * l;
+    for (std::int64_t j = 0; j < l; ++j) {
+      row[j] = GemmElementScalar(q + i * hd, 1, k + j * hd, 1, hd, scale);
+    }
+    SoftmaxRowScalar(row, l);
+    for (std::int64_t d = 0; d < hd; ++d) {
+      out[i * hd + d] = GemmElementScalar(row, 1, v + d, hd, l, 1.0f);
+    }
+  }
+}
+
 void MomentsScalar(const float* x, std::int64_t n, double* sum,
                    double* sumsq) {
   double s = 0.0, sq = 0.0;
@@ -187,6 +222,7 @@ const KernelTable kScalarTable = {
     NormAffineScalar,
     NormAffineVecScalar,
     BiasActRowScalar,
+    AttentionHeadScalar,
     ShuffleBytesScalar,
     UnshuffleBytesScalar,
     BitTransposeScalar,

@@ -277,6 +277,8 @@ const KernelTable kSse2Table = {
     nullptr,  // norm_affine
     nullptr,  // norm_affine_vec
     nullptr,  // bias_act_row
+    nullptr,  // attention_head  (inherited from scalar: both multiply, then
+              // add)
     nullptr,  // shuffle_bytes   (inherited from scalar)
     nullptr,  // unshuffle_bytes (inherited from scalar)
     BitTransposeSse2,

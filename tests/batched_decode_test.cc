@@ -1,7 +1,8 @@
 // Byte-identity of the batched inference stack — the one path every GLSC
 // decode takes, B == 1 included — against independent references:
 //
-//   Conv2d::ForwardBatched        — frame-merged im2col GEMM vs per-frame
+//   Conv2d::Forward               — frame-merged implicit GEMM vs per-frame
+//                                   Im2Col + GemmEx, at every ISA level
 //   MultiHeadSelfAttention        — workspace forward vs training forward
 //   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs the
 //                                   training forward per window
@@ -16,9 +17,15 @@
 // "Identical" here always means bitwise: batching is a dispatch choice, never
 // a quality choice. Untrained weights are fine — the pipeline is
 // deterministic, so equality is meaningful without a training run.
+//
+// The attention and UNet cases compare two forwards that share the
+// attention kernel (kernels.attention_head), so they cannot catch an error
+// in it; simd_test's SimdAttention case pins that kernel to the GEMM
+// composition it replaced.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "compress/vae.h"
@@ -31,6 +38,9 @@
 #include "glsc_reference.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
+#include "tensor/gemm.h"
+#include "tensor/im2col.h"
+#include "tensor/simd/dispatch.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -47,33 +57,98 @@ void ExpectBytesEqual(const Tensor& a, const Tensor& b) {
       << "tensors differ bitwise";
 }
 
-TEST(BatchedConv, ForwardBatchedMatchesForward) {
-  Rng rng(21);
-  // Odd geometry on purpose: stride 2 with padding exercises the chunked
-  // frame-merge boundaries.
-  for (const std::int64_t stride : {1, 2}) {
-    nn::Conv2d conv(3, 5, 3, stride, 1, rng);
-    for (const std::int64_t frames : {1, 2, 7}) {
-      Tensor x = Tensor::Randn({frames, 3, 12, 12}, rng);
-      Workspace ws;
-      const Tensor ref = conv.Forward(x, &ws);
-      const Tensor batched = conv.ForwardBatched(x, &ws);
-      ExpectBytesEqual(ref, batched);
-      // And without a workspace (allocating path).
-      const Tensor batched_alloc = conv.ForwardBatched(x, nullptr);
-      ExpectBytesEqual(ref, batched_alloc);
-    }
+std::vector<simd::IsaLevel> TestableLevels() {
+  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
+  const simd::IsaLevel max = simd::DetectedIsa();
+  if (max >= simd::IsaLevel::kSSE2) levels.push_back(simd::IsaLevel::kSSE2);
+  if (max >= simd::IsaLevel::kAVX2) levels.push_back(simd::IsaLevel::kAVX2);
+  if (max >= simd::IsaLevel::kAVX512) {
+    levels.push_back(simd::IsaLevel::kAVX512);
   }
+  return levels;
 }
 
-TEST(BatchedAttention, ForwardBatchedMatchesForward) {
+// The explicit lowering the forward used before it became an implicit
+// GEMM, kept as the reference: per frame, Im2Col into a column matrix, then
+// one GemmEx with the bias fused.
+Tensor ExplicitLoweringForward(nn::Conv2d& conv, const Tensor& x,
+                               std::int64_t kernel, std::int64_t stride,
+                               std::int64_t pad) {
+  const std::vector<nn::Param*> params = conv.Params();
+  const std::int64_t in_c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t out_c = conv.out_channels();
+  const std::int64_t oh = ConvOutDim(h, kernel, stride, pad);
+  const std::int64_t ow = ConvOutDim(w, kernel, stride, pad);
+  const std::int64_t rows = in_c * kernel * kernel;
+  std::vector<float> columns(static_cast<std::size_t>(rows * oh * ow));
+  std::vector<float> padded(
+      static_cast<std::size_t>(Im2ColPadFloats(h, w, pad)));
+  Tensor y = Tensor::Empty({x.dim(0), out_c, oh, ow});
+  for (std::int64_t f = 0; f < x.dim(0); ++f) {
+    Im2Col(x.data() + f * in_c * h * w, in_c, h, w, kernel, kernel, stride,
+           pad, columns.data(), padded.data());
+    GemmEx(false, false, out_c, oh * ow, rows, 1.0f,
+           params[0]->value.data(), rows, columns.data(), oh * ow, 0.0f,
+           y.data() + f * out_c * oh * ow, oh * ow, params[1]->value.data(),
+           GemmEpilogue::kBiasRow);
+  }
+  return y;
+}
+
+// Conv2d's forward packs GEMM panels straight from padded frames and merges
+// frames along N; at every level it must equal the explicit lowering bit
+// for bit. The sweep crosses the 256-long K panel (16 channels x 5x5 = 400)
+// and the 512-column N block (32x32 frames, and three 17x17 frames).
+TEST(BatchedConv, ForwardMatchesExplicitLowering) {
+  Rng rng(21);
+  int cases = 0;
+  for (const simd::IsaLevel level : TestableLevels()) {
+    simd::ScopedIsaOverride override_level(level);
+    for (const auto& [in_c, out_c] :
+         std::vector<std::pair<std::int64_t, std::int64_t>>{
+             {1, 1}, {3, 5}, {16, 16}, {16, 1}}) {
+      for (const std::int64_t kernel : {1, 3, 5}) {
+        for (const std::int64_t stride : {1, 2}) {
+          for (const std::int64_t pad : {0, 1, 2}) {
+            nn::Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
+            for (const std::int64_t h : {1, 5, 8, 17, 32}) {
+              for (const std::int64_t w : {1, 5, 8, 17, 32}) {
+                if (ConvOutDim(h, kernel, stride, pad) <= 0 ||
+                    ConvOutDim(w, kernel, stride, pad) <= 0) {
+                  continue;
+                }
+                for (const std::int64_t frames : {1, 3}) {
+                  const Tensor x = Tensor::Randn({frames, in_c, h, w}, rng);
+                  const Tensor ref =
+                      ExplicitLoweringForward(conv, x, kernel, stride, pad);
+                  Workspace ws;
+                  const Tensor got = conv.Forward(x, &ws);
+                  SCOPED_TRACE(testing::Message()
+                               << simd::IsaName(level) << " C=" << in_c
+                               << "->" << out_c << " H=" << h << " W=" << w
+                               << " k=" << kernel << " stride=" << stride
+                               << " pad=" << pad << " frames=" << frames);
+                  ExpectBytesEqual(ref, got);
+                  ++cases;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 2000);
+}
+
+TEST(BatchedAttention, WorkspaceForwardMatchesForward) {
   Rng rng(23);
   nn::MultiHeadSelfAttention attn(8, 2, rng);
   for (const std::int64_t batch : {1, 3, 6}) {
     Tensor x = Tensor::Randn({batch, 5, 8}, rng);
     const Tensor ref = attn.Forward(x, /*training=*/false);
     Workspace ws;
-    const Tensor batched = attn.ForwardBatched(x, &ws);
+    const Tensor batched = attn.Forward(x, &ws);
     ExpectBytesEqual(ref, batched);
   }
 }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/dataset.h"
 #include "data/field_generators.h"
@@ -153,7 +155,12 @@ TEST(Pgm, WritesValidHeaderAndZoom) {
   for (std::int64_t i = 0; i < frame.numel(); ++i) {
     frame[i] = static_cast<float>(i % 31);
   }
-  const std::string base = "/tmp/glsc_test_pgm";
+  // Per process: the native and _scalar registrations of this suite run
+  // concurrently under ctest -j and must not remove each other's files.
+  const std::string base =
+      (std::filesystem::temp_directory_path() /
+       ("glsc_test_pgm_" + std::to_string(::getpid())))
+          .string();
   WritePgmWithZoom(base, frame, 8, 8, 6, 3);
   for (const std::string suffix : {".pgm", "_zoom.pgm"}) {
     std::ifstream in(base + suffix, std::ios::binary);

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "codec/gaussian_model.h"
@@ -215,6 +217,53 @@ TEST(SimdElementwise, MatchesScalarKernelsAcrossLevels) {
       total += sm[i];
     }
     EXPECT_NEAR(total, 1.0, 1e-4);
+  }
+}
+
+// The attention kernel replaces Gemm(scale * q k^T) -> softmax_row ->
+// Gemm(attn v) and must equal that composition bit for bit at each level.
+// It exists because nothing else checks the kernel independently: the
+// training and workspace attention forwards both call it, so
+// BatchedAttention, BatchedUNet and tests/glsc_reference.h compare it with
+// itself. l = 300 and hd = 260 cross the 256-long K panel of each product.
+TEST(SimdAttention, HeadKernelMatchesGemmCompositionAcrossLevels) {
+  Rng rng(29);
+  for (const simd::IsaLevel level : TestableLevels()) {
+    simd::ScopedIsaOverride override_level(level);
+    const simd::KernelTable& kernels = simd::ActiveKernels();
+    for (const std::int64_t l : {1, 7, 16, 64, 300}) {
+      for (const std::int64_t hd : {1, 3, 4, 8, 260}) {
+        const Tensor q = Tensor::Randn({l, hd}, rng);
+        const Tensor k = Tensor::Randn({l, hd}, rng);
+        const Tensor v = Tensor::Randn({l, hd}, rng);
+        const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+
+        Tensor want_attn({l, l}), want_out({l, hd});
+        Gemm(false, true, l, l, hd, scale, q.data(), hd, k.data(), hd, 0.0f,
+             want_attn.data(), l);
+        for (std::int64_t r = 0; r < l; ++r) {
+          kernels.softmax_row(want_attn.data() + r * l, l);
+        }
+        Gemm(false, false, l, hd, l, 1.0f, want_attn.data(), l, v.data(), hd,
+             0.0f, want_out.data(), hd);
+
+        Tensor attn({l, l}), out({l, hd});
+        attn.Fill(std::numeric_limits<float>::quiet_NaN());
+        out.Fill(std::numeric_limits<float>::quiet_NaN());
+        kernels.attention_head(q.data(), k.data(), v.data(), l, hd, scale,
+                               attn.data(), out.data());
+        EXPECT_EQ(0, std::memcmp(want_attn.data(), attn.data(),
+                                 static_cast<std::size_t>(l * l) *
+                                     sizeof(float)))
+            << "attn, level=" << simd::IsaName(level) << " l=" << l
+            << " hd=" << hd;
+        EXPECT_EQ(0, std::memcmp(want_out.data(), out.data(),
+                                 static_cast<std::size_t>(l * hd) *
+                                     sizeof(float)))
+            << "out, level=" << simd::IsaName(level) << " l=" << l
+            << " hd=" << hd;
+      }
+    }
   }
 }
 

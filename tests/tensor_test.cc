@@ -167,20 +167,19 @@ TEST(Im2Col, KnownValues) {
   EXPECT_FLOAT_EQ(cols[15], 8.0f);
 }
 
-// The per-element lowering Im2ColLd used before it copied from a padded
+// The per-element lowering Im2Col used before it copied from a padded
 // plane, kept as the reference: every output element tests its own source
 // bounds and writes 0 outside the frame.
-void NaiveIm2ColLd(const float* input, std::int64_t channels,
-                   std::int64_t height, std::int64_t width, std::int64_t k,
-                   std::int64_t stride, std::int64_t pad, float* columns,
-                   std::int64_t col_ld) {
+void NaiveIm2Col(const float* input, std::int64_t channels,
+                 std::int64_t height, std::int64_t width, std::int64_t k,
+                 std::int64_t stride, std::int64_t pad, float* columns) {
   const std::int64_t oh = ConvOutDim(height, k, stride, pad);
   const std::int64_t ow = ConvOutDim(width, k, stride, pad);
   for (std::int64_t c = 0; c < channels; ++c) {
     const float* in_c = input + c * height * width;
     for (std::int64_t ki = 0; ki < k; ++ki) {
       for (std::int64_t kj = 0; kj < k; ++kj) {
-        float* out_row = columns + ((c * k + ki) * k + kj) * col_ld;
+        float* out_row = columns + ((c * k + ki) * k + kj) * oh * ow;
         for (std::int64_t oy = 0; oy < oh; ++oy) {
           const std::int64_t iy = oy * stride - pad + ki;
           for (std::int64_t ox = 0; ox < ow; ++ox) {
@@ -194,13 +193,12 @@ void NaiveIm2ColLd(const float* input, std::int64_t channels,
   }
 }
 
-// Byte identity of the padded-plane lowering against the naive loop, packed
-// and as one frame inside a wider column matrix (col_ld > OH*OW, frame at
-// column 3). Small frames under wide kernels (H or W of 1 or 2 with kernel
-// 5, pad 2) give column rows that fall entirely in padding. The buffers
-// start filled with a sentinel, so a write outside the frame's columns shows
-// up too, and the padding scratch starts as NaN, since its contents are
-// unspecified on entry.
+// Byte identity of the padded-plane lowering against the naive loop. Small
+// frames under wide kernels (H or W of 1 or 2 with kernel 5, pad 2) give
+// column rows that fall entirely in padding. The output buffer has a
+// sentinel-filled tail, so a write past the matrix shows up too, and the
+// padding scratch starts as NaN, since its contents are unspecified on
+// entry.
 TEST(Im2Col, MatchesNaiveLoweringOverShapes) {
   Rng rng(17);
   const Tensor source = Tensor::Randn({16, 32, 32}, rng);
@@ -215,31 +213,21 @@ TEST(Im2Col, MatchesNaiveLoweringOverShapes) {
               const std::int64_t oh = ConvOutDim(h, k, stride, pad);
               const std::int64_t ow = ConvOutDim(w, k, stride, pad);
               if (oh <= 0 || ow <= 0) continue;
-              const std::int64_t rows = ch * k * k;
-              const std::int64_t cols = oh * ow;
+              const std::int64_t size = ch * k * k * oh * ow;
               std::vector<float> padded(
                   static_cast<std::size_t>(Im2ColPadFloats(h, w, pad)),
                   std::numeric_limits<float>::quiet_NaN());
-              for (const std::int64_t ld : {cols, cols + 7}) {
-                const std::int64_t offset = ld == cols ? 0 : 3;
-                std::vector<float> want(static_cast<std::size_t>(rows * ld),
-                                        kSentinel);
-                std::vector<float> got = want;
-                NaiveIm2ColLd(source.data(), ch, h, w, k, stride, pad,
-                              want.data() + offset, ld);
-                if (ld == cols) {
-                  Im2Col(source.data(), ch, h, w, k, k, stride, pad,
-                         got.data(), padded.data());
-                } else {
-                  Im2ColLd(source.data(), ch, h, w, k, k, stride, pad,
-                           got.data() + offset, ld, padded.data());
-                }
-                ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
-                                         want.size() * sizeof(float)))
-                    << "C=" << ch << " H=" << h << " W=" << w << " k=" << k
-                    << " stride=" << stride << " pad=" << pad
-                    << " col_ld=" << ld;
-              }
+              std::vector<float> want(static_cast<std::size_t>(size + 7),
+                                      kSentinel);
+              std::vector<float> got = want;
+              NaiveIm2Col(source.data(), ch, h, w, k, stride, pad,
+                          want.data());
+              Im2Col(source.data(), ch, h, w, k, k, stride, pad, got.data(),
+                     padded.data());
+              ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                       want.size() * sizeof(float)))
+                  << "C=" << ch << " H=" << h << " W=" << w << " k=" << k
+                  << " stride=" << stride << " pad=" << pad;
               ++cases;
             }
           }

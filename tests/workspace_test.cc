@@ -210,7 +210,7 @@ TEST(WorkspaceNnTest, Conv2dForwardMatchesAndScratchPersists) {
     const Tensor got = conv.Forward(x, &ws);
     ExpectBytesEqual(ref, got);
   }
-  // Shape changes only ever grow the cached im2col scratch.
+  // Shape changes only ever grow the cached padding and staging scratch.
   const Tensor small = Tensor::Randn({1, 3, 8, 8}, rng);
   Workspace::Scope scope(&ws);
   const Tensor got_small = conv.Forward(small, &ws);
