@@ -231,7 +231,8 @@ BENCHMARK(BM_UNetForwardLatent);
 // per DecompressWindows call (1 is the single-window case). Decode cost does
 // not depend on training, so the weights are the seeded random init; 6 DDIM
 // steps on [16, 32, 32] windows, one workspace reused across calls as the
-// decode scheduler does.
+// decode scheduler does. Most of the decode runs on global pool threads, so
+// the time is wall time, not the main thread's CPU time.
 void BM_GlscDecodeBatch(benchmark::State& state) {
   const std::int64_t batch = state.range(0);
   api::CodecOptions options;
@@ -260,7 +261,12 @@ void BM_GlscDecodeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);  // windows
   state.SetLabel(simd::IsaName(simd::ActiveIsa()));
 }
-BENCHMARK(BM_GlscDecodeBatch)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GlscDecodeBatch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_UNetForwardPixel(benchmark::State& state) {
   diffusion::UNetConfig config;

@@ -158,8 +158,10 @@ fi
 # gate time — but cheap to request when touching serve/, util/ or the
 # kernels.
 # CHECK_SANITIZE=thread is special-cased onto the GLSC_TSAN option (TSan is
-# incompatible with ASan in one binary) and gets the stress suite plus the
-# documented libstdc++ suppressions (tsan.supp). Both trees default the
+# incompatible with ASan in one binary) and gets the serving and stress
+# suites plus batched_decode (a GLSC decode fans its sampler and VAE pieces
+# out over the global pool), with the documented libstdc++ suppressions
+# (tsan.supp). Both trees default the
 # GLSC_DEBUG_LOCKS/GLSC_DEBUG_ARENA runtime checkers ON (see CMakeLists).
 if [[ "${CHECK_SANITIZE:-}" == "thread" ]]; then
   TSAN_DIR="${BUILD_DIR}-tsan"
@@ -167,10 +169,10 @@ if [[ "${CHECK_SANITIZE:-}" == "thread" ]]; then
   cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGLSC_TSAN=ON
   cmake --build "$TSAN_DIR" -j"$JOBS" \
       --target shard_manager_test serve_test concurrency_stress_test \
-               workspace_test util_test
+               workspace_test util_test batched_decode_test
   TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tsan.supp" \
       ctest --test-dir "$TSAN_DIR" --output-on-failure -j"$JOBS" \
-      -R '^(shard_manager_test|serve_test|concurrency_stress_test|workspace_test|util_test)(_scalar)?$'
+      -R '^(shard_manager_test|serve_test|concurrency_stress_test|workspace_test|util_test|batched_decode_test)(_scalar)?$'
 elif [[ -n "${CHECK_SANITIZE:-}" ]]; then
   SAN_DIR="${BUILD_DIR}-sanitize"
   echo "== sanitizer lane (-fsanitize=$CHECK_SANITIZE) =="

@@ -82,7 +82,7 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
                                                                double lambda,
                                                                Rng& rng) {
   GLSC_CHECK(x.rank() == 4 && x.dim(1) == config_.input_channels);
-  GLSC_CHECK_MSG(x.dim(2) % 4 == 0 && x.dim(3) % 4 == 0,
+  GLSC_CHECK_MSG(x.dim(2) % kDownsample == 0 && x.dim(3) % kDownsample == 0,
                  "input H,W must be divisible by 4, got "
                      << x.dim(2) << "x" << x.dim(3));
   const std::int64_t lat = config_.latent_channels;

@@ -51,6 +51,10 @@ class VaeHyperprior {
  public:
   explicit VaeHyperprior(const VaeConfig& config);
 
+  // Total spatial downsampling: an H x W frame has H/4 x W/4 latents, and
+  // the decoder turns an h x w latent back into a 4h x 4w frame.
+  static constexpr std::int64_t kDownsample = 4;
+
   const VaeConfig& config() const { return config_; }
 
   struct LossInfo {

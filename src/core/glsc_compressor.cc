@@ -1,7 +1,11 @@
 #include "core/glsc_compressor.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "tensor/ops.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace glsc::core {
 
@@ -35,17 +39,83 @@ GlscCompressor::GlscCompressor(const GlscConfig& config)
   gen_idx_ = diffusion::GeneratedIndices(key_idx_, config_.window);
 }
 
+namespace {
+
+// Rows [begin, end) of t along dim 0, as a view; the range is non-empty.
+Tensor Rows(Tensor& t, std::int64_t begin, std::int64_t end) {
+  GLSC_CHECK(t.rank() >= 1);
+  GLSC_CHECK(begin >= 0 && begin < end && end <= t.dim(0));
+  Shape shape = t.shape();
+  const std::int64_t row = t.numel() / shape[0];
+  shape[0] = end - begin;
+  return Tensor::Borrowed(t.data() + begin * row, std::move(shape));
+}
+
+// Splits [0, items) into pieces of ceil(items / slots) items, one slot per
+// global pool worker plus the calling thread, and runs fn(begin, end, arena)
+// for each piece over the pool. Piece i always runs in child arena i of
+// `ws`, whichever thread claims it; the children are created here, on the
+// caller, and each piece's allocations rewind when it ends. Nothing touches
+// `ws` itself until every piece is done. Called from a pool worker, the
+// pieces run inline one after another (ThreadPool::ParallelFor re-entry).
+void FanOut(tensor::Workspace* ws, std::int64_t items,
+            const std::function<void(std::int64_t, std::int64_t,
+                                     tensor::Workspace*)>& fn) {
+  if (items <= 0) return;
+  ThreadPool& pool = GlobalThreadPool();
+  const std::int64_t slots = static_cast<std::int64_t>(pool.size()) + 1;
+  const std::int64_t per_piece = (items + slots - 1) / slots;
+  const std::int64_t pieces = (items + per_piece - 1) / per_piece;
+  std::vector<tensor::Workspace*> arenas;
+  arenas.reserve(static_cast<std::size_t>(pieces));
+  for (std::int64_t i = 0; i < pieces; ++i) {
+    arenas.push_back(ws->Child(static_cast<std::size_t>(i)));
+  }
+  const std::int64_t borrows = ws->stats().borrows;
+  const std::int64_t in_use = ws->bytes_in_use();
+  pool.ParallelFor(static_cast<std::size_t>(pieces), [&](std::size_t i) {
+    const std::int64_t begin = static_cast<std::int64_t>(i) * per_piece;
+    tensor::Workspace::Scope scope(arenas[i]);
+    fn(begin, std::min(items, begin + per_piece), arenas[i]);
+  });
+  // The pieces allocated from and rewound only their own arenas.
+  GLSC_CHECK(ws->stats().borrows == borrows && ws->bytes_in_use() == in_use);
+}
+
+}  // namespace
+
 std::vector<Tensor> GlscCompressor::DecodeWindowsFromLatents(
     const std::vector<Tensor>& y_keys,
     const std::vector<std::uint32_t>& sample_seeds, std::int64_t sample_steps,
     const Shape& window_shape, tensor::Workspace* ws) {
   const std::int64_t batch = static_cast<std::int64_t>(y_keys.size());
   GLSC_CHECK(batch >= 1 && sample_seeds.size() == y_keys.size());
+  // The keyframe latents and the window shape come from the record, so check
+  // them against the model before anything is sized from them: a window has
+  // config().window frames, [K, C, h, w] keyframe latents, and the
+  // decoder's kDownsample-times larger frames.
+  const std::int64_t keys_per_window =
+      static_cast<std::int64_t>(key_idx_.size());
+  const Tensor& y0 = y_keys[0];
+  GLSC_CHECK_MSG(y0.rank() == 4 && y0.dim(0) == keys_per_window,
+                 "keyframe latents " << ShapeToString(y0.shape())
+                                     << " for " << keys_per_window
+                                     << " keyframes");
+  constexpr std::int64_t kUp = compress::VaeHyperprior::kDownsample;
+  GLSC_CHECK_MSG(window_shape.size() == 3 &&
+                     window_shape[0] == config_.window &&
+                     window_shape[1] == y0.dim(2) * kUp &&
+                     window_shape[2] == y0.dim(3) * kUp,
+                 "window shape " << ShapeToString(window_shape)
+                                 << " does not match a " << config_.window
+                                 << "-frame window of "
+                                 << ShapeToString(y0.shape()) << " latents");
   if (sample_steps <= 0) sample_steps = config_.sample_steps;
   tensor::Workspace local_ws;
   if (ws == nullptr) ws = &local_ws;
-  // Every intermediate below borrows from `ws` and rewinds when this scope
-  // closes; only the owned reconstructions escape.
+  // Every intermediate below borrows from `ws` (or, inside a fan-out, from
+  // a piece's child arena) and rewinds when this scope closes; only the
+  // owned reconstructions escape.
   tensor::Workspace::Scope scope(ws);
 
   // Stack raw and normalized keyframe latents: [B*K, C, h, w]. Each window
@@ -74,39 +144,62 @@ std::vector<Tensor> GlscCompressor::DecodeWindowsFromLatents(
   rngs.reserve(rng_storage.size());
   for (Rng& r : rng_storage) rngs.push_back(&r);
 
+  // The sampler over pieces of whole windows. Each window's trajectory is
+  // independent of its batch-mates, so pieces give the bytes one batched
+  // run would.
   diffusion::SamplerConfig sampler_cfg;
   sampler_cfg.steps = sample_steps;
-  const Tensor gen_normed = diffusion::SampleConditionalBatch(
-      &unet_, schedule_, sampler_cfg, keys_normed, key_idx_, config_.window,
-      rngs, ws);  // [B*G, C, h, w]
+  Shape gen_shape = stacked_shape;
+  gen_shape[0] = batch * static_cast<std::int64_t>(gen_idx_.size());
+  Tensor gen_normed = ws->NewTensor(gen_shape);  // [B*G, C, h, w]
+  const std::int64_t gen_elems = gen_normed.numel() / batch;
+  FanOut(ws, batch, [&](std::int64_t begin, std::int64_t end,
+                        tensor::Workspace* arena) {
+    const std::vector<Rng*> piece_rngs(rngs.begin() + begin,
+                                       rngs.begin() + end);
+    const Tensor piece = diffusion::SampleConditionalBatch(
+        &unet_, schedule_, sampler_cfg,
+        Rows(keys_normed, begin * keys_per_window, end * keys_per_window),
+        key_idx_, config_.window, piece_rngs, arena);
+    std::copy_n(piece.data(), piece.numel(),
+                gen_normed.data() + begin * gen_elems);
+  });
 
   // Per-window denormalization (each window has its own bounds), then the
   // shared rounding: generated latents return to integer latent space, since
   // the VAE decoder was trained on quantized latents.
   Tensor gen_latents = ws->NewTensor(gen_normed.shape());
-  const std::int64_t gen_elems = gen_normed.numel() / batch;
   for (std::int64_t w = 0; w < batch; ++w) {
     norms[static_cast<std::size_t>(w)].Denormalize(
         gen_normed.data() + w * gen_elems, gen_elems,
         gen_latents.data() + w * gen_elems);
   }
   RoundInPlace(&gen_latents);
-
-  const Tensor full_latents = diffusion::ComposeBatch(
+  Tensor full_latents = diffusion::ComposeBatch(
       gen_latents, keys_stacked, gen_idx_, key_idx_, batch, ws);
-  const Tensor decoded =
-      vae_.DecodeLatentBatched(full_latents, ws);  // [B*N, 1, H, W]
 
-  // Lift each window out of the arena before the scope rewinds.
+  // The VAE decode over pieces of frames, written straight into each
+  // window's owned reconstruction. The decoder is per frame, so chunking
+  // does not change its output.
   const std::int64_t frames = window_shape[0];
+  const std::int64_t hw = window_shape[1] * window_shape[2];
+  GLSC_CHECK(full_latents.dim(0) == batch * frames);
   std::vector<Tensor> out;
   out.reserve(static_cast<std::size_t>(batch));
   for (std::int64_t w = 0; w < batch; ++w) {
-    out.push_back(decoded.Slice0(w * frames, (w + 1) * frames)
-                      .Reshape({window_shape[0], window_shape[1],
-                                window_shape[2]})
-                      .Clone());
+    out.push_back(Tensor::Empty(window_shape));
   }
+  FanOut(ws, batch * frames, [&](std::int64_t begin, std::int64_t end,
+                                 tensor::Workspace* arena) {
+    const Tensor decoded = vae_.DecodeLatentBatched(
+        Rows(full_latents, begin, end), arena);  // [end - begin, 1, H, W]
+    GLSC_CHECK(decoded.numel() == (end - begin) * hw);
+    for (std::int64_t f = begin; f < end; ++f) {
+      std::copy_n(decoded.data() + (f - begin) * hw, hw,
+                  out[static_cast<std::size_t>(f / frames)].data() +
+                      (f % frames) * hw);
+    }
+  });
   return out;
 }
 

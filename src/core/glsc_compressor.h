@@ -96,14 +96,16 @@ class GlscCompressor {
                     std::int64_t sample_steps = 0,
                     tensor::Workspace* ws = nullptr);
 
-  // Decodes B windows through ONE diffusion-sampler run and ONE VAE decode,
-  // with the windows' frames stacked along dim 0 so the UNet and decoder
-  // GEMMs are B× wider. Entropy decode, normalization bounds, the sampling
-  // RNG, and PCA corrections remain strictly per window, so each returned
-  // tensor is independent of its batch-mates (tests/batched_decode_test.cc
-  // holds this against a reference built from the allocating pieces). All
-  // windows must share window_shape. `sample_steps` <= 0 uses
-  // config().sample_steps.
+  // Decodes B windows with their frames stacked along dim 0, so the UNet and
+  // decoder GEMMs run over several windows at once. The sampler and the VAE
+  // decode are spread over the global ThreadPool: the sampler in pieces of
+  // whole windows, the VAE decode in pieces of frames, each piece in its own
+  // child arena of `ws`. Entropy decode, normalization bounds, the sampling
+  // RNG, and PCA corrections remain strictly per window (and on the calling
+  // thread), so each returned tensor is independent of its batch-mates and
+  // of the piece split (tests/batched_decode_test.cc holds this against a
+  // reference built from the allocating pieces). All windows must share
+  // window_shape. `sample_steps` <= 0 uses config().sample_steps.
   std::vector<Tensor> DecompressBatch(
       const std::vector<const CompressedWindow*>& windows,
       std::int64_t sample_steps = 0, tensor::Workspace* ws = nullptr);
@@ -119,9 +121,9 @@ class GlscCompressor {
 
  private:
   // The one inference body: each window's keyframe latents and sampling
-  // seed -> its reconstruction [N, H, W] before PCA corrections, through one
-  // batched sampler run and one VAE decode in `ws` (a local arena when
-  // null). B == 1 is the single-window case.
+  // seed -> its reconstruction [N, H, W] before PCA corrections, through the
+  // sampler and VAE fan-outs described at DecompressBatch, in `ws` and its
+  // child arenas (a local arena when null). B == 1 is the single-window case.
   std::vector<Tensor> DecodeWindowsFromLatents(
       const std::vector<Tensor>& y_keys,
       const std::vector<std::uint32_t>& sample_seeds,

@@ -50,6 +50,8 @@ Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb) {
 
 Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb,
                          tensor::Workspace* ws) {
+  Tensor out = ws->NewTensor(x.shape());
+  tensor::Workspace::Scope scope(ws);  // rewinds every temporary below
   Tensor h = gn1_.Forward(x, ws);
   act1_.ForwardInPlace(&h);
   h = conv1_.Forward(h, ws);
@@ -69,8 +71,12 @@ Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb,
   Tensor k = gn2_.Forward(h, ws);
   act2_.ForwardInPlace(&k);
   k = conv2_.Forward(k, ws);
-  Axpy(1.0f, x, &k);  // residual
-  return k;
+  // Residual: x + k, the same sum Add forms in the training forward.
+  const float* px = x.data();
+  const float* pk = k.data();
+  float* po = out.data();
+  for (std::int64_t i = 0; i < out.numel(); ++i) po[i] = px[i] + pk[i];
+  return out;
 }
 
 Tensor ResBlock::Backward(const Tensor& grad_out, Tensor* grad_temb) {
@@ -128,12 +134,16 @@ Tensor SpatialAttentionBlock::Forward(const Tensor& x, bool training) {
 Tensor SpatialAttentionBlock::Forward(const Tensor& x, tensor::Workspace* ws) {
   GLSC_CHECK(x.rank() == 4);
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor seq = x.Permute({0, 2, 3, 1}, ws).Reshape({n, h * w, c});
-  norm_.ForwardInPlace(&seq);  // seq is ours; LayerNorm is in-place safe
-  Tensor out = attn_.Forward(seq, ws);
-  Tensor back = out.Reshape({n, h, w, c}).Permute({0, 3, 1, 2}, ws);
-  Axpy(1.0f, x, &back);  // residual
-  return back;
+  Tensor out = ws->NewTensor(x.shape());
+  {
+    tensor::Workspace::Scope scope(ws);  // rewinds the sequence temporaries
+    Tensor seq = x.Permute({0, 2, 3, 1}, ws).Reshape({n, h * w, c});
+    norm_.ForwardInPlace(&seq);  // seq is ours; LayerNorm is in-place safe
+    attn_.Forward(seq, ws).Reshape({n, h, w, c}).PermuteInto({0, 3, 1, 2},
+                                                               &out);
+  }
+  Axpy(1.0f, x, &out);  // residual
+  return out;
 }
 
 Tensor SpatialAttentionBlock::Backward(const Tensor& grad_out) {
@@ -186,16 +196,19 @@ Tensor TemporalAttentionBlock::ForwardBatchedWindows(const Tensor& x,
   // form their own length-N sequence, so attention never crosses windows.
   // The permutation {0,3,4,1,2} is self-inverse, and for B == 1 it moves
   // memory exactly like the rank-4 {2,3,0,1} of the training forward.
-  Tensor seq = x.Reshape({windows, n, c, h, w})
-                   .Permute({0, 3, 4, 1, 2}, ws)
-                   .Reshape({windows * h * w, n, c});
-  norm_.ForwardInPlace(&seq);
-  Tensor out = attn_.Forward(seq, ws);
-  Tensor back = out.Reshape({windows, h, w, n, c})
-                    .Permute({0, 3, 4, 1, 2}, ws)
-                    .Reshape({bn, c, h, w});
-  Axpy(1.0f, x, &back);
-  return back;
+  Tensor out = ws->NewTensor(x.shape());
+  {
+    tensor::Workspace::Scope scope(ws);  // rewinds the sequence temporaries
+    Tensor seq = x.Reshape({windows, n, c, h, w})
+                     .Permute({0, 3, 4, 1, 2}, ws)
+                     .Reshape({windows * h * w, n, c});
+    norm_.ForwardInPlace(&seq);
+    Tensor out5 = out.Reshape({windows, n, c, h, w});
+    attn_.Forward(seq, ws).Reshape({windows, h, w, n, c})
+        .PermuteInto({0, 3, 4, 1, 2}, &out5);
+  }
+  Axpy(1.0f, x, &out);
+  return out;
 }
 
 Tensor TemporalAttentionBlock::Backward(const Tensor& grad_out) {

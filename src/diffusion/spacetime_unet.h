@@ -53,10 +53,10 @@ class ResBlock {
            const std::string& name);
 
   Tensor Forward(const Tensor& x, const Tensor& temb);
-  // Workspace inference forward: result and temporaries borrow arena memory
-  // and nothing is cached (never follow with Backward). Byte-identical to
-  // Forward, since the temb shift broadcast is per (frame, channel) either
-  // way.
+  // Workspace inference forward: the result borrows arena memory and is
+  // allocated first; the temporaries rewind before it returns, and nothing
+  // is cached (never follow with Backward). Byte-identical to Forward, since
+  // the temb shift broadcast is per (frame, channel) either way.
   Tensor Forward(const Tensor& x, const Tensor& temb, tensor::Workspace* ws);
   // Returns dx; accumulates d(temb) into grad_temb (shape [1, temb_dim]).
   Tensor Backward(const Tensor& grad_out, Tensor* grad_temb);
@@ -78,7 +78,8 @@ class SpatialAttentionBlock : public nn::Layer {
                         const std::string& name);
   Tensor Forward(const Tensor& x, bool training) override;
   // Frames attend only within themselves, so stacked windows batch for free
-  // along dim 0: this one workspace forward serves any batch.
+  // along dim 0: this one workspace forward serves any batch. Leaves only
+  // its result allocated in `ws`.
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> Params() override;
@@ -101,7 +102,8 @@ class TemporalAttentionBlock : public nn::Layer {
   // Batched temporal attention over `windows` stacked windows: x is
   // [B*N, C, H, W] and frames attend only within their own window (sequence
   // length stays N — windows never mix). Byte-identical per window to the
-  // training forward on that window alone.
+  // training forward on that window alone. Leaves only its result allocated
+  // in `ws`.
   Tensor ForwardBatchedWindows(const Tensor& x, std::int64_t windows,
                                tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out) override;
@@ -132,9 +134,10 @@ class SpaceTimeUNet {
   // sequence. Every window's slice of the output is byte-identical to the
   // training Forward on that window alone. Every activation (result
   // included) borrows arena memory and nothing is cached, so steady-state
-  // sampler loops grow no workspace slabs; never follow with Backward. All
-  // windows share the timestep t (the DDIM ladder is config-determined, not
-  // data-dependent).
+  // sampler loops grow no workspace slabs; never follow with Backward. It
+  // writes no member, so several threads may run it on one model at once,
+  // each with its own arena. All windows share the timestep t (the DDIM
+  // ladder is config-determined, not data-dependent).
   Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws,
                  std::int64_t windows);
   Tensor Backward(const Tensor& grad_out);

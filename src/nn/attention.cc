@@ -54,16 +54,19 @@ void SplitHeads(const float* src, float* pq, float* pk, float* pv,
 }
 
 // scores = Q K^T / sqrt(hd); attn = softmax(scores); out = attn V, one
-// fused kernel call per (batch, head). Training and inference share it.
+// fused kernel call per (batch, head). Head bh's [l, l] attention matrix
+// lands at pattn + bh * attn_stride: training passes l * l and keeps every
+// matrix for Backward; inference passes 0, so all heads reuse one matrix.
 void AttentionCore(const float* pq, const float* pk, const float* pv,
-                   float* pattn, float* pout, std::int64_t bh_count,
-                   std::int64_t l, std::int64_t head_dim) {
+                   float* pattn, std::int64_t attn_stride, float* pout,
+                   std::int64_t bh_count, std::int64_t l,
+                   std::int64_t head_dim) {
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const simd::KernelTable& kernels = simd::ActiveKernels();
   for (std::int64_t bh = 0; bh < bh_count; ++bh) {
     const std::int64_t offset = bh * l * head_dim;
     kernels.attention_head(pq + offset, pk + offset, pv + offset, l, head_dim,
-                           scale, pattn + bh * l * l, pout + offset);
+                           scale, pattn + bh * attn_stride, pout + offset);
   }
 }
 
@@ -98,7 +101,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool training) {
   cached_attn_ = Tensor::Empty({b, heads_, l, l});
   Tensor heads_out = Tensor::Empty({b, heads_, l, head_dim_});
   AttentionCore(cached_q_.data(), cached_k_.data(), cached_v_.data(),
-                cached_attn_.data(), heads_out.data(), b * heads_, l,
+                cached_attn_.data(), l * l, heads_out.data(), b * heads_, l,
                 head_dim_);
 
   Tensor merged = Tensor::Empty({b, l, dim_});
@@ -111,7 +114,8 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {
   const std::int64_t b = x.dim(0);
   const std::int64_t l = x.dim(1);
 
-  // All temporaries live in the arena; nothing is cached for backward.
+  // All temporaries live in the arena; nothing is cached for backward, so
+  // one [l, l] attention matrix serves every (batch, head) in turn.
   Tensor qkv = qkv_.Forward(x, ws);
   Tensor q = ws->NewTensor({b, heads_, l, head_dim_});
   Tensor k = ws->NewTensor({b, heads_, l, head_dim_});
@@ -119,10 +123,10 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {
   SplitHeads(qkv.data(), q.data(), k.data(), v.data(), b, l, heads_, head_dim_,
              dim_);
 
-  Tensor attn = ws->NewTensor({b, heads_, l, l});
+  Tensor attn = ws->NewTensor({l, l});
   Tensor heads_out = ws->NewTensor({b, heads_, l, head_dim_});
-  AttentionCore(q.data(), k.data(), v.data(), attn.data(), heads_out.data(),
-                b * heads_, l, head_dim_);
+  AttentionCore(q.data(), k.data(), v.data(), attn.data(), /*attn_stride=*/0,
+                heads_out.data(), b * heads_, l, head_dim_);
 
   Tensor merged = ws->NewTensor({b, l, dim_});
   MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);

@@ -19,6 +19,12 @@ float* GrowScratch(std::vector<float>* buf, std::int64_t floats) {
   return buf->data();
 }
 
+// Frames per GEMM: enough to fill one GEMM column block, so small frames
+// still pack the weights once per block rather than once per frame.
+std::int64_t ChunkFrames(std::int64_t batch, std::int64_t cols) {
+  return std::min(batch, (kGemmBlockCols + cols - 1) / cols);
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -45,22 +51,27 @@ Shape Conv2d::OutputShape(const Tensor& x) const {
   return {x.dim(0), out_c_, oh, ow};
 }
 
-void Conv2d::Apply(const Tensor& x, Tensor* y) {
+Conv2d::Scratch Conv2d::ScratchFloats(const Tensor& x, const Tensor& y) const {
+  const std::int64_t cols = y.dim(2) * y.dim(3);
+  const std::int64_t chunk = ChunkFrames(x.dim(0), cols);
+  Scratch floats;
+  if (pad_ > 0) {
+    floats.padded =
+        chunk * in_c_ * (x.dim(2) + 2 * pad_) * (x.dim(3) + 2 * pad_);
+  }
+  if (chunk > 1) floats.staged = out_c_ * chunk * cols;
+  return floats;
+}
+
+void Conv2d::Apply(const Tensor& x, Tensor* y, float* padded,
+                   float* staged) const {
   const std::int64_t batch = x.dim(0);
   const std::int64_t h = x.dim(2);
   const std::int64_t w = x.dim(3);
   const std::int64_t ph = h + 2 * pad_;
   const std::int64_t pw = w + 2 * pad_;
   const std::int64_t cols = y->dim(2) * y->dim(3);
-
-  // Frames per GEMM: enough to fill one GEMM column block, so small frames
-  // still pack the weights once per block rather than once per frame.
-  const std::int64_t chunk =
-      std::min(batch, (kGemmBlockCols + cols - 1) / cols);
-  float* padded =
-      pad_ > 0 ? GrowScratch(&pad_scratch_, chunk * in_c_ * ph * pw) : nullptr;
-  float* staged =
-      chunk > 1 ? GrowScratch(&stage_scratch_, out_c_ * chunk * cols) : nullptr;
+  const std::int64_t chunk = ChunkFrames(batch, cols);
   for (std::int64_t b0 = 0; b0 < batch; b0 += chunk) {
     const std::int64_t bc = std::min(chunk, batch - b0);
     const float* frames = x.data() + b0 * in_c_ * h * w;
@@ -88,13 +99,18 @@ void Conv2d::Apply(const Tensor& x, Tensor* y) {
 Tensor Conv2d::Forward(const Tensor& x, bool /*training*/) {
   Tensor y = Tensor::Empty(OutputShape(x));
   cached_input_ = x;
-  Apply(x, &y);
+  const Scratch floats = ScratchFloats(x, y);
+  Apply(x, &y, GrowScratch(&pad_scratch_, floats.padded),
+        GrowScratch(&stage_scratch_, floats.staged));
   return y;
 }
 
 Tensor Conv2d::Forward(const Tensor& x, tensor::Workspace* ws) {
   Tensor y = ws->NewTensor(OutputShape(x));
-  Apply(x, &y);
+  // The scratch rewinds on return; only y stays allocated.
+  tensor::Workspace::Scope scope(ws);
+  const Scratch floats = ScratchFloats(x, y);
+  Apply(x, &y, ws->Allocate(floats.padded), ws->Allocate(floats.staged));
   return y;
 }
 

@@ -33,18 +33,27 @@ class Conv2d : public Layer {
   std::int64_t out_channels() const { return out_c_; }
 
  private:
-  // The forward body: [B, C_out, OH, OW] output shape for x, and the
-  // pad + implicit-GEMM loop writing into the (Empty or arena) output.
+  // The forward body: [B, C_out, OH, OW] output shape for x, the scratch
+  // one call needs (a chunk of padded frames, and a multi-frame GEMM output
+  // when a chunk holds several frames; 0 when unused), and the pad +
+  // implicit-GEMM loop writing into the (Empty or arena) output. Apply is
+  // const: the scratch is the caller's, so the workspace forward writes
+  // nothing but its arena and its result.
+  struct Scratch {
+    std::int64_t padded = 0;
+    std::int64_t staged = 0;
+  };
   Shape OutputShape(const Tensor& x) const;
-  void Apply(const Tensor& x, Tensor* y);
+  Scratch ScratchFloats(const Tensor& x, const Tensor& y) const;
+  void Apply(const Tensor& x, Tensor* y, float* padded, float* staged) const;
 
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Param weight_;  // [out_c, in_c * k * k]
   Param bias_;    // [out_c]
   Tensor cached_input_;
-  // Grow-only scratch, so repeated calls on same-shaped inputs never
-  // re-allocate. Layer instances are confined to one thread (sessions clone
-  // per worker), so member scratch is safe.
+  // Grow-only scratch of the training forward and Backward, so repeated
+  // calls on same-shaped inputs never re-allocate (training runs one thread
+  // per layer instance). Forward(x, ws) takes its scratch from the arena.
   std::vector<float> pad_scratch_;       // forward: a chunk of padded frames;
                                          // backward: one padded plane
   std::vector<float> stage_scratch_;     // forward: multi-frame GEMM output

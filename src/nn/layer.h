@@ -45,12 +45,23 @@ class Layer {
   // memory valid only until the caller's enclosing Workspace::Scope rewinds.
   // Dim 0 is the batch (stacked windows x frames in batched decode); layers
   // may fuse work across it, as Conv2d merges frames into wide GEMMs.
-  // Overriding layers cache nothing — never follow with Backward.
-  // Numerically identical to Forward(x, /*training=*/false). The default
-  // falls back to the allocating inference forward, which MAY cache the
-  // input for Backward — a layer fed arena-backed inputs on a workspace path
-  // must override this (every built-in layer does) or it would retain a
-  // dangling view past the scope rewind.
+  // Numerically identical to Forward(x, /*training=*/false).
+  //
+  // Reentrancy contract: an override writes nothing but its arena and its
+  // result — no caches for Backward, no member scratch. One layer instance
+  // may therefore run this forward on several threads at once, as long as
+  // each thread passes its own arena (the GLSC decode's pieces do exactly
+  // that). Block forwards allocate their result first and rewind their
+  // temporaries before returning, so each leaves only its output allocated.
+  // Never follow with Backward. The training forward and Backward stay
+  // single-threaded per instance (they cache and keep grow-only scratch),
+  // which is why sessions and schedulers still clone codecs per worker.
+  //
+  // The default falls back to the allocating inference forward, which MAY
+  // cache the input for Backward — a layer fed arena-backed inputs on a
+  // workspace path must override this (every built-in layer does) or it
+  // would retain a dangling view past the scope rewind and break the
+  // contract above.
   virtual Tensor Forward(const Tensor& x, tensor::Workspace* ws);
 
   // In-place inference where shapes allow (elementwise layers, norms):

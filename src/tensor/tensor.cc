@@ -152,6 +152,10 @@ Tensor Tensor::Reshape(Shape shape) const {
 void Tensor::PermuteInto(const std::vector<int>& perm, Tensor* out) const {
   const std::size_t r = rank();
   const Shape& out_shape = out->shape();
+  GLSC_CHECK(perm.size() == r && out_shape.size() == r);
+  for (std::size_t i = 0; i < r; ++i) {
+    GLSC_CHECK(out_shape[i] == shape_[static_cast<std::size_t>(perm[i])]);
+  }
 
   // Compute input strides, then iterate output positions in order.
   std::vector<std::int64_t> in_strides(r, 1);

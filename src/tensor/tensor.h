@@ -141,6 +141,9 @@ class Tensor {
   // Permute for rank<=5 tensors; perm is a permutation of axis indices.
   Tensor Permute(const std::vector<int>& perm) const;
   Tensor Permute(const std::vector<int>& perm, tensor::Workspace* ws) const;
+  // Permute into an existing tensor of the permuted shape, so a caller can
+  // allocate its result before its temporaries.
+  void PermuteInto(const std::vector<int>& perm, Tensor* out) const;
   // Slice along axis 0: rows [begin, end).
   Tensor Slice0(std::int64_t begin, std::int64_t end) const;
 
@@ -155,8 +158,6 @@ class Tensor {
   bool AllFinite() const;
 
  private:
-  void PermuteInto(const std::vector<int>& perm, Tensor* out) const;
-
   // Use-after-rewind guard for arena-backed views; compiles to nothing (and
   // the provenance fields below to zero bytes) unless GLSC_DEBUG_ARENA is on.
   void CheckArenaBorrow() const {

@@ -17,7 +17,8 @@
 // Properties:
 //  - Allocations are 64-byte aligned (AVX-512 friendly) and O(1): bump a
 //    pointer within the current slab, falling through to the next cached slab
-//    or (cold path) a geometrically-grown heap slab.
+//    or (cold path) a geometrically-grown slab mapped from the OS, followed
+//    by an inaccessible guard page.
 //  - Scope is a stack checkpoint: destruction rewinds the bump state to where
 //    the Scope was opened, retaining every slab. After the arena has grown to
 //    its high-water mark (the first window / first sampler step), steady
@@ -27,6 +28,9 @@
 //    storage when it must escape.
 //  - Not thread-safe: sessions and the decode scheduler own one Workspace per
 //    worker slot, next to the per-worker codec clones.
+//  - Child arenas serve a fan-out of one call over the thread pool (the GLSC
+//    decode's sampler and VAE pieces): piece i always runs in Child(i),
+//    whichever thread claims it, so arena sizes never depend on scheduling.
 //
 // Borrow validation (GLSC_DEBUG_ARENA, default ON in Debug/sanitizer trees):
 // using a borrowed view after its scope rewound is the arena design's biggest
@@ -43,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -52,7 +57,7 @@ namespace glsc::tensor {
 class Workspace {
  public:
   struct Stats {
-    std::int64_t slab_allocations = 0;  // heap slabs ever allocated
+    std::int64_t slab_allocations = 0;  // slabs ever allocated
     std::int64_t slab_bytes = 0;        // total bytes held in cached slabs
     std::int64_t borrows = 0;           // arena allocations served
     std::int64_t peak_bytes = 0;        // high-water concurrent usage
@@ -112,6 +117,15 @@ class Workspace {
   const Stats& stats() const { return stats_; }
   std::int64_t bytes_in_use() const { return used_; }
 
+  // Piece arena i of a fan-out, created on first request and kept (with its
+  // slabs) as long as this workspace. Create the children on the thread that
+  // owns this workspace before the fan-out starts. While it runs, each piece
+  // allocates only from its own child, and nothing allocates from or rewinds
+  // this arena: pieces may still read and write tensors borrowed from it,
+  // and under GLSC_DEBUG_ARENA those accesses read this arena's state.
+  Workspace* Child(std::size_t i);
+  std::size_t child_count() const { return children_.size(); }
+
 #if defined(GLSC_DEBUG_ARENA) && GLSC_DEBUG_ARENA
   // True when the allocation identified by `serial` is still live: the
   // workspace has not been destroyed, and no Rewind/Reset has reclaimed the
@@ -140,6 +154,7 @@ class Workspace {
 #endif
 
   std::vector<Slab> slabs_;
+  std::vector<std::unique_ptr<Workspace>> children_;
   std::size_t current_ = 0;  // index into slabs_ (meaningful when non-empty)
   std::int64_t used_ = 0;    // bytes currently handed out across all slabs
   Stats stats_;

@@ -1,7 +1,7 @@
-// Shared-memory work pool used for coarse-grained parallelism (per-block
-// compression, per-window evaluation). Fine-grained loops inside tensor
-// kernels use OpenMP instead; the pool exists for irregular task graphs where
-// a parallel-for pragma does not fit.
+// Shared-memory work pool for coarse-grained parallelism: per-window encode
+// (EncodeSession), per-worker decode (DecodeScheduler) and the pieces of one
+// GLSC decode batch (GlscCompressor). Tensor kernels themselves, GEMM
+// included, are single-threaded.
 #pragma once
 
 #include <cstddef>
@@ -33,25 +33,26 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
-    {
-      MutexLock lock(mu_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.NotifyOne();
+    Enqueue([task] { (*task)(); });
     return fut;
   }
 
   // Blocking parallel-for over [0, n): fn(i) is invoked at most once per
   // index, distributed over the pool plus the calling thread. Safe to call
   // from inside a task running on this pool: nested calls run inline on the
-  // calling worker instead of submitting helper tasks, because blocking a
-  // worker on futures whose tasks sit behind other blocked workers in the
-  // queue deadlocks the pool.
+  // calling worker instead of submitting helper tasks, since the outer call
+  // already occupies the pool.
   //
-  // Exceptions: every dispatched fn(i) runs to completion before ParallelFor
+  // The caller never waits for a helper that has not started: once it finds
+  // no index left to claim, it waits only for the helpers already running
+  // bodies. Helpers still queued behind other work (every worker busy) later
+  // find the call closed and return without touching it.
+  //
+  // Exceptions: every started fn(i) runs to completion before ParallelFor
   // returns or throws — a throwing body never leaves helper tasks running
-  // against the caller's (about to unwind) stack frame. If one or more bodies
-  // throw, the first exception observed is rethrown after all workers drain.
+  // against the caller's (about to unwind) stack frame. A throw stops every
+  // participant from claiming further indices; the first exception recorded
+  // is rethrown after the started helpers drain.
   //
   // Cancellation: a non-null `ctx` is checked before each index is
   // dispatched; once the deadline expires or the token fires, remaining
@@ -66,6 +67,7 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  void Enqueue(std::function<void()> task);
 
   std::vector<std::thread> workers_;
   Mutex mu_{"ThreadPool.mu"};

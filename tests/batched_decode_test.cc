@@ -12,7 +12,11 @@
 //                                   allocating decode
 //   GlscCompressor::DecompressB.  — the full pipeline, B ∈ {1, 2, 5}, vs
 //                                   the decoder written out from the
-//                                   allocating pieces (glsc_reference.h)
+//                                   allocating pieces (glsc_reference.h),
+//                                   fanned out over the pool and inline on a
+//                                   pool worker, at every ISA level; a
+//                                   record whose window shape does not fit
+//                                   the model throws
 //
 // "Identical" here always means bitwise: batching is a dispatch choice, never
 // a quality choice. Untrained weights are fine — the pipeline is
@@ -25,10 +29,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "compress/vae.h"
+#include "core/container.h"
 #include "core/glsc_compressor.h"
 #include "core/registry.h"
 #include "data/field_generators.h"
@@ -44,6 +50,7 @@
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace glsc {
 namespace {
@@ -296,30 +303,73 @@ TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
     compressed.push_back(glsc.Compress(window, /*tau=*/0.5));
   }
 
-  std::vector<Tensor> refs;
-  for (const auto& cw : compressed) {
-    refs.push_back(ReferenceDecompress(&glsc, cw));
-  }
-  // The single-window entry point is a batch of one.
-  ExpectBytesEqual(refs[0], glsc.Decompress(compressed[0]));
+  // The decode spreads a batch's windows (sampler) and frames (VAE) over the
+  // global pool: from the test thread the pieces fan out, from inside a pool
+  // task they run inline. Every level, since the ISA override is
+  // process-wide and helper threads must decode at the caller's level.
+  for (const simd::IsaLevel level : TestableLevels()) {
+    simd::ScopedIsaOverride override_level(level);
+    std::vector<Tensor> refs;
+    for (const auto& cw : compressed) {
+      refs.push_back(ReferenceDecompress(&glsc, cw));
+    }
+    // The single-window entry point is a batch of one.
+    ExpectBytesEqual(refs[0], glsc.Decompress(compressed[0]));
 
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{5}}) {
-    std::vector<const core::CompressedWindow*> views;
-    for (std::size_t i = 0; i < batch; ++i) views.push_back(&compressed[i]);
-    Workspace ws;
-    const std::vector<Tensor> got = glsc.DecompressBatch(views, 0, &ws);
-    ASSERT_EQ(got.size(), batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_FALSE(got[i].borrowed());  // arena memory must not escape
-      ExpectBytesEqual(refs[i], got[i]);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{5}}) {
+      SCOPED_TRACE(testing::Message()
+                   << simd::IsaName(level) << " B=" << batch);
+      std::vector<const core::CompressedWindow*> views;
+      for (std::size_t i = 0; i < batch; ++i) views.push_back(&compressed[i]);
+      Workspace ws;
+      const std::vector<Tensor> got = glsc.DecompressBatch(views, 0, &ws);
+      ASSERT_EQ(got.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        EXPECT_FALSE(got[i].borrowed());  // arena memory must not escape
+        ExpectBytesEqual(refs[i], got[i]);
+      }
+      // Null workspace (local arena) on a pool worker, where the pieces run
+      // inline, must give the same bytes.
+      const auto on_worker = [&] { return glsc.DecompressBatch(views); };
+      const std::vector<Tensor> local =
+          GlobalThreadPool().Submit(on_worker).get();
+      ASSERT_EQ(local.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        ExpectBytesEqual(refs[i], local[i]);
+      }
     }
-    // Null workspace (local arena) must give the same bytes.
-    const std::vector<Tensor> local = glsc.DecompressBatch(views);
-    ASSERT_EQ(local.size(), batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      ExpectBytesEqual(refs[i], local[i]);
-    }
+  }
+}
+
+// The window shape is read from the payload and sizes the decode's output
+// and its frame pieces, so a record whose shape does not fit the model must
+// fail with a typed error before anything is read or written through it.
+TEST(BatchedGlsc, HostileWindowShapeThrows) {
+  core::GlscCompressor glsc(SmallGlscConfig());  // 8-frame windows
+  data::FieldSpec spec;
+  spec.frames = 8;
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 7;
+  const Tensor field = data::GenerateClimate(spec);  // [1, 8, 16, 16]
+  const core::CompressedWindow good =
+      glsc.Compress(field.Reshape({8, 16, 16}), /*tau=*/0.0);
+
+  for (const Shape& shape : std::vector<Shape>{
+           {0, 16, 16}, {9, 16, 16}, {8, 32, 16}, {8, 16, 8}, {8, 256}}) {
+    SCOPED_TRACE(ShapeToString(shape));
+    core::CompressedWindow bad = good;
+    bad.window_shape = shape;
+    ByteWriter writer;
+    core::SerializeWindow(bad, &writer);
+    const std::vector<std::uint8_t> payload = writer.Release();
+    ByteReader reader(payload);
+    const core::CompressedWindow parsed = core::DeserializeWindow(&reader);
+    ASSERT_EQ(parsed.window_shape, shape);
+    EXPECT_THROW(glsc.Decompress(parsed), std::runtime_error);
+    EXPECT_THROW(glsc.DecompressBatch({&parsed, &parsed, &parsed}),
+                 std::runtime_error);
   }
 }
 

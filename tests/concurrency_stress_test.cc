@@ -8,6 +8,9 @@
 //     eviction and the single-flight table churn constantly.
 //   - GEMM from several threads at once, each packing into its own
 //     per-thread buffer.
+//   - GLSC batch decodes from two threads at once, each fanning its sampler
+//     and VAE pieces out over the shared global pool, so one model's
+//     inference forwards run on several threads at a time.
 //
 // Every successful Get (and every product) is compared byte-for-byte against
 // a single-threaded reference — concurrency must never change bytes. The suites run
@@ -27,10 +30,12 @@
 #include "api/session.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
+#include "core/glsc_compressor.h"
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
 #include "serve/shard_manager.h"
 #include "tensor/gemm.h"
+#include "tensor/workspace.h"
 #include "util/rng.h"
 
 namespace glsc::serve {
@@ -265,6 +270,60 @@ TEST(ConcurrencyStress, GemmPerThreadPackBuffer) {
              c.trans_a ? c.m : c.k, c.b.data(), c.trans_b ? c.k : c.n, 0.0f,
              got.data(), c.n);
         if (!SameBytes(got, c.want)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Two threads, each with its own GLSC codec (same seeded weights) and
+// workspace, decode batches of three windows at the same time. Each decode
+// spreads its windows (sampler) and frame chunks (VAE) over the one global
+// pool, so pieces of both decodes interleave on the pool threads. Every
+// output must match a decode made while nothing else ran.
+TEST(ConcurrencyStress, GlscFanOutFromTwoThreads) {
+  core::GlscConfig config;
+  config.vae.latent_channels = 4;
+  config.vae.hidden_channels = 6;
+  config.vae.hyper_channels = 2;
+  config.unet.latent_channels = 4;
+  config.unet.model_channels = 8;
+  config.unet.heads = 2;
+  config.schedule_steps = 40;
+  config.window = 8;
+  config.sample_steps = 3;
+  core::GlscCompressor codecs[2] = {core::GlscCompressor(config),
+                                    core::GlscCompressor(config)};
+
+  data::FieldSpec spec;
+  spec.frames = 24;
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 903;
+  const Tensor field = data::GenerateClimate(spec);  // [1, 24, 16, 16]
+  std::vector<core::CompressedWindow> compressed;
+  for (std::int64_t w = 0; w < 3; ++w) {
+    Tensor window = Tensor::Empty({8, 16, 16});
+    std::memcpy(window.data(), field.data() + w * 8 * 16 * 16,
+                static_cast<std::size_t>(8 * 16 * 16) * sizeof(float));
+    compressed.push_back(codecs[0].Compress(window, /*tau=*/-1.0));
+  }
+  const std::vector<const core::CompressedWindow*> batch = {
+      &compressed[0], &compressed[1], &compressed[2]};
+  const std::vector<Tensor> expected = codecs[0].DecompressBatch(batch);
+
+  constexpr int kRounds = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (auto& codec : codecs) {
+    threads.emplace_back([&] {
+      tensor::Workspace ws;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<Tensor> got = codec.DecompressBatch(batch, 0, &ws);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (!SameBytes(got[i], expected[i])) mismatches.fetch_add(1);
+        }
       }
     });
   }

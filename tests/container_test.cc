@@ -11,6 +11,7 @@
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
+#include "temp_path.h"
 #include "tensor/metrics.h"
 
 namespace glsc::core {
@@ -357,8 +358,9 @@ TEST(Container, EndToEndFileRoundTrip) {
   budget.diffusion.crop = 16;
   budget.diffusion.log_every = 0;
   budget.pca_fit_windows = 2;
-  const std::string artifacts = "/tmp/glsc_container_artifacts/nested/deeper";
-  std::filesystem::remove_all("/tmp/glsc_container_artifacts");
+  const std::string root = ProcessTempPath("glsc_container_artifacts");
+  const std::string artifacts = root + "/nested/deeper";
+  std::filesystem::remove_all(root);
   auto compressor =
       GetOrTrainGlsc(dataset, config, budget, artifacts, "container_e2e");
   EXPECT_TRUE(FileExists(ArtifactPath(artifacts, "container_e2e")));
@@ -366,7 +368,7 @@ TEST(Container, EndToEndFileRoundTrip) {
   const DatasetArchive archive =
       CompressDataset(compressor.get(), dataset, 0.2);
   EXPECT_EQ(archive.codec(), "glsc");
-  const std::string path = "/tmp/glsc_container_test.glsca";
+  const std::string path = ProcessTempPath("glsc_container_test.glsca");
   archive.WriteFile(path);
 
   // Fresh compressor from the same artifact; fresh archive from disk.
@@ -394,7 +396,7 @@ TEST(Container, EndToEndFileRoundTrip) {
     }
   }
   std::filesystem::remove(path);
-  std::filesystem::remove_all("/tmp/glsc_container_artifacts");
+  std::filesystem::remove_all(root);
 }
 
 TEST(Container, ParallelCompressionMatchesSerial) {
@@ -428,17 +430,18 @@ TEST(Container, ParallelCompressionMatchesSerial) {
   budget.diffusion.crop = 16;
   budget.diffusion.log_every = 0;
   budget.pca_fit_windows = 1;
-  auto primary = GetOrTrainGlsc(dataset, config, budget,
-                                "/tmp/glsc_par_artifacts", "par_test");
-  auto secondary = GetOrTrainGlsc(dataset, config, budget,
-                                  "/tmp/glsc_par_artifacts", "par_test");
+  const std::string artifacts = ProcessTempPath("glsc_par_artifacts");
+  auto primary =
+      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
+  auto secondary =
+      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
 
   const DatasetArchive serial = CompressDataset(primary.get(), dataset, 0.3);
   const DatasetArchive parallel = CompressDatasetParallel(
       {primary.get(), secondary.get()}, dataset, 0.3);
 
   EXPECT_EQ(serial.Serialize(), parallel.Serialize());
-  std::filesystem::remove_all("/tmp/glsc_par_artifacts");
+  std::filesystem::remove_all(artifacts);
 }
 
 TEST(Container, ArchiveSizeMatchesAccountedBytes) {

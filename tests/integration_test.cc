@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "baselines/sz_like.h"
 #include "core/glsc_compressor.h"
 #include "core/registry.h"
+#include "temp_path.h"
 #include "tensor/metrics.h"
 #include "tensor/ops.h"
 #include "util/timer.h"
@@ -58,12 +61,16 @@ class IntegrationTest : public ::testing::Test {
         new data::SequenceDataset(data::GenerateClimate(spec));
     compressor_ =
         core::GetOrTrainGlsc(*dataset_, SmallConfig(), SmallBudget(),
-                             "/tmp/glsc_integration_artifacts", "integ_small_v2")
+                             ArtifactDir(), "integ_small_v2")
             .release();
   }
   static void TearDownTestSuite() {
     delete compressor_;
     delete dataset_;
+    std::filesystem::remove_all(ArtifactDir());
+  }
+  static std::string ArtifactDir() {
+    return ProcessTempPath("glsc_integration_artifacts");
   }
 
   static data::SequenceDataset* dataset_;

@@ -158,7 +158,7 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
 TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
   const Tensor field = MakeField(113);
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const std::string path = "/tmp/glsc_serve_test_v3.glsca";
+  const std::string path = ProcessTempPath("glsc_serve_test_v3.glsca");
   const auto v3_bytes = archive.Serialize({.version = 3});
   WriteFileBytes(path, v3_bytes);
   const std::uint64_t file_bytes = v3_bytes.size();
@@ -342,7 +342,7 @@ TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
 TEST(DecodeScheduler, SingleWindowDecodesExactlyOneRecord) {
   const Tensor field = MakeField(139);
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const std::string path = "/tmp/glsc_serve_test_single.glsca";
+  const std::string path = ProcessTempPath("glsc_serve_test_single.glsca");
   archive.WriteFile(path);
 
   auto calls = std::make_shared<std::atomic<int>>(0);

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "temp_path.h"
 #include "util/bytes.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -116,7 +122,7 @@ TEST(Bytes, UnderrunThrows) {
 }
 
 TEST(Bytes, FileRoundTrip) {
-  const std::string path = "/tmp/glsc_test_bytes.bin";
+  const std::string path = ProcessTempPath("glsc_test_bytes.bin");
   std::vector<std::uint8_t> data{1, 2, 3, 250};
   WriteFileBytes(path, data);
   EXPECT_TRUE(FileExists(path));
@@ -171,6 +177,79 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool other(1);
   auto cross = other.Submit([&] { return pool.InWorkerThread(); });
   EXPECT_FALSE(cross.get());
+}
+
+TEST(ThreadPool, ParallelForDoesNotWaitForBusyWorkers) {
+  // Both workers of a 2-worker pool sit on a gate, so ParallelFor's helper
+  // tasks can only queue. The caller claims every index itself and must
+  // return then, without waiting for helpers that never started
+  // (regression: it blocked until a worker freed up).
+  ThreadPool pool(2);
+  Mutex mu{"test.gate"};
+  CondVar cv;
+  int blocked = 0;
+  bool open = false;
+  auto gate = [&] {
+    MutexLock lock(mu);
+    ++blocked;
+    cv.NotifyAll();
+    cv.Wait(mu, [&]() REQUIRES(mu) { return open; });
+  };
+  std::future<void> busy[2] = {pool.Submit(gate), pool.Submit(gate)};
+  {
+    MutexLock lock(mu);
+    cv.Wait(mu, [&]() REQUIRES(mu) { return blocked == 2; });
+  }
+
+  std::vector<std::atomic<int>> hits(4);
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    pool.ParallelFor(4, [&](std::size_t i) { hits[i]++; });
+    returned = true;
+  });
+  // Watchdog: a regression fails here after 2 s instead of hanging, because
+  // the gate opens either way.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool returned_while_busy = returned.load();
+  {
+    MutexLock lock(mu);
+    open = true;
+  }
+  cv.NotifyAll();
+  caller.join();
+  for (auto& f : busy) f.get();
+  EXPECT_TRUE(returned_while_busy)
+      << "ParallelFor waited for helpers that never started";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // With the workers free again, a throwing body still reaches the caller
+  // only after every body a helper started has finished. Index 0 throws
+  // once another participant is inside a slow body (bounded wait).
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.ParallelFor(3,
+                                [&](std::size_t i) {
+                                  if (i == 0) {
+                                    for (int spin = 0;
+                                         spin < 2000 && started.load() == 0;
+                                         ++spin) {
+                                      std::this_thread::sleep_for(
+                                          std::chrono::milliseconds(1));
+                                    }
+                                    throw std::runtime_error("body failed");
+                                  }
+                                  started++;
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(50));
+                                  finished++;
+                                }),
+               std::runtime_error);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_EQ(finished.load(), started.load());
 }
 
 TEST(ThreadPool, ZeroAndOneItems) {

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "api/adapters.h"
@@ -15,6 +17,7 @@
 #include "core/glsc_compressor.h"
 #include "data/field_generators.h"
 #include "diffusion/sampler.h"
+#include "diffusion/spacetime_unet.h"
 #include "glsc_reference.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
@@ -106,6 +109,20 @@ TEST(WorkspaceTest, NestedScopesRewindInOrder) {
     ws.Allocate(1 << 21);
   }
   EXPECT_EQ(ws.bytes_in_use(), base);
+}
+
+// Slabs are mapped memory, which ASan does not watch, so each one ends in an
+// inaccessible guard page: the first float past a full slab faults.
+TEST(WorkspaceTest, WritePastSlabEndFaults) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        constexpr std::int64_t kFloats = std::int64_t{1} << 20;  // 4 MiB
+        Workspace ws(kFloats * sizeof(float));  // one slab, exactly this size
+        volatile float* past = ws.Allocate(kFloats) + kFloats;
+        *past = 1.0f;
+      },
+      "");
 }
 
 TEST(WorkspaceTest, FilteredArchiveDecodeStaysZeroAllocAtSteadyState) {
@@ -210,7 +227,8 @@ TEST(WorkspaceNnTest, Conv2dForwardMatchesAndScratchPersists) {
     const Tensor got = conv.Forward(x, &ws);
     ExpectBytesEqual(ref, got);
   }
-  // Shape changes only ever grow the cached padding and staging scratch.
+  // A smaller shape after a larger one: the padding and staging scratch come
+  // from the arena per call, so nothing sized for the old shape leaks in.
   const Tensor small = Tensor::Randn({1, 3, 8, 8}, rng);
   Workspace::Scope scope(&ws);
   const Tensor got_small = conv.Forward(small, &ws);
@@ -248,6 +266,34 @@ TEST(WorkspaceNnTest, AttentionForwardMatches) {
   Workspace ws;
   const Tensor got = attn.Forward(x, &ws);
   ExpectBytesEqual(ref, got);
+}
+
+// The inference attention keeps no per-head matrix: one [l, l] scratch
+// serves every (batch, head) in turn. So for fixed b, l and d the arena peak
+// is the same at any head count (q, k, v and the head outputs hold b*l*d
+// floats however d is split), and going from b = 1 to b = 4 adds three
+// times the per-sequence activations but no further [l, l] matrix.
+TEST(WorkspaceNnTest, AttentionArenaPeakDoesNotGrowWithAttentionMatrices) {
+  const std::int64_t d = 16, l = 64;
+  const std::int64_t matrix_bytes = l * l * sizeof(float);
+  std::int64_t peak_b1 = 0;
+  for (const std::int64_t b : {1, 4}) {
+    std::int64_t peak_one_head = 0;
+    for (const std::int64_t heads : {1, 2, 4, 8}) {
+      Rng rng(53);
+      nn::MultiHeadSelfAttention attn(d, heads, rng, "ws.attn.peak");
+      const Tensor x = Tensor::Randn({b, l, d}, rng);
+      Workspace ws;
+      (void)attn.Forward(x, &ws);
+      const std::int64_t peak = ws.stats().peak_bytes;
+      if (heads == 1) peak_one_head = peak;
+      EXPECT_EQ(peak, peak_one_head) << "b=" << b << " heads=" << heads;
+    }
+    if (b == 1) peak_b1 = peak_one_head;
+    if (b == 4) {
+      EXPECT_GE(4 * peak_b1 - peak_one_head, 3 * matrix_bytes);
+    }
+  }
 }
 
 TEST(WorkspaceNnTest, NormsMatchIncludingInPlace) {
@@ -336,6 +382,41 @@ TEST(WorkspaceDiffusionTest, UNetForwardMatches) {
   ExpectBytesEqual(ref, got);
 }
 
+// Block forwards allocate their output first and rewind their temporaries,
+// so each leaves exactly its output allocated (rounded to the arena's
+// 64-byte granule) after running temporaries past it.
+TEST(WorkspaceDiffusionTest, BlockForwardsLeaveOnlyTheirOutput) {
+  Rng rng(59);
+  const std::int64_t c = 8;
+  diffusion::ResBlock res(c, c, rng, "ws.res");
+  diffusion::SpatialAttentionBlock spatial(c, 2, rng, "ws.sattn");
+  diffusion::TemporalAttentionBlock temporal(c, 2, rng, "ws.tattn");
+  nn::Conv2d conv(c, c, 3, 1, 1, rng, "ws.block.conv");
+  const Tensor x = Tensor::Randn({2 * 6, c, 8, 8}, rng);  // two 6-frame windows
+  const Tensor temb = Tensor::Randn({1, c}, rng);
+  const std::int64_t out_bytes =
+      (x.numel() * static_cast<std::int64_t>(sizeof(float)) + 63) / 64 * 64;
+  const std::vector<std::pair<const char*, std::function<Tensor(Workspace*)>>>
+      blocks = {
+          {"ResBlock",
+           [&](Workspace* ws) { return res.Forward(x, temb, ws); }},
+          {"SpatialAttentionBlock",
+           [&](Workspace* ws) { return spatial.Forward(x, ws); }},
+          {"TemporalAttentionBlock",
+           [&](Workspace* ws) {
+             return temporal.ForwardBatchedWindows(x, /*windows=*/2, ws);
+           }},
+          {"Conv2d", [&](Workspace* ws) { return conv.Forward(x, ws); }},
+      };
+  for (const auto& [name, forward] : blocks) {
+    Workspace ws;
+    const Tensor y = forward(&ws);
+    EXPECT_EQ(y.shape(), x.shape()) << name;
+    EXPECT_EQ(ws.bytes_in_use(), out_bytes) << name;
+    EXPECT_GT(ws.stats().peak_bytes, out_bytes) << name;
+  }
+}
+
 TEST(WorkspaceDiffusionTest, SamplerByteIdenticalAndZeroSteadyStateAllocs) {
   diffusion::SpaceTimeUNet unet(SmallUNetConfig());
   const diffusion::NoiseSchedule schedule(diffusion::ScheduleKind::kLinear, 40);
@@ -397,35 +478,60 @@ core::GlscConfig SmallGlscConfig() {
   return config;
 }
 
-Tensor SmallWindow() {
+Tensor SmallWindow(std::uint64_t seed = 99) {
   data::FieldSpec spec;
   spec.frames = 8;
   spec.height = 16;
   spec.width = 16;
-  spec.seed = 99;
+  spec.seed = seed;
   Tensor field = data::GenerateClimate(spec);  // [1, 8, 16, 16]
   return field.Reshape({8, 16, 16});
 }
 
+// Slabs ever allocated by `ws` and by the piece arenas its decodes fanned
+// out into.
+std::int64_t SlabAllocations(Workspace* ws) {
+  std::int64_t slabs = ws->stats().slab_allocations;
+  for (std::size_t i = 0; i < ws->child_count(); ++i) {
+    slabs += ws->Child(i)->stats().slab_allocations;
+  }
+  return slabs;
+}
+
+// A batch of three: the decode fans out over sampler and VAE pieces, each
+// in a child arena of ws. Steady state must grow slabs in none of them, and
+// every arena must be rewound when the decode returns.
 TEST(WorkspaceGlscTest, DecompressByteIdenticalAndSteadyState) {
   core::GlscCompressor glsc(SmallGlscConfig());
-  const Tensor window = SmallWindow();
-  const core::CompressedWindow compressed = glsc.Compress(window, -1.0);
-
-  const Tensor ref = ReferenceDecompress(&glsc, compressed);
-  ExpectBytesEqual(ref, glsc.Decompress(compressed));  // local arena
-  Workspace ws;
-  const Tensor got = glsc.Decompress(compressed, 0, &ws);
-  EXPECT_FALSE(got.borrowed());  // arena memory must not escape
-  ExpectBytesEqual(ref, got);
-
-  const std::int64_t grown = ws.stats().slab_allocations;
-  for (int round = 0; round < 2; ++round) {
-    const Tensor again = glsc.Decompress(compressed, 0, &ws);
-    ExpectBytesEqual(ref, again);
+  std::vector<core::CompressedWindow> compressed;
+  std::vector<Tensor> refs;
+  for (std::uint64_t seed = 99; seed < 102; ++seed) {
+    compressed.push_back(glsc.Compress(SmallWindow(seed), -1.0));
+    refs.push_back(ReferenceDecompress(&glsc, compressed.back()));
   }
-  EXPECT_EQ(ws.stats().slab_allocations, grown)
+  ExpectBytesEqual(refs[0], glsc.Decompress(compressed[0]));  // local arena
+  const std::vector<const core::CompressedWindow*> batch = {
+      &compressed[0], &compressed[1], &compressed[2]};
+
+  Workspace ws;
+  const auto decode_and_check = [&] {
+    const std::vector<Tensor> got = glsc.DecompressBatch(batch, 0, &ws);
+    ASSERT_EQ(got.size(), refs.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_FALSE(got[i].borrowed());  // arena memory must not escape
+      ExpectBytesEqual(refs[i], got[i]);
+    }
+  };
+  decode_and_check();
+  ASSERT_GT(ws.child_count(), 0u);
+  const std::int64_t grown = SlabAllocations(&ws);
+  for (int round = 0; round < 2; ++round) decode_and_check();
+  EXPECT_EQ(SlabAllocations(&ws), grown)
       << "steady-state decode allocated new slabs";
+  EXPECT_EQ(ws.bytes_in_use(), 0);
+  for (std::size_t i = 0; i < ws.child_count(); ++i) {
+    EXPECT_EQ(ws.Child(i)->bytes_in_use(), 0) << "piece arena " << i;
+  }
 }
 
 TEST(WorkspaceGlscTest, CompressByteIdentical) {
