@@ -1,17 +1,20 @@
 // Codec-agnostic throughput smoke over the unified API: streams a synthetic
-// [V, T, H, W] field through EncodeSession/DecodeSession for the chosen
-// backend and reports encode/decode MB/s plus the achieved ratio. One
-// --codec= flag switches among all registered backends; learned codecs train
-// once (tiny budget) and cache the artifact like every other bench.
+// [V, T, H, W] field through EncodeSession, decodes the archive with
+// DecodeScheduler::GetAll for the chosen backend and reports encode/decode
+// MB/s plus the achieved ratio. One --codec= flag switches among all
+// registered backends; learned codecs train once (tiny budget) and cache the
+// artifact like every other bench.
 //
 //   ./bench_codec_api --codec=sz [--frames=96] [--hw=32] [--variables=2]
 //                     [--bound=0.01] [--workers=1] [--list]
 #include <cstdio>
 
 #include "api/session.h"
+#include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
 #include "harness.h"
+#include "serve/decode_scheduler.h"
 #include "tensor/metrics.h"
 #include "util/flags.h"
 #include "util/timer.h"
@@ -76,7 +79,9 @@ int main(int argc, char** argv) {
   const std::size_t compressed = archive.Serialize().size();
 
   Timer dec;
-  const Tensor restored = archive.DecompressAll(codec.get());
+  const auto reader = core::ArchiveReader::FromArchive(archive);
+  serve::DecodeScheduler scheduler(&reader, codec.get());
+  const Tensor restored = scheduler.GetAll();
   const double t_dec = dec.Seconds();
 
   std::printf("encode %8.2f MB/s   decode %8.3f MB/s   CR %.1fx   NRMSE %.3e\n",

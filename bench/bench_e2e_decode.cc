@@ -1,8 +1,8 @@
-// End-to-end decode throughput for the serving hot path — the workload the
-// workspace arena (tensor/workspace.h) exists for. One file-backed archive,
-// four measurements:
+// End-to-end decode throughput for the serving hot path. One file-backed
+// archive, two measurements:
 //
-//   full     — DecodeSession::DecodeAll over every record (linear scan path)
+//   full     — DecodeScheduler::GetAll over every record (cache disabled,
+//              max_batch=--batch)
 //   fetch    — DecodeScheduler::Get over every window with the cache disabled
 //              (every fetch pays a real decode), measured twice over identical
 //              spanning queries: once with max_batch=1 (batches of one, a
@@ -10,15 +10,11 @@
 //              max_batch=--batch (misses coalesced into DecompressWindows).
 //              The two arms differ ONLY in batch size, and their outputs are
 //              asserted byte-identical before any number is reported.
-//   alloc    — raw DecompressWindow per record WITHOUT a workspace: model
-//              codecs then decode in a fresh local arena per call, so this
-//              arm prices the slab growth a reused workspace avoids
-//   arena    — raw DecompressWindow per record WITH a reused workspace
 //
-// Emits BENCH_e2e.json with windows/s + MB/s for the session/scheduler paths,
-// the serial-vs-batched fetch comparison, and the alloc-vs-arena speedup;
-// scripts/check.sh gates on the file existing with the fetch_batched_* fields
-// present and finite, so every number here must be finite.
+// Emits BENCH_e2e.json with windows/s + MB/s for the full decode and the
+// serial-vs-batched fetch comparison; scripts/check.sh gates on the file
+// existing with the fetch_batched_* fields present and finite, so every
+// number here must be finite.
 //
 //   ./bench_e2e_decode [--codec=glsc] [--frames=48] [--hw=32] [--variables=1]
 //                      [--steps=6] [--workers=2] [--batch=8] [--repeat=1]
@@ -37,7 +33,6 @@
 #include "harness.h"
 #include "serve/decode_scheduler.h"
 #include "tensor/metrics.h"
-#include "tensor/workspace.h"
 #include "util/flags.h"
 #include "util/timer.h"
 
@@ -89,23 +84,10 @@ int main(int argc, char** argv) {
               records, (long long)window, (long long)spec.height,
               (long long)spec.width, decoded_mb);
 
-  // -- full archive decode through the streaming session -------------------
-  Timer full_timer;
-  Tensor full;
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    api::DecodeSession session(codec.get(), archive);
-    full = session.DecodeAll();
-  }
-  const double t_full = full_timer.Seconds() / double(repeat);
-  const double nrmse = Nrmse(field, full);
-  const double psnr = Psnr(field, full);
-
-  // -- window fetches through the scheduler (cache off => real decodes) -----
-  // Two schedulers over the same archive and the same spanning queries,
-  // differing ONLY in batch size: max_batch=1 decodes batches of one,
-  // max_batch=--batch coalesces each query's misses into DecompressWindows
-  // calls so model-based codecs run one network pass over the stacked
-  // windows.
+  // Every arm reads the file with the cache off, so each pass pays real
+  // decodes. max_batch=1 decodes batches of one; max_batch=--batch coalesces
+  // a query's misses into DecompressWindows calls so model-based codecs run
+  // one network pass over the stacked windows.
   const std::int64_t batch =
       std::max<std::int64_t>(flags.GetInt("batch", 8), 1);
   auto reader = core::ArchiveReader::FromFile(path);
@@ -115,6 +97,19 @@ int main(int argc, char** argv) {
   serial_options.max_batch = 1;
   serve::ScheduleOptions batched_options = serial_options;
   batched_options.max_batch = batch;
+
+  // -- full archive decode -------------------------------------------------
+  serve::DecodeScheduler full_scheduler(&reader, codec.get(), batched_options);
+  Timer full_timer;
+  Tensor full;
+  for (std::int64_t r = 0; r < repeat; ++r) full = full_scheduler.GetAll();
+  const double t_full = full_timer.Seconds() / double(repeat);
+  const double nrmse = Nrmse(field, full);
+  const double psnr = Psnr(field, full);
+
+  // -- window fetches through the scheduler ---------------------------------
+  // Two schedulers over the same archive and the same spanning queries,
+  // differing ONLY in batch size.
   serve::DecodeScheduler serial_scheduler(&reader, codec.get(),
                                           serial_options);
   serve::DecodeScheduler batched_scheduler(&reader, codec.get(),
@@ -155,25 +150,6 @@ int main(int argc, char** argv) {
   const double fetch_mb = double(fetch_windows * window * spec.height *
                                  spec.width * sizeof(float)) / double(1 << 20);
 
-  // -- alloc vs arena on the raw per-record decode -------------------------
-  Timer alloc_timer;
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    for (std::size_t i = 0; i < records; ++i) {
-      (void)codec->DecompressWindow(archive.entries()[i].payload);
-    }
-  }
-  const double t_alloc = alloc_timer.Seconds() / double(repeat);
-
-  tensor::Workspace ws;
-  (void)codec->DecompressWindow(archive.entries()[0].payload, &ws);  // warm up
-  Timer arena_timer;
-  for (std::int64_t r = 0; r < repeat; ++r) {
-    for (std::size_t i = 0; i < records; ++i) {
-      (void)codec->DecompressWindow(archive.entries()[i].payload, &ws);
-    }
-  }
-  const double t_arena = arena_timer.Seconds() / double(repeat);
-
   const double eps = 1e-9;
   const double full_wps = double(records) / std::max(t_full, eps);
   const double full_mbps = decoded_mb / std::max(t_full, eps);
@@ -181,9 +157,6 @@ int main(int argc, char** argv) {
   const double fetch_mbps = fetch_mb / std::max(t_fetch, eps);
   const double batched_wps = double(fetch_windows) / std::max(t_batched, eps);
   const double batched_speedup = t_fetch / std::max(t_batched, eps);
-  const double alloc_wps = double(records) / std::max(t_alloc, eps);
-  const double arena_wps = double(records) / std::max(t_arena, eps);
-  const double speedup = t_alloc / std::max(t_arena, eps);
 
   std::printf(
       "full decode      %9.4f s   %7.2f windows/s   %7.2f MB/s\n"
@@ -191,14 +164,9 @@ int main(int argc, char** argv) {
       "(max_batch=1)\n"
       "fetch batched    %9.4f s   %7.2f windows/s   (%.2fx vs serial, "
       "max_batch=%lld, byte-identical)\n"
-      "alloc decode     %9.4f s   %7.2f windows/s\n"
-      "arena decode     %9.4f s   %7.2f windows/s   (%.2fx vs alloc, "
-      "%lld arena slabs, %.1f MB high-water)\n"
       "fidelity: NRMSE %.4e, PSNR %.1f dB\n",
       t_full, full_wps, full_mbps, t_fetch, fetch_wps, fetch_mbps, t_batched,
-      batched_wps, batched_speedup, (long long)batch, t_alloc, alloc_wps,
-      t_arena, arena_wps, speedup, (long long)ws.stats().slab_allocations,
-      double(ws.stats().peak_bytes) / double(1 << 20), nrmse, psnr);
+      batched_wps, batched_speedup, (long long)batch, nrmse, psnr);
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -222,19 +190,12 @@ int main(int argc, char** argv) {
                  "  \"fetch_batched_windows_per_s\": %.6g,\n"
                  "  \"fetch_batched_speedup\": %.6g,\n"
                  "  \"fetch_batch_size\": %lld,\n"
-                 "  \"alloc_windows_per_s\": %.6g,\n"
-                 "  \"arena_windows_per_s\": %.6g,\n"
-                 "  \"arena_speedup\": %.6g,\n"
-                 "  \"arena_slab_allocations\": %lld,\n"
-                 "  \"arena_peak_mb\": %.6g,\n"
                  "  \"nrmse\": %.6g,\n"
                  "  \"psnr_db\": %.6g\n"
                  "}\n",
                  codec_name.c_str(), records, decoded_mb, t_full, full_wps,
                  full_mbps, t_fetch, fetch_wps, fetch_mbps, fetch_wps,
-                 batched_wps, batched_speedup, (long long)batch, alloc_wps,
-                 arena_wps, speedup, (long long)ws.stats().slab_allocations,
-                 double(ws.stats().peak_bytes) / double(1 << 20), nrmse, psnr);
+                 batched_wps, batched_speedup, (long long)batch, nrmse, psnr);
     std::fclose(out);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -2,7 +2,8 @@
 // over parsing and decoding the whole archive. Three measurements on one
 // file-backed archive:
 //
-//   full      — open + DecodeSession::DecodeAll (every record decoded)
+//   full      — DatasetArchive::ReadFile (every record parsed) + GetAll
+//               (every record decoded)
 //   window    — ArchiveReader::FromFile + one cold DecodeScheduler::Get of a
 //               single window (one record decoded, one payload read)
 //   cached    — the same Get again (served from the LRU, no decode)
@@ -62,8 +63,9 @@ int main(int argc, char** argv) {
   // Full decode: the pre-index workflow — every record parsed and decoded.
   Timer full_timer;
   const core::DatasetArchive loaded = core::DatasetArchive::ReadFile(path);
-  api::DecodeSession session(codec.get(), loaded);
-  const Tensor full = session.DecodeAll();
+  const auto loaded_reader = core::ArchiveReader::FromArchive(loaded);
+  serve::DecodeScheduler full_scheduler(&loaded_reader, codec.get());
+  const Tensor full = full_scheduler.GetAll();
   const double t_full = full_timer.Seconds();
   const double nrmse = Nrmse(field, full);
   const double psnr = Psnr(field, full);

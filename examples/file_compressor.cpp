@@ -19,9 +19,11 @@
 
 #include "api/adapters.h"
 #include "api/session.h"
+#include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
 #include "data/field_generators.h"
+#include "serve/decode_scheduler.h"
 #include "tensor/metrics.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -130,8 +132,9 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> on_disk;
   GLSC_CHECK(ReadFileBytes(output, &on_disk));
 
-  const core::DatasetArchive loaded = core::DatasetArchive::ReadFile(output);
-  const Tensor restored = loaded.DecompressAll(codec.get());
+  const auto reader = core::ArchiveReader::FromFile(output);
+  serve::DecodeScheduler scheduler(&reader, codec.get());
+  const Tensor restored = scheduler.GetAll();
 
   const double original_bytes =
       static_cast<double>(dataset.OriginalBytes());

@@ -8,8 +8,8 @@
 // CompressWindow returns a self-contained payload that DecompressWindow can
 // restore without side channels. Streaming over arbitrary-length [V, T, H, W]
 // fields — chunking, tail padding, per-frame normalization, thread fan-out —
-// lives one layer up in EncodeSession/DecodeSession (api/session.h), which
-// every codec inherits for free.
+// lives one layer up, in EncodeSession (api/session.h) for writing and
+// serve::DecodeScheduler for reading, which every codec inherits for free.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <map>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -30,10 +29,6 @@ EncodeSession::EncodeSession(Compressor* codec, std::int64_t variables,
   norms_.resize(static_cast<std::size_t>(variables_));
 
   workers_.push_back(codec_);
-  for (auto* extra : options_.extra_workers) {
-    GLSC_CHECK(extra != nullptr);
-    workers_.push_back(extra);
-  }
   while (static_cast<std::int64_t>(workers_.size()) < options_.parallelism) {
     clones_.push_back(codec_->Clone());
     workers_.push_back(clones_.back().get());
@@ -199,98 +194,6 @@ core::DatasetArchive EncodeSession::Finish() {
   }
   entries_.clear();
   return archive;
-}
-
-// ---------------------------------------------------------------------------
-
-DecodeSession::DecodeSession(Compressor* codec,
-                             const core::DatasetArchive& archive)
-    : codec_(codec), reader_(core::ArchiveReader::FromArchive(archive)) {
-  GLSC_CHECK(codec_ != nullptr);
-  GLSC_CHECK_MSG(codec_->name() == reader_.codec(),
-                 "archive was written by codec '"
-                     << reader_.codec() << "' but decode codec is '"
-                     << codec_->name() << "'");
-  std::map<std::int64_t, std::vector<std::size_t>> by_t0;
-  for (std::size_t i = 0; i < reader_.records().size(); ++i) {
-    by_t0[reader_.records()[i].t0].push_back(i);
-  }
-  slabs_.reserve(by_t0.size());
-  for (auto& [t0, indices] : by_t0) {
-    slabs_.emplace_back(t0, std::move(indices));
-  }
-}
-
-bool DecodeSession::Next(Tensor* out, std::int64_t* t0_out) {
-  GLSC_CHECK(out != nullptr);
-  if (cursor_ >= slabs_.size()) return false;
-  const auto& [t0, indices] = slabs_[cursor_++];
-
-  const Shape& shape = reader_.dataset_shape();
-  const std::int64_t variables = shape[0];
-  const std::int64_t hw = shape[2] * shape[3];
-
-  struct Decoded {
-    std::int64_t variable;
-    std::int64_t valid;
-    Tensor recon;
-  };
-  std::vector<Decoded> decoded;
-  decoded.reserve(indices.size());
-  std::int64_t slab_frames = 0;
-  std::vector<std::uint8_t> scratch;  // never filled: FromArchive readers
-                                      // return the archive's own payloads
-  for (const std::size_t index : indices) {
-    const core::RecordRef& ref = reader_.records()[index];
-    Tensor recon = codec_->DecompressWindow(
-        reader_.Payload(index, &scratch, &workspace_), &workspace_);
-    GLSC_CHECK_MSG(recon.rank() == 3 && recon.dim(1) == shape[2] &&
-                       recon.dim(2) == shape[3],
-                   "decoded window geometry mismatch");
-    GLSC_CHECK(ref.valid_frames <= recon.dim(0));
-    // Every variable's record at one t0 describes the same time span, so
-    // their true lengths must agree — a shorter record would otherwise leave
-    // rows of the slab holding zeros that look like data.
-    GLSC_CHECK_MSG(slab_frames == 0 || ref.valid_frames == slab_frames,
-                   "records at t0 " << t0 << " disagree on valid_frames ("
-                                    << ref.valid_frames << " vs "
-                                    << slab_frames << ")");
-    slab_frames = ref.valid_frames;
-    decoded.push_back({ref.variable, ref.valid_frames, std::move(recon)});
-  }
-
-  // Zero-initialized (Tensor fills its storage): variables with no record in
-  // this slab read as zero rather than garbage.
-  Tensor slab({variables, slab_frames, shape[2], shape[3]});
-  for (const auto& d : decoded) {
-    for (std::int64_t f = 0; f < d.valid; ++f) {
-      const data::FrameNorm& fn = reader_.norm(d.variable, t0 + f);
-      const float* src = d.recon.data() + f * hw;
-      float* dst = slab.data() + (d.variable * slab_frames + f) * hw;
-      for (std::int64_t k = 0; k < hw; ++k) dst[k] = src[k] * fn.range + fn.mean;
-    }
-  }
-  *out = std::move(slab);
-  if (t0_out != nullptr) *t0_out = t0;
-  return true;
-}
-
-Tensor DecodeSession::DecodeAll() {
-  Tensor out(reader_.dataset_shape());
-  const std::int64_t frames = out.dim(1);
-  const std::int64_t hw = out.dim(2) * out.dim(3);
-  Tensor slab;
-  std::int64_t t0 = 0;
-  while (Next(&slab, &t0)) {
-    for (std::int64_t v = 0; v < slab.dim(0); ++v) {
-      for (std::int64_t f = 0; f < slab.dim(1); ++f) {
-        GLSC_CHECK(t0 + f < frames);
-        std::copy_n(slab.data() + (v * slab.dim(1) + f) * hw, hw,
-                    out.data() + (v * frames + t0 + f) * hw);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace glsc::api

@@ -15,12 +15,14 @@
 // and fanning independent windows out over the global ThreadPool when worker
 // clones are available. Chunk boundaries never change the output: pushing a
 // stream frame-by-frame or all at once yields byte-identical archives.
+//
+// The read direction is core::ArchiveReader + serve::DecodeScheduler: Get for
+// a frame range, GetAll for the whole archive.
 #pragma once
 
 #include <vector>
 
 #include "api/compressor.h"
-#include "core/archive_reader.h"
 #include "core/container.h"
 
 namespace glsc::api {
@@ -33,10 +35,6 @@ struct SessionOptions {
   // session Clone() the codec (model instances are not thread-safe); windows
   // are then buffered and flushed in deterministic batches.
   std::int64_t parallelism = 1;
-  // Alternative to `parallelism` when the caller already holds clones (e.g.
-  // loaded from one artifact): borrowed extra workers, used alongside the
-  // primary codec. The caller keeps them alive until Finish().
-  std::vector<Compressor*> extra_workers;
 };
 
 class EncodeSession {
@@ -80,7 +78,7 @@ class EncodeSession {
   SessionOptions options_;
   std::int64_t window_;
 
-  std::vector<Compressor*> workers_;               // [codec_, extras, clones]
+  std::vector<Compressor*> workers_;               // [codec_, clones]
   std::vector<std::unique_ptr<Compressor>> clones_;
   // One arena per worker slot: CompressWindow's decoder-identical simulation
   // reuses it across every window the slot compresses.
@@ -98,36 +96,6 @@ class EncodeSession {
   std::vector<core::ArchiveEntry> entries_;
   std::int64_t records_emitted_ = 0;
   bool finished_ = false;
-};
-
-class DecodeSession {
- public:
-  // Both arguments are borrowed. `codec` must be the archive's codec (same
-  // registry name), loaded with the artifact the archive was written against.
-  // For random access into a subset of an archive (or one opened straight
-  // from disk), use core::ArchiveReader + serve::DecodeScheduler instead;
-  // this session is the linear full-scan path over the same reader machinery.
-  DecodeSession(Compressor* codec, const core::DatasetArchive& archive);
-
-  // Emits the next time-slab [V, n, H, W] in PHYSICAL units, where n is the
-  // slab's true (un-padded) frame count. Slabs arrive in increasing t0;
-  // returns false when the archive is exhausted. `t0_out` (optional)
-  // receives the slab's first frame index.
-  bool Next(Tensor* out, std::int64_t* t0_out = nullptr);
-
-  // Convenience: decodes the remaining slabs into a full [V, T, H, W] tensor
-  // (frames the archive does not cover stay zero).
-  Tensor DecodeAll();
-
- private:
-  Compressor* codec_;
-  core::ArchiveReader reader_;  // borrows the archive's entries
-  // Decode arena, reused by every record this session decodes.
-  tensor::Workspace workspace_;
-  // (t0, indices into reader_.records()) sorted by t0, so decode is linear
-  // in the record count.
-  std::vector<std::pair<std::int64_t, std::vector<std::size_t>>> slabs_;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace glsc::api

@@ -5,6 +5,7 @@
 
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
+#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace glsc::baselines {
@@ -31,18 +32,6 @@ Tensor StackChannels(const Tensor& a, const Tensor& b) {
     std::copy_n(a.data() + i * h * w, h * w, out.data() + i * 2 * h * w);
     std::copy_n(b.data() + i * h * w, h * w,
                 out.data() + (i * 2 + 1) * h * w);
-  }
-  return out;
-}
-
-// Splits the gradient of a stacked tensor back to its first channel.
-[[maybe_unused]] Tensor FirstChannelGrad(const Tensor& stacked_grad) {
-  const std::int64_t n = stacked_grad.dim(0), h = stacked_grad.dim(2),
-                     w = stacked_grad.dim(3);
-  Tensor out({n, 1, h, w});
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::copy_n(stacked_grad.data() + i * 2 * h * w, h * w,
-                out.data() + i * h * w);
   }
   return out;
 }
@@ -132,16 +121,20 @@ Tensor CDCCompressor::Decompress(const Compressed& compressed,
   std::vector<std::int64_t> ladder = schedule_.Respace(steps);
   std::reverse(ladder.begin(), ladder.end());
 
-  // Frames decode independently (per the 2D design); batch them together.
+  // Frames decode independently (per the 2D design): the UNet trains on
+  // single frames, so the N frames run as N one-frame windows of one forward
+  // and its temporal attention never mixes them.
+  tensor::Workspace ws;
   Tensor x = Tensor::Randn({n, 1, h, w}, rng);
   for (std::size_t s = 0; s < ladder.size(); ++s) {
+    tensor::Workspace::Scope scope(&ws);  // `pred` borrows the arena
     const std::int64_t t = ladder[s];
     const bool last = s + 1 == ladder.size();
     const double ab = schedule_.alpha_bar(t);
     const double ab_prev = last ? 1.0 : schedule_.alpha_bar(ladder[s + 1]);
 
     const Tensor input = StackChannels(x, cond_batch);
-    const Tensor pred = unet_.Forward(input, t);
+    const Tensor pred = unet_.Forward(input, t, &ws, n);
 
     // Recover (x0, eps) regardless of parameterization.
     Tensor x0(x.shape()), eps(x.shape());

@@ -6,9 +6,12 @@
 //   auto reader = core::ArchiveReader::FromFile("run.glsca");
 //   std::vector<std::uint8_t> scratch;
 //   for (std::size_t i : reader.RecordsFor(variable, t_begin, t_end)) {
-//     // Reads only these records' bytes.
-//     codec->DecompressWindow(reader.Payload(i, &scratch));
+//     // Reads only these records' bytes; the raw codec payload.
+//     const std::vector<std::uint8_t>& payload = reader.Payload(i, &scratch);
 //   }
+//
+// serve::DecodeScheduler is the one decoder over it (Get for a frame range,
+// GetAll for the whole archive).
 //
 // It is the only code that parses archive bytes. `DatasetArchive::Deserialize`
 // and `ReadFile` open through it, run VerifyRecordArea and then materialize

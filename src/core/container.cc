@@ -3,8 +3,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "api/adapters.h"
-#include "api/session.h"
 #include "core/archive_reader.h"
 #include "util/check.h"
 
@@ -367,56 +365,6 @@ void DatasetArchive::AppendToFile(const std::string& path,
     std::filesystem::resize_file(path, new_size, ec);
     GLSC_CHECK_MSG(!ec, "cannot truncate " << path << " after append");
   }
-}
-
-Tensor DatasetArchive::DecompressAll(api::Compressor* codec) const {
-  api::DecodeSession session(codec, *this);
-  return session.DecodeAll();
-}
-
-Tensor DatasetArchive::DecompressAll(GlscCompressor* compressor) const {
-  const auto codec = api::WrapGlsc(compressor);
-  return DecompressAll(codec.get());
-}
-
-namespace {
-
-api::SessionOptions GlscSessionOptions(double tau) {
-  api::SessionOptions options;
-  if (tau > 0.0) {
-    options.bound = {api::ErrorBoundMode::kPointwiseL2, tau};
-  }
-  return options;
-}
-
-}  // namespace
-
-DatasetArchive CompressDataset(GlscCompressor* compressor,
-                               const data::SequenceDataset& dataset,
-                               double tau) {
-  const auto codec = api::WrapGlsc(compressor);
-  api::EncodeSession session(codec.get(), dataset.variables(),
-                             dataset.height(), dataset.width(),
-                             GlscSessionOptions(tau));
-  session.Push(dataset.raw());
-  return session.Finish();
-}
-
-DatasetArchive CompressDatasetParallel(
-    const std::vector<GlscCompressor*>& workers,
-    const data::SequenceDataset& dataset, double tau) {
-  GLSC_CHECK(!workers.empty());
-  const auto primary = api::WrapGlsc(workers[0]);
-  std::vector<std::unique_ptr<api::Compressor>> extras;
-  api::SessionOptions options = GlscSessionOptions(tau);
-  for (std::size_t i = 1; i < workers.size(); ++i) {
-    extras.push_back(api::WrapGlsc(workers[i]));
-    options.extra_workers.push_back(extras.back().get());
-  }
-  api::EncodeSession session(primary.get(), dataset.variables(),
-                             dataset.height(), dataset.width(), options);
-  session.Push(dataset.raw());
-  return session.Finish();
 }
 
 }  // namespace glsc::core

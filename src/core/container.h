@@ -45,7 +45,7 @@
 //
 // `valid_frames` <= window: streams whose T is not a multiple of the window
 // pad the final record up to the window length; only the first valid_frames
-// decoded frames are real (see api/session.h).
+// decoded frames are real (api::EncodeSession writes such tails).
 //
 // Version 1-3 archives still load unchanged: v3 has inline norms, raw records
 // and a 12-byte footer, v2 lacks the index/footer, and v1 record bodies are
@@ -57,9 +57,12 @@
 // of archive bytes — v1 to v4 — goes through core::ArchiveReader, the one
 // parser: Deserialize and ReadFile open with it, run its record-area walk
 // (ArchiveReader::VerifyRecordArea) and materialize every payload;
-// AppendToFile opens with it to take the old header, norms and index. All length/count/size fields are validated against
-// the remaining input before any allocation, so a truncated or hostile
-// archive raises a typed core::ArchiveError instead of OOMing or crashing.
+// AppendToFile opens with it to take the old header, norms and index. All
+// length/count/size fields are validated against the remaining input before
+// any allocation, so a truncated or hostile archive raises a typed
+// core::ArchiveError instead of OOMing or crashing. Decoding records back
+// into frames is serve::DecodeScheduler's job, over an ArchiveReader (GetAll
+// for the whole archive).
 #pragma once
 
 #include <optional>
@@ -69,10 +72,6 @@
 #include "core/filters.h"
 #include "core/glsc_compressor.h"
 #include "data/dataset.h"
-
-namespace glsc::api {
-class Compressor;
-}  // namespace glsc::api
 
 namespace glsc::core {
 
@@ -150,14 +149,6 @@ class DatasetArchive {
   static void AppendToFile(const std::string& path, const DatasetArchive& more,
                            const ArchiveWriteOptions& options = {});
 
-  // Decompresses every record back into a full [V, T, H, W] tensor in
-  // physical units (frames the archive does not cover stay zero). `codec`
-  // must match codec() — typically Compressor::Create(archive.codec(), ...)
-  // loaded with the right artifact.
-  Tensor DecompressAll(api::Compressor* codec) const;
-  // Legacy convenience for callers holding a bare GLSC pipeline.
-  Tensor DecompressAll(GlscCompressor* compressor) const;
-
  private:
   std::string codec_ = "glsc";
   Shape dataset_shape_;  // [V, T, H, W]
@@ -165,22 +156,5 @@ class DatasetArchive {
   std::vector<data::FrameNorm> norms_;  // V*T entries
   std::vector<ArchiveEntry> entries_;
 };
-
-// Convenience: compresses every window of `dataset` at per-frame L2 bound tau
-// through the GLSC pipeline (streams the dataset through an EncodeSession, so
-// trailing frames that do not fill a window are covered via padded records —
-// v1 behavior dropped them).
-DatasetArchive CompressDataset(GlscCompressor* compressor,
-                               const data::SequenceDataset& dataset,
-                               double tau);
-
-// Shared-memory parallel variant. GlscCompressor instances are NOT
-// thread-safe (explicit-backward layers cache activations), so the caller
-// provides one instance per worker — typically clones loaded from the same
-// artifact — and windows are distributed over them via the global thread
-// pool. Output is byte-identical to the serial version.
-DatasetArchive CompressDatasetParallel(
-    const std::vector<GlscCompressor*>& workers,
-    const data::SequenceDataset& dataset, double tau);
 
 }  // namespace glsc::core

@@ -8,9 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "baselines/cdc.h"
-#include "baselines/gcd.h"
-#include "baselines/vae_sr.h"
 #include "compress/vae_trainer.h"
 #include "core/glsc_compressor.h"
 #include "data/dataset.h"

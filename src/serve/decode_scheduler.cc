@@ -37,8 +37,15 @@ Tensor DecodeScheduler::DecodeRecord(std::size_t record, std::size_t worker,
     options_.fault_injector->OnDecode(record);
   }
   std::vector<std::uint8_t> scratch;
-  return workers_[worker]->DecompressWindow(
-      reader_->Payload(record, &scratch, ws), ws);
+  return DecodeOne(reader_->Payload(record, &scratch, ws), worker, ws);
+}
+
+Tensor DecodeScheduler::DecodeOne(const std::vector<std::uint8_t>& payload,
+                                  std::size_t worker, tensor::Workspace* ws) {
+  std::vector<Tensor> recons =
+      workers_[worker]->DecompressWindows({&payload}, ws);
+  GLSC_CHECK(recons.size() == 1);
+  return std::move(recons[0]);
 }
 
 std::vector<Tensor> DecodeScheduler::Fetch(
@@ -209,7 +216,7 @@ std::vector<Tensor> DecodeScheduler::Fetch(
         // the failure to exactly the bad record(s) and save the good ones.
         for (std::size_t k = 0; k < live.size(); ++k) {
           try {
-            Tensor recon = workers_[worker]->DecompressWindow(*payloads[k], ws);
+            Tensor recon = DecodeOne(*payloads[k], worker, ws);
             check_geometry(recon, indices[owned[live[k]]]);
             publish(&live[k], &recon, 1);
           } catch (...) {
@@ -381,7 +388,16 @@ Tensor DecodeScheduler::Get(std::int64_t variable, std::int64_t t_begin,
 
 Tensor DecodeScheduler::GetAll() {
   const Shape& shape = reader_->dataset_shape();
-  std::vector<std::size_t> indices(reader_->records().size());
+  const std::vector<core::RecordRef>& records = reader_->records();
+  std::unordered_map<std::int64_t, std::int64_t> valid_at_t0;
+  for (const core::RecordRef& ref : records) {
+    const auto [it, first] = valid_at_t0.emplace(ref.t0, ref.valid_frames);
+    GLSC_CHECK_MSG(first || it->second == ref.valid_frames,
+                   "records at t0 " << ref.t0 << " disagree on valid_frames ("
+                                    << ref.valid_frames << " vs "
+                                    << it->second << ")");
+  }
+  std::vector<std::size_t> indices(records.size());
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   const std::vector<Tensor> decoded = Fetch(indices, nullptr);
 
@@ -389,7 +405,7 @@ Tensor DecodeScheduler::GetAll() {
   const std::int64_t hw = shape[2] * shape[3];
   Tensor out(shape);
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    const core::RecordRef& ref = reader_->records()[i];
+    const core::RecordRef& ref = records[i];
     GLSC_CHECK(ref.t0 + ref.valid_frames <= frames);
     for (std::int64_t f = 0; f < ref.valid_frames; ++f) {
       const std::int64_t t = ref.t0 + f;

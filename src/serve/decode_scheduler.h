@@ -6,8 +6,8 @@
 // (one codec clone per worker — model instances are not thread-safe), and
 // decoded windows land in a bounded LRU so overlapping queries do not re-run
 // the diffusion decoder. Decode output is deterministic per payload, so
-// results are byte-identical for any worker count, and GetAll() reproduces
-// api::DecodeSession::DecodeAll exactly.
+// results are byte-identical for any worker count. This class is the
+// program's one archive decode; GetAll() decodes the whole archive.
 //
 //   auto reader = core::ArchiveReader::FromFile("run.glsca");
 //   serve::DecodeScheduler scheduler(&reader, codec.get(), {.workers = 4});
@@ -91,8 +91,11 @@ class DecodeScheduler {
   Tensor Get(std::int64_t variable, std::int64_t t_begin, std::int64_t t_end,
              const RequestContext* ctx = nullptr);
 
-  // Every record, as the full [V, T, H, W] tensor — byte-identical to
-  // api::DecodeSession::DecodeAll for any worker count.
+  // Every record, as the full [V, T, H, W] tensor in PHYSICAL units; frames
+  // no record covers stay zero. Byte-identical for any worker count and
+  // batch size. Records that share a t0 must agree on valid_frames (a
+  // shorter one would leave zeros that look like data); the call checks
+  // that before decoding anything and throws otherwise.
   Tensor GetAll();
 
   // Records decoded so far (cache misses) / queries served from the cache.
@@ -139,6 +142,9 @@ class DecodeScheduler {
   // injector hook included. Throws on failure.
   Tensor DecodeRecord(std::size_t record, std::size_t worker,
                       tensor::Workspace* ws);
+  // One payload through the same DecompressWindows call batches take.
+  Tensor DecodeOne(const std::vector<std::uint8_t>& payload,
+                   std::size_t worker, tensor::Workspace* ws);
 
   const core::ArchiveReader* reader_;
   ScheduleOptions options_;

@@ -1,9 +1,8 @@
 // Per-request deadline and cooperative cancellation, threaded from the serve
-// front end down through DecodeScheduler and ThreadPool::ParallelFor. A
-// decode cannot be preempted mid-GEMM; instead the layers check a
-// RequestContext at natural yield points (between decode chunks, between
-// ParallelFor indices) and terminate with a typed error. Header-only — these
-// are a time_point, an atomic flag, and the check that turns them into
+// front end down through DecodeScheduler. A decode cannot be preempted
+// mid-GEMM; instead the layers check a RequestContext at natural yield points
+// (between decode chunks) and terminate with a typed error. Header-only —
+// these are a time_point, an atomic flag, and the check that turns them into
 // StatusErrors.
 #pragma once
 

@@ -11,16 +11,15 @@ namespace {
 // ParallelFor detect re-entry from its own workers.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
-// One ParallelFor call, shared by the caller and its helper tasks. `fn` and
-// `ctx` point into the caller's frame: a helper may touch them only after
-// Enter() admitted it, and the caller's Close() waits for every admitted
-// helper to Leave(). A helper that starts after Close() is turned away and
-// touches nothing of the caller's.
+// One ParallelFor call, shared by the caller and its helper tasks. `fn`
+// points into the caller's frame: a helper may touch it only after Enter()
+// admitted it, and the caller's Close() waits for every admitted helper to
+// Leave(). A helper that starts after Close() is turned away and touches
+// nothing of the caller's.
 class ParallelForCall {
  public:
-  ParallelForCall(std::size_t n, const std::function<void(std::size_t)>* fn,
-                  const RequestContext* ctx)
-      : n_(n), fn_(fn), ctx_(ctx) {}
+  ParallelForCall(std::size_t n, const std::function<void(std::size_t)>* fn)
+      : n_(n), fn_(fn) {}
 
   bool Enter() {
     MutexLock lock(mu_);
@@ -34,11 +33,11 @@ class ParallelForCall {
     if (--running_ == 0) drained_.NotifyAll();
   }
 
-  // Claims and runs indices until none are left, the context aborts, or a
-  // body throws; a throw stops every participant from claiming more.
+  // Claims and runs indices until none are left or a body throws; a throw
+  // stops every participant from claiming more.
   void Drain() {
     try {
-      while (!ShouldAbort(ctx_)) {
+      while (true) {
         const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
         if (i >= n_) return;
         (*fn_)(i);
@@ -62,7 +61,6 @@ class ParallelForCall {
  private:
   const std::size_t n_;
   const std::function<void(std::size_t)>* const fn_;
-  const RequestContext* const ctx_;
   std::atomic<std::size_t> next_{0};
 
   Mutex mu_{"ThreadPool.ParallelFor.mu"};
@@ -120,24 +118,20 @@ void ThreadPool::Enqueue(std::function<void()> task) {
 }
 
 void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn,
-                             const RequestContext* ctx) {
+                             const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   // Nested call from one of our own workers: the outer fan-out already keeps
   // the pool busy, so helpers queued here would mostly start after this
   // worker had claimed every index itself. Running inline skips them (and
   // the outer ParallelFor's other workers supply the parallelism).
   if (n == 1 || workers_.size() <= 1 || InWorkerThread()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ShouldAbort(ctx)) return;
-      fn(i);
-    }
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   // Dynamic index dispenser: helpers and the caller pull the next index until
   // exhausted. This balances irregular per-item cost (e.g. diffusion decode
   // of different window sizes) better than static chunking.
-  auto call = std::make_shared<ParallelForCall>(n, &fn, ctx);
+  auto call = std::make_shared<ParallelForCall>(n, &fn);
   const std::size_t helpers = std::min(workers_.size(), n - 1);
   try {
     for (std::size_t h = 0; h < helpers; ++h) {

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/deadline.h"
 #include "util/mutex.h"
 
 namespace glsc {
@@ -53,14 +52,7 @@ class ThreadPool {
   // against the caller's (about to unwind) stack frame. A throw stops every
   // participant from claiming further indices; the first exception recorded
   // is rethrown after the started helpers drain.
-  //
-  // Cancellation: a non-null `ctx` is checked before each index is
-  // dispatched; once the deadline expires or the token fires, remaining
-  // indices are SKIPPED (fn is not called for them) and ParallelFor returns
-  // normally — the caller is expected to re-check its context and decide.
-  // Indices already running are not interrupted.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
-                   const RequestContext* ctx = nullptr);
+  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // True when the calling thread is one of THIS pool's workers.
   bool InWorkerThread() const;

@@ -1,8 +1,8 @@
 // Tests for the unified codec API: factory registry, capability declarations,
-// streaming EncodeSession/DecodeSession (chunking, tail padding, parallel
-// fan-out, byte-identity vs the one-shot path), and the acceptance round trip
-// of every registered codec over a [2, 40, 32, 32] stream whose T=40 is not
-// divisible by the 16-frame window.
+// streaming EncodeSession (chunking, tail padding, parallel fan-out,
+// byte-identity vs the one-shot path), and the acceptance round trip of every
+// registered codec over a [2, 40, 32, 32] stream whose T=40 is not divisible
+// by the 16-frame window, read back through serve::DecodeScheduler::GetAll.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,10 @@
 
 #include "api/adapters.h"
 #include "api/session.h"
+#include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
+#include "serve/decode_scheduler.h"
 #include "tensor/metrics.h"
 
 namespace glsc::api {
@@ -39,6 +41,14 @@ core::DatasetArchive StreamIn(Compressor* codec, const Tensor& field,
     session.Push(TimeSlice(field, t0, std::min(field.dim(1), t0 + chunk)));
   }
   return session.Finish();
+}
+
+// The whole archive back in physical units, through the program's one
+// decode path.
+Tensor DecodeAll(Compressor* codec, const core::DatasetArchive& archive) {
+  const auto reader = core::ArchiveReader::FromArchive(archive);
+  serve::DecodeScheduler scheduler(&reader, codec);
+  return scheduler.GetAll();
 }
 
 void ExpectPointwiseBound(const Tensor& raw, const Tensor& recon,
@@ -138,7 +148,7 @@ TEST(Session, RuleBasedStreamRoundTripWithPartialTail) {
     // every frame, tail included.
     const core::DatasetArchive loaded =
         core::DatasetArchive::Deserialize(archive.Serialize());
-    const Tensor recon = loaded.DecompressAll(codec.get());
+    const Tensor recon = DecodeAll(codec.get(), loaded);
     ASSERT_EQ(recon.shape(), field.shape());
     ExpectPointwiseBound(field, recon, dataset, 0.01);
   }
@@ -187,7 +197,7 @@ TEST(Session, SingleFrameTailAndShortStreams) {
   ASSERT_EQ(archive.entries().size(), 2u);
   EXPECT_EQ(archive.entries()[1].t0, 16);
   EXPECT_EQ(archive.entries()[1].valid_frames, 1);
-  const Tensor recon = archive.DecompressAll(codec.get());
+  const Tensor recon = DecodeAll(codec.get(), archive);
   ASSERT_EQ(recon.shape(), field.shape());
   ExpectPointwiseBound(field, recon, dataset, 0.005);
 
@@ -198,42 +208,9 @@ TEST(Session, SingleFrameTailAndShortStreams) {
       StreamIn(codec.get(), short_field, 2, options);
   ASSERT_EQ(short_archive.entries().size(), 1u);
   EXPECT_EQ(short_archive.entries()[0].valid_frames, 5);
-  const Tensor short_recon = short_archive.DecompressAll(codec.get());
+  const Tensor short_recon = DecodeAll(codec.get(), short_archive);
   ASSERT_EQ(short_recon.shape(), short_field.shape());
   ExpectPointwiseBound(short_field, short_recon, short_dataset, 0.005);
-}
-
-TEST(Session, DecodeSessionEmitsSlabsInTimeOrder) {
-  data::FieldSpec spec;
-  spec.variables = 2;
-  spec.frames = 40;
-  spec.height = 32;
-  spec.width = 32;
-  spec.seed = 83;
-  const Tensor field = data::GenerateClimate(spec);
-
-  auto codec = Compressor::Create("sz");
-  SessionOptions options;
-  options.bound = {ErrorBoundMode::kRelative, 0.02};
-  const core::DatasetArchive archive =
-      StreamIn(codec.get(), field, 13, options);
-
-  DecodeSession decode(codec.get(), archive);
-  Tensor slab;
-  std::int64_t t0 = -1;
-  std::vector<std::pair<std::int64_t, std::int64_t>> slabs;  // (t0, frames)
-  while (decode.Next(&slab, &t0)) {
-    ASSERT_EQ(slab.dim(0), 2);
-    slabs.emplace_back(t0, slab.dim(1));
-  }
-  ASSERT_EQ(slabs.size(), 3u);
-  EXPECT_EQ(slabs[0], (std::pair<std::int64_t, std::int64_t>{0, 16}));
-  EXPECT_EQ(slabs[1], (std::pair<std::int64_t, std::int64_t>{16, 16}));
-  EXPECT_EQ(slabs[2], (std::pair<std::int64_t, std::int64_t>{32, 8}));
-
-  // Decoding with the wrong codec is rejected up front.
-  auto zfp = Compressor::Create("zfp");
-  EXPECT_THROW(DecodeSession(zfp.get(), archive), std::runtime_error);
 }
 
 TEST(Session, GlscStreamingMatchesOneShotAndHoldsBound) {
@@ -282,7 +259,7 @@ TEST(Session, GlscStreamingMatchesOneShotAndHoldsBound) {
 
   // Per-frame L2 bound (normalized units -> physical via the frame range)
   // holds on every real frame, tail included.
-  const Tensor recon = archive.DecompressAll(codec.get());
+  const Tensor recon = DecodeAll(codec.get(), archive);
   ASSERT_EQ(recon.shape(), field.shape());
   const std::int64_t hw = 16 * 16;
   for (std::int64_t t = 0; t < field.dim(1); ++t) {
@@ -297,8 +274,8 @@ TEST(Session, GlscStreamingMatchesOneShotAndHoldsBound) {
 }
 
 // Acceptance: every registered codec round-trips a [2, 40, 32, 32] stream
-// (T=40 with window 16 exercises the padded tail) through EncodeSession /
-// DecodeSession, honoring its declared error bound where one exists.
+// (T=40 with window 16 exercises the padded tail) through EncodeSession and
+// DecodeScheduler::GetAll, honoring its declared error bound where one exists.
 TEST(Session, AllSixCodecsRoundTripStream) {
   data::FieldSpec spec;
   spec.variables = 2;
@@ -354,7 +331,7 @@ TEST(Session, AllSixCodecsRoundTripStream) {
 
     const core::DatasetArchive loaded =
         core::DatasetArchive::Deserialize(archive.Serialize());
-    const Tensor recon = loaded.DecompressAll(codec.get());
+    const Tensor recon = DecodeAll(codec.get(), loaded);
     ASSERT_EQ(recon.shape(), field.shape());
     EXPECT_TRUE(recon.AllFinite());
 
@@ -383,8 +360,8 @@ TEST(Session, AllSixCodecsRoundTripStream) {
 
 TEST(Session, DecodeRejectsSlabValidFramesMismatch) {
   // Two variables' records at one t0 claiming different true lengths would
-  // leave rows of the emitted slab holding zeros that look like data
-  // (regression: Next used max() and silently emitted them).
+  // leave rows of the decoded slab holding zeros that look like data.
+  // GetAll rejects the archive before decoding any record.
   data::FieldSpec spec;
   spec.variables = 1;
   spec.frames = 16;
@@ -402,9 +379,10 @@ TEST(Session, DecodeRejectsSlabValidFramesMismatch) {
   core::DatasetArchive archive("sz", {2, 16, 32, 32}, 16, norms);
   archive.Add(0, 0, 16, encoded.entries()[0].payload);
   archive.Add(1, 0, 9, encoded.entries()[0].payload);  // disagrees
-  DecodeSession decode(codec.get(), archive);
-  Tensor slab;
-  EXPECT_THROW(decode.Next(&slab), std::runtime_error);
+  const auto reader = core::ArchiveReader::FromArchive(archive);
+  serve::DecodeScheduler scheduler(&reader, codec.get());
+  EXPECT_THROW(scheduler.GetAll(), std::runtime_error);
+  EXPECT_EQ(scheduler.decoded_records(), 0);
 }
 
 TEST(Session, RejectsGeometryAndLifecycleMisuse) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "baselines/cdc.h"
 #include "baselines/gcd.h"
@@ -218,6 +220,23 @@ TEST(CDC, TrainCompressDecompress) {
       EXPECT_LT(MeanSquaredError(window, recon),
                 10.0 * MeanSquaredError(window, vae_only) + 0.1);
     }
+
+    // Frames decode independently, as the model was trained: replacing the
+    // window's last frame leaves every other frame's decode byte-identical
+    // under the same noise seed.
+    const std::int64_t hw = window.dim(1) * window.dim(2);
+    Tensor changed = window.Clone();
+    const Tensor other = dataset.NormalizedWindow(0, 8, 4);
+    std::copy_n(other.data() + 3 * hw, hw, changed.data() + 3 * hw);
+    Rng rng_a(11), rng_b(11);
+    const Tensor a = cdc.Decompress(cdc.Compress(window), /*steps=*/10, rng_a);
+    const Tensor b = cdc.Decompress(cdc.Compress(changed), /*steps=*/10, rng_b);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<std::size_t>(3 * hw) * sizeof(float)),
+              0);
+    EXPECT_NE(std::memcmp(a.data() + 3 * hw, b.data() + 3 * hw,
+                          static_cast<std::size_t>(hw) * sizeof(float)),
+              0);
   }
 }
 

@@ -42,6 +42,7 @@
 #include "diffusion/sampler.h"
 #include "diffusion/spacetime_unet.h"
 #include "glsc_reference.h"
+#include "isa_levels.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "tensor/gemm.h"
@@ -62,17 +63,6 @@ void ExpectBytesEqual(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
                            static_cast<std::size_t>(a.numel()) * sizeof(float)))
       << "tensors differ bitwise";
-}
-
-std::vector<simd::IsaLevel> TestableLevels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
-  const simd::IsaLevel max = simd::DetectedIsa();
-  if (max >= simd::IsaLevel::kSSE2) levels.push_back(simd::IsaLevel::kSSE2);
-  if (max >= simd::IsaLevel::kAVX2) levels.push_back(simd::IsaLevel::kAVX2);
-  if (max >= simd::IsaLevel::kAVX512) {
-    levels.push_back(simd::IsaLevel::kAVX512);
-  }
-  return levels;
 }
 
 // The explicit lowering the forward used before it became an implicit

@@ -7,10 +7,13 @@
 #include <cstring>
 #include <filesystem>
 
+#include "api/adapters.h"
+#include "api/session.h"
 #include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
+#include "serve/decode_scheduler.h"
 #include "temp_path.h"
 #include "tensor/metrics.h"
 
@@ -365,8 +368,13 @@ TEST(Container, EndToEndFileRoundTrip) {
       GetOrTrainGlsc(dataset, config, budget, artifacts, "container_e2e");
   EXPECT_TRUE(FileExists(ArtifactPath(artifacts, "container_e2e")));
 
-  const DatasetArchive archive =
-      CompressDataset(compressor.get(), dataset, 0.2);
+  const auto codec = api::WrapGlsc(compressor.get());
+  api::SessionOptions options;
+  options.bound = {api::ErrorBoundMode::kPointwiseL2, 0.2};
+  api::EncodeSession session(codec.get(), dataset.variables(),
+                             dataset.height(), dataset.width(), options);
+  session.Push(dataset.raw());
+  const DatasetArchive archive = session.Finish();
   EXPECT_EQ(archive.codec(), "glsc");
   const std::string path = ProcessTempPath("glsc_container_test.glsca");
   archive.WriteFile(path);
@@ -374,8 +382,11 @@ TEST(Container, EndToEndFileRoundTrip) {
   // Fresh compressor from the same artifact; fresh archive from disk.
   auto other = GetOrTrainGlsc(dataset, config, budget, artifacts,
                               "container_e2e");
+  const auto other_codec = api::WrapGlsc(other.get());
   const DatasetArchive loaded = DatasetArchive::ReadFile(path);
-  const Tensor decompressed = loaded.DecompressAll(other.get());
+  const ArchiveReader reader = ArchiveReader::FromArchive(loaded);
+  serve::DecodeScheduler scheduler(&reader, other_codec.get());
+  const Tensor decompressed = scheduler.GetAll();
   ASSERT_EQ(decompressed.shape(), dataset.raw().shape());
 
   // Same bound guarantee transfers through the file: per-frame normalized L2
@@ -397,51 +408,6 @@ TEST(Container, EndToEndFileRoundTrip) {
   }
   std::filesystem::remove(path);
   std::filesystem::remove_all(root);
-}
-
-TEST(Container, ParallelCompressionMatchesSerial) {
-  // Two worker instances loaded from one artifact must produce the exact
-  // archive the serial path produces (content-derived seeds, lossless
-  // coding, deterministic DDIM).
-  data::FieldSpec spec;
-  spec.variables = 2;
-  spec.frames = 16;
-  spec.height = 16;
-  spec.width = 16;
-  spec.seed = 41;
-  data::SequenceDataset dataset(data::GenerateClimate(spec));
-
-  GlscConfig config;
-  config.vae.latent_channels = 4;
-  config.vae.hidden_channels = 6;
-  config.vae.hyper_channels = 2;
-  config.unet.latent_channels = 4;
-  config.unet.model_channels = 8;
-  config.unet.heads = 2;
-  config.schedule_steps = 30;
-  config.window = 8;
-  config.interval = 3;
-  config.sample_steps = 4;
-  TrainBudget budget;
-  budget.vae.iterations = 40;
-  budget.vae.crop = 16;
-  budget.vae.log_every = 0;
-  budget.diffusion.iterations = 30;
-  budget.diffusion.crop = 16;
-  budget.diffusion.log_every = 0;
-  budget.pca_fit_windows = 1;
-  const std::string artifacts = ProcessTempPath("glsc_par_artifacts");
-  auto primary =
-      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
-  auto secondary =
-      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
-
-  const DatasetArchive serial = CompressDataset(primary.get(), dataset, 0.3);
-  const DatasetArchive parallel = CompressDatasetParallel(
-      {primary.get(), secondary.get()}, dataset, 0.3);
-
-  EXPECT_EQ(serial.Serialize(), parallel.Serialize());
-  std::filesystem::remove_all(artifacts);
 }
 
 TEST(Container, ArchiveSizeMatchesAccountedBytes) {

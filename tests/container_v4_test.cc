@@ -14,6 +14,7 @@
 #include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
+#include "isa_levels.h"
 #include "temp_path.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
@@ -21,17 +22,6 @@
 
 namespace glsc::core {
 namespace {
-
-std::vector<simd::IsaLevel> TestableLevels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
-  const simd::IsaLevel max = simd::DetectedIsa();
-  if (max >= simd::IsaLevel::kSSE2) levels.push_back(simd::IsaLevel::kSSE2);
-  if (max >= simd::IsaLevel::kAVX2) levels.push_back(simd::IsaLevel::kAVX2);
-  if (max >= simd::IsaLevel::kAVX512) {
-    levels.push_back(simd::IsaLevel::kAVX512);
-  }
-  return levels;
-}
 
 // Codec-opaque payload with enough structure for the filter selection to
 // choose a compressed representation (a noisy ramp, byte-periodic like

@@ -13,6 +13,7 @@
 
 #include "core/archive_reader.h"
 #include "core/filters.h"
+#include "isa_levels.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/simd/kernels.h"
 #include "tensor/workspace.h"
@@ -20,17 +21,6 @@
 
 namespace glsc::core {
 namespace {
-
-std::vector<simd::IsaLevel> TestableLevels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
-  const simd::IsaLevel max = simd::DetectedIsa();
-  if (max >= simd::IsaLevel::kSSE2) levels.push_back(simd::IsaLevel::kSSE2);
-  if (max >= simd::IsaLevel::kAVX2) levels.push_back(simd::IsaLevel::kAVX2);
-  if (max >= simd::IsaLevel::kAVX512) {
-    levels.push_back(simd::IsaLevel::kAVX512);
-  }
-  return levels;
-}
 
 std::vector<std::uint8_t> RandomBytes(Rng* rng, std::size_t n) {
   std::vector<std::uint8_t> v(n);

@@ -1,10 +1,11 @@
 // Tests for random-access archive reading (container v3 footer index,
 // core::ArchiveReader) and the parallel decode scheduler (serve/): index
 // round-trips, v1/v2 archives served through the same reader, byte-identity
-// of scheduler output against DecodeSession::DecodeAll for any worker count,
-// LRU eviction, truncated-footer rejection, and — via a counting codec — the
-// guarantee that fetching one window decodes exactly one record and reads
-// only that record's payload bytes.
+// of scheduler output against a per-entry reference decode for any worker
+// count, LRU eviction, truncated-footer rejection, a waiter decoding a record
+// its owner gave up on, and — via a counting codec — the guarantee that
+// fetching one window decodes exactly one record and reads only that
+// record's payload bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "api/session.h"
@@ -21,7 +23,9 @@
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
 #include "temp_path.h"
+#include "util/deadline.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace glsc::serve {
 namespace {
@@ -75,6 +79,31 @@ core::DatasetArchive EncodeSzArchive(const Tensor& field) {
                              field.dim(3), options);
   session.Push(field);
   return session.Finish();
+}
+
+// The reference the scheduler is pinned to, independent of the reader,
+// batching, the cache and single-flight: every entry's payload decoded on
+// its own through DecompressWindow and denormalized with the archive's
+// norms. Frames no entry covers stay zero.
+Tensor ReferenceDecode(api::Compressor* codec,
+                       const core::DatasetArchive& archive) {
+  const Shape& shape = archive.dataset_shape();
+  const std::int64_t frames = shape[1];
+  const std::int64_t hw = shape[2] * shape[3];
+  Tensor out(shape);  // zero-filled
+  for (const core::ArchiveEntry& entry : archive.entries()) {
+    const Tensor recon = codec->DecompressWindow(entry.payload);
+    for (std::int64_t f = 0; f < entry.valid_frames; ++f) {
+      const std::int64_t t = entry.t0 + f;
+      const data::FrameNorm& fn = archive.norm(entry.variable, t);
+      const float* src = recon.data() + f * hw;
+      float* dst = out.data() + (entry.variable * frames + t) * hw;
+      for (std::int64_t k = 0; k < hw; ++k) {
+        dst[k] = src[k] * fn.range + fn.mean;
+      }
+    }
+  }
+  return out;
 }
 
 Tensor MakeField(std::uint64_t seed = 111, std::int64_t variables = 2) {
@@ -308,8 +337,7 @@ TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
 
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
 
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   for (const std::int64_t workers : {1, 2, 3}) {
@@ -361,8 +389,7 @@ TEST(DecodeScheduler, SingleWindowDecodesExactlyOneRecord) {
   EXPECT_EQ(reader.payload_bytes_fetched(), reader.records()[hit[0]].length);
 
   // The slice matches the full decode of those frames.
-  api::DecodeSession session(&codec, archive);
-  const Tensor all = session.DecodeAll();
+  const Tensor all = ReferenceDecode(&codec, archive);
   const std::int64_t hw = field.dim(2) * field.dim(3);
   EXPECT_EQ(std::memcmp(slice.data(), all.data() + (0 * 40 + 18) * hw,
                         static_cast<std::size_t>(2 * hw) * sizeof(float)),
@@ -421,8 +448,7 @@ TEST(DecodeScheduler, ConcurrentGetsAreSafeAndConsistent) {
   const Tensor field = MakeField(157);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
 
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   ScheduleOptions options;
@@ -463,8 +489,7 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   const Tensor field = MakeField(163);  // 2 variables, 6 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
 
   const auto bytes = archive.Serialize();
   const std::string path = ProcessTempPath("glsc_serve_backings");
@@ -537,8 +562,7 @@ TEST(DecodeScheduler, ConcurrentIdenticalQueriesDecodeEachRecordOnce) {
   const Tensor field = MakeField(173, /*variables=*/1);  // 3 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto plain = api::Compressor::Create("sz");
-  api::DecodeSession session(plain.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(plain.get(), archive);
 
   auto calls = std::make_shared<std::atomic<int>>(0);
   CountingCodec codec(api::Compressor::Create("sz"), calls, /*delay_ms=*/25);
@@ -567,6 +591,55 @@ TEST(DecodeScheduler, ConcurrentIdenticalQueriesDecodeEachRecordOnce) {
   EXPECT_EQ(scheduler.cache_hits(), 4 * 3 - 3);
 }
 
+TEST(DecodeScheduler, WaiterDecodesRecordItsOwnerGaveUp) {
+  // Request A owns all three records but runs out of time inside its slow
+  // first decode, so it skips the other two and aborts their flights without
+  // an error. Request B, waiting on A's flight for the second record, must
+  // then decode that record itself.
+  const Tensor field = MakeField(191, /*variables=*/1);  // 3 records
+  const core::DatasetArchive archive = EncodeSzArchive(field);
+  auto codec = api::Compressor::Create("sz");
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
+
+  FaultInjector injector;
+  injector.Arm(FaultInjector::Kind::kSlow, /*count=*/1, /*record=*/-1,
+               /*slow_ms=*/150);
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
+  ScheduleOptions options;
+  options.max_batch = 1;
+  options.fault_injector = &injector;
+  DecodeScheduler scheduler(&reader, codec.get(), options);
+
+  const std::int64_t frames = field.dim(1);
+  std::optional<ErrorCode> a_error;
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    RequestContext ctx;
+    ctx.deadline = Deadline::AfterMillis(40);
+    try {
+      (void)scheduler.Get(0, 0, frames, &ctx);
+    } catch (const StatusError& e) {
+      a_error = e.code();
+    }
+    a_done = true;
+  });
+  // A is inside its slow first decode and holds the flights of the others
+  // (a_done only guards against a hang if A never reached its decode).
+  while (injector.decode_calls() < 1 && !a_done) std::this_thread::yield();
+  const Tensor b = scheduler.Get(0, 16, 32);
+  a.join();
+
+  ASSERT_TRUE(a_error.has_value());
+  EXPECT_EQ(*a_error, ErrorCode::kDeadlineExceeded);
+  const std::int64_t hw = field.dim(2) * field.dim(3);
+  ASSERT_EQ(b.shape(), (Shape{16, field.dim(2), field.dim(3)}));
+  EXPECT_EQ(std::memcmp(b.data(), reference.data() + 16 * hw,
+                        static_cast<std::size_t>(16 * hw) * sizeof(float)),
+            0);
+  // A decoded the first record, B the second; nobody decoded the third.
+  EXPECT_EQ(scheduler.decoded_records(), 2);
+}
+
 TEST(DecodeScheduler, BatchLargerThanCacheStillReturnsCorrectBytes) {
   // cache_windows = 1 with a 3-record coalesced batch: the publish pass
   // inserts three records through a capacity-1 LRU, so they evict each other
@@ -576,8 +649,7 @@ TEST(DecodeScheduler, BatchLargerThanCacheStillReturnsCorrectBytes) {
   const Tensor field = MakeField(179, /*variables=*/1);  // 3 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto plain = api::Compressor::Create("sz");
-  api::DecodeSession session(plain.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(plain.get(), archive);
 
   auto calls = std::make_shared<std::atomic<int>>(0);
   CountingCodec codec(api::Compressor::Create("sz"), calls);
@@ -619,8 +691,7 @@ TEST(DecodeScheduler, UncoveredFramesStayExactlyZero) {
   ASSERT_LT(hole, archive.entries().size());
 
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
 
   const auto reader =
       core::ArchiveReader::FromBytes(SerializeAsV2(archive, hole));

@@ -13,6 +13,7 @@
 
 #include "codec/gaussian_model.h"
 #include "codec/range_coder.h"
+#include "isa_levels.h"
 #include "tensor/gemm.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/simd/kernels.h"
@@ -21,17 +22,6 @@
 
 namespace glsc {
 namespace {
-
-std::vector<simd::IsaLevel> TestableLevels() {
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
-  const simd::IsaLevel max = simd::DetectedIsa();
-  if (max >= simd::IsaLevel::kSSE2) levels.push_back(simd::IsaLevel::kSSE2);
-  if (max >= simd::IsaLevel::kAVX2) levels.push_back(simd::IsaLevel::kAVX2);
-  if (max >= simd::IsaLevel::kAVX512) {
-    levels.push_back(simd::IsaLevel::kAVX512);
-  }
-  return levels;
-}
 
 // Plain triple-loop reference, the semantics Gemm must reproduce.
 void NaiveGemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
