@@ -249,7 +249,8 @@ int main(int argc, char** argv) {
 
     CodecResult r;
     r.codec = codec_name;
-    const auto v3 = archive.Serialize({.version = 3});
+    const auto v3 =
+        archive.Serialize({.version = 3, .forced_filter = std::nullopt});
     const auto v4 = archive.Serialize();
     r.v3_bytes = v3.size();
     r.v4_bytes = v4.size();

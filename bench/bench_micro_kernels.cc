@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "api/compressor.h"
+#include "api/session.h"
 #include "codec/gaussian_model.h"
 #include "codec/huffman.h"
 #include "codec/range_coder.h"
+#include "core/container.h"
 #include "data/dataset.h"
 #include "data/field_generators.h"
 #include "diffusion/spacetime_unet.h"
@@ -354,6 +356,33 @@ void BM_HuffmanRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(symbols.size()));
 }
 BENCHMARK(BM_HuffmanRoundTrip);
+
+// sz window decode: record 0 of the sz_window_reads combustion shard
+// ([2, 256, 64, 64], seed 2027, relative bound 1e-2; a [16, 64, 64] window)
+// through the DecompressWindows call and reused workspace the decode
+// scheduler makes on a cache miss.
+void BM_SzDecodeWindow(benchmark::State& state) {
+  const data::FieldSpec spec{2, 256, 64, 64, 2027};
+  const Tensor field =
+      data::GenerateField(data::DatasetKind::kCombustion, spec);
+  auto codec = api::Compressor::Create("sz");
+  api::SessionOptions options;
+  options.bound = {api::ErrorBoundMode::kRelative, 1e-2};
+  api::EncodeSession session(codec.get(), spec.variables, spec.height,
+                             spec.width, options);
+  session.Push(field);
+  const core::DatasetArchive archive = session.Finish();
+  const std::vector<std::uint8_t>& payload = archive.entries().front().payload;
+  tensor::Workspace ws;
+  for (auto _ : state) {
+    std::vector<Tensor> out = codec->DecompressWindows({&payload}, &ws);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());  // windows
+  state.SetBytesProcessed(state.iterations() * 16 * 64 * 64 *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_SzDecodeWindow)->Unit(benchmark::kMillisecond);
 
 void BM_PcaCorrect(benchmark::State& state) {
   Rng rng(10);

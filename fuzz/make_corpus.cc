@@ -6,7 +6,9 @@
 // from the model-free test codecs, plus truncated/corrupted variants so even
 // a coverage-blind replay run reaches the error paths) and
 // OUT_DIR/range_coder/*.bin (structured inputs for the round-trip
-// differential). Everything is deterministic: fixed seeds, fixed shapes.
+// differential) and OUT_DIR/codec/*.bin (sz and zfp window payloads and bare
+// Huffman streams for the codec decoders). Everything is deterministic:
+// fixed seeds, fixed shapes.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "codec/huffman.h"
 #include "codec/range_coder.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
@@ -111,20 +114,24 @@ int main(int argc, char** argv) {
   const std::filesystem::path out_dir(argv[1]);
   const auto archive_dir = out_dir / "archive";
   const auto coder_dir = out_dir / "range_coder";
+  const auto codec_dir = out_dir / "codec";
   std::filesystem::create_directories(archive_dir);
   std::filesystem::create_directories(coder_dir);
+  std::filesystem::create_directories(codec_dir);
 
   // --- Archive seeds: v3 from each model-free codec, plus the v2 format.
   // (cdc/gcd/vae_sr need trained artifacts; the fuzzers only care about
   // container structure, which is codec-independent.) ---
   for (const std::string codec : {"sz", "zfp"}) {
     const auto archive = SmallArchive(codec, 7 + codec.size());
-    WriteBlob(archive_dir / ("v3_" + codec + ".bin"),
-              archive.Serialize({.version = 3}));
+    WriteBlob(
+        archive_dir / ("v3_" + codec + ".bin"),
+        archive.Serialize({.version = 3, .forced_filter = std::nullopt}));
   }
   {
     const auto archive = SmallArchive("sz", 23);
-    const auto v3 = archive.Serialize({.version = 3});
+    const auto v3 =
+        archive.Serialize({.version = 3, .forced_filter = std::nullopt});
     WriteBlob(archive_dir / "v2_sz.bin", SerializeAsV2(archive));
 
     // Damaged variants reach the rejection paths without coverage feedback:
@@ -214,6 +221,36 @@ int main(int argc, char** argv) {
       WriteBlob(coder_dir / ("seed_" + std::to_string(index++) + ".bin"),
                 blob);
     }
+  }
+  // --- Codec seeds: inputs every decoder accepts, so mutations start deep
+  // in the Huffman table, the payload and the dims checks. A 16-frame window
+  // through sz and zfp, a skewed stream whose ten singleton symbols get its
+  // longest codes, and a one-symbol stream. ---
+  {
+    glsc::data::FieldSpec spec;
+    spec.variables = 1;
+    spec.frames = 16;
+    spec.height = 16;
+    spec.width = 16;
+    spec.seed = 31;
+    const Tensor window =
+        glsc::data::GenerateCombustion(spec).Reshape({16, 16, 16});
+    const std::vector<glsc::data::FrameNorm> norms(16, {0.0f, 1.0f});
+    for (const std::string codec_name : {"sz", "zfp"}) {
+      const auto codec = glsc::api::Compressor::Create(codec_name);
+      WriteBlob(codec_dir / (codec_name + "_window.bin"),
+                codec->CompressWindow(
+                    window, {glsc::api::ErrorBoundMode::kRelative, 0.01},
+                    norms));
+    }
+    std::vector<std::int32_t> skewed;
+    for (std::int32_t i = 0; i < 3000; ++i) {
+      skewed.push_back(i % 300 == 7 ? 1000 + i : i % 5 != 0 ? 0 : i % 7 - 3);
+    }
+    WriteBlob(codec_dir / "huffman_skewed.bin",
+              glsc::codec::HuffmanEncode(skewed));
+    WriteBlob(codec_dir / "huffman_one_symbol.bin",
+              glsc::codec::HuffmanEncode(std::vector<std::int32_t>(40, -3)));
   }
   std::printf("corpus written under %s\n", out_dir.c_str());
   return 0;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Micro-kernel perf smoke: runs the hot-path benchmarks (GEMM, Conv2d
-# forward, attention forward, batched GLSC window decode) and emits
-# BENCH_micro.json, then runs the end-to-end decode throughput bench
-# (bench_e2e_decode) and emits BENCH_e2e.json, so the performance trajectory
+# forward, attention forward, batched GLSC window decode, sz window decode)
+# and emits BENCH_micro.json, then runs the end-to-end decode throughput
+# bench (bench_e2e_decode) and emits BENCH_e2e.json, so the performance trajectory
 # is tracked across PRs. With --codec=NAME it additionally runs the
 # unified-API codec throughput smoke (bench_codec_api) for that backend.
 #
@@ -43,7 +43,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" \
-  --benchmark_filter='BM_Gemm|BM_Conv2dForward|BM_AttentionForward|BM_GlscDecodeBatch' \
+  --benchmark_filter='BM_Gemm|BM_Conv2dForward|BM_AttentionForward|BM_GlscDecodeBatch|BM_SzDecodeWindow' \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json \
   ${ARGS[@]+"${ARGS[@]}"}

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Bit-identity check of GLSC encode + decode against another commit. Builds
-# <git-ref>'s glsc_core in a temporary git worktree and this checkout's in
-# BUILD_DIR, compiles this checkout's bench/decode_dump.cc against each (it
-# uses public API only), then diffs the hashes the two binaries print at
-# every dispatch level: native, GLSC_ISA=avx2, GLSC_ISA=sse2 and
-# GLSC_FORCE_SCALAR=1. decode_dump hashes each workload shard's archive file
-# and its GetAll output at max_batch 1 and 3. Levels the host lacks clamp
-# to the best one it has, so they still compare. Exits nonzero on any
-# difference.
+# Bit-identity check of encode + decode against another commit, for the
+# GLSC and sz codecs. Builds <git-ref>'s glsc_core in a temporary git
+# worktree and this checkout's in BUILD_DIR, compiles this checkout's
+# bench/decode_dump.cc against each (it uses public API only), then diffs
+# the hashes the two binaries print at every dispatch level: native,
+# GLSC_ISA=avx2, GLSC_ISA=sse2 and GLSC_FORCE_SCALAR=1. decode_dump hashes
+# each shard of the glsc_window_reads and sz_window_reads workloads — its
+# archive file and its GetAll output at max_batch 1 and 3 — so a pass covers
+# the GLSC pipeline, the sz writer, EncodeSession and the sz decoder. Levels
+# the host lacks clamp to the best one it has, so they still compare. Exits
+# nonzero on any difference.
 #
 # Usage:
 #   scripts/decode_identity.sh <git-ref>

@@ -115,6 +115,11 @@ Tensor SzAdapter::DecompressWindow(const std::vector<std::uint8_t>& payload) {
   return codec_.Decompress(payload);
 }
 
+Tensor SzAdapter::DecompressWindow(const std::vector<std::uint8_t>& payload,
+                                   tensor::Workspace* ws) {
+  return codec_.Decompress(payload, ws);
+}
+
 Capabilities ZfpAdapter::capabilities() const {
   Capabilities caps;
   caps.bound_modes = BoundModeBit(ErrorBoundMode::kAbsolute) |

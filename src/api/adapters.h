@@ -39,6 +39,9 @@ class SzAdapter final : public Compressor {
       const Tensor& window, const ErrorBound& bound,
       const std::vector<data::FrameNorm>& norms) override;
   Tensor DecompressWindow(const std::vector<std::uint8_t>& payload) override;
+  // Decodes with its scratch in `ws`; byte-identical to the plain call.
+  Tensor DecompressWindow(const std::vector<std::uint8_t>& payload,
+                          tensor::Workspace* ws) override;
   std::unique_ptr<Compressor> Clone() override {
     return std::make_unique<SzAdapter>(options_);
   }

@@ -25,7 +25,7 @@ EncodeSession::EncodeSession(Compressor* codec, std::int64_t variables,
   GLSC_CHECK_MSG(codec_->capabilities().Supports(options_.bound.mode),
                  "codec '" << codec_->name()
                            << "' does not support the requested bound mode");
-  buffered_.resize(static_cast<std::size_t>(variables_));
+  partial_.resize(static_cast<std::size_t>(variables_));
   norms_.resize(static_cast<std::size_t>(variables_));
 
   workers_.push_back(codec_);
@@ -37,6 +37,9 @@ EncodeSession::EncodeSession(Compressor* codec, std::int64_t variables,
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     workspaces_.push_back(std::make_unique<tensor::Workspace>());
   }
+  // Single worker: emit records as windows complete (true streaming). With
+  // multiple workers, collect enough windows to keep them all busy.
+  batch_ = workers_.size() == 1 ? 1 : 2 * workers_.size();
 }
 
 EncodeSession::~EncodeSession() = default;
@@ -53,61 +56,56 @@ void EncodeSession::Push(const Tensor& chunk) {
   const std::int64_t t = chunk.dim(1);
   GLSC_CHECK(t >= 1);
   const std::int64_t hw = height_ * width_;
-  for (std::int64_t v = 0; v < variables_; ++v) {
-    auto& buffer = buffered_[static_cast<std::size_t>(v)];
-    auto& norms = norms_[static_cast<std::size_t>(v)];
-    for (std::int64_t i = 0; i < t; ++i) {
-      const float* frame = chunk.data() + (v * t + i) * hw;
-      const data::FrameNorm fn = data::ComputeFrameNorm(frame, hw);
-      norms.push_back(fn);
-      const std::size_t base = buffer.size();
-      buffer.resize(base + static_cast<std::size_t>(hw));
-      float* dst = buffer.data() + base;
-      for (std::int64_t k = 0; k < hw; ++k) {
-        dst[k] = (frame[k] - fn.mean) / fn.range;
+  // Frames are normalized straight into the window they belong to; a
+  // window that fills is cut before the next frame is read.
+  for (std::int64_t i = 0; i < t;) {
+    const std::int64_t n = std::min(t - i, window_ - buffered_frames_);
+    for (std::int64_t v = 0; v < variables_; ++v) {
+      Tensor& window = partial_[static_cast<std::size_t>(v)];
+      if (!window.defined()) window = Tensor::Empty({window_, height_, width_});
+      auto& norms = norms_[static_cast<std::size_t>(v)];
+      for (std::int64_t f = 0; f < n; ++f) {
+        const float* frame = chunk.data() + (v * t + i + f) * hw;
+        const data::FrameNorm fn = data::ComputeFrameNorm(frame, hw);
+        norms.push_back(fn);
+        float* dst = window.data() + (buffered_frames_ + f) * hw;
+        for (std::int64_t k = 0; k < hw; ++k) {
+          dst[k] = (frame[k] - fn.mean) / fn.range;
+        }
       }
     }
-  }
-  buffered_frames_ += t;
-  frames_pushed_ += t;
-  CutCompletedWindows();
-  // Single worker: emit records as windows complete (true streaming). With
-  // multiple workers, buffer enough windows to keep them all busy per flush.
-  if (workers_.size() == 1 ||
-      pending_.size() >= 2 * workers_.size()) {
-    FlushPending();
+    buffered_frames_ += n;
+    frames_pushed_ += n;
+    i += n;
+    if (buffered_frames_ == window_) CutWindows(window_);
   }
 }
 
-void EncodeSession::CutCompletedWindows() {
-  const std::int64_t count = buffered_frames_ / window_;
-  if (count == 0) return;
+void EncodeSession::CutWindows(std::int64_t valid) {
   const std::int64_t hw = height_ * width_;
-  // t0-major, variable-minor emission order; one bulk erase per variable so a
-  // large Push stays linear in the frames moved.
-  for (std::int64_t w = 0; w < count; ++w) {
-    const std::int64_t t0 = next_t0_ + w * window_;
-    for (std::int64_t v = 0; v < variables_; ++v) {
-      const auto& buffer = buffered_[static_cast<std::size_t>(v)];
-      const auto& norms = norms_[static_cast<std::size_t>(v)];
-      PendingWindow pw;
-      pw.variable = v;
-      pw.t0 = t0;
-      pw.valid_frames = window_;
-      pw.window = Tensor({window_, height_, width_});
-      std::copy_n(buffer.data() + w * window_ * hw, window_ * hw,
-                  pw.window.data());
-      pw.norms.assign(norms.begin() + static_cast<std::ptrdiff_t>(t0),
-                      norms.begin() + static_cast<std::ptrdiff_t>(t0 + window_));
-      pending_.push_back(std::move(pw));
-    }
-  }
+  // t0-major, variable-minor emission order.
   for (std::int64_t v = 0; v < variables_; ++v) {
-    auto& buffer = buffered_[static_cast<std::size_t>(v)];
-    buffer.erase(buffer.begin(), buffer.begin() + count * window_ * hw);
+    const auto& norms = norms_[static_cast<std::size_t>(v)];
+    PendingWindow pw;
+    pw.variable = v;
+    pw.t0 = next_t0_;
+    pw.valid_frames = valid;
+    pw.window = std::move(partial_[static_cast<std::size_t>(v)]);
+    // A partial tail window replicates its last real frame (and that
+    // frame's norm); the record remembers the true length.
+    const float* last = pw.window.data() + (valid - 1) * hw;
+    for (std::int64_t f = valid; f < window_; ++f) {
+      std::copy_n(last, hw, pw.window.data() + f * hw);
+    }
+    pw.norms.assign(norms.begin() + static_cast<std::ptrdiff_t>(next_t0_),
+                    norms.begin() + static_cast<std::ptrdiff_t>(next_t0_ + valid));
+    const data::FrameNorm last_norm = pw.norms.back();
+    pw.norms.resize(static_cast<std::size_t>(window_), last_norm);
+    pending_.push_back(std::move(pw));
+    if (pending_.size() >= batch_) FlushPending();
   }
-  buffered_frames_ -= count * window_;
-  next_t0_ += count * window_;
+  buffered_frames_ = 0;
+  next_t0_ += valid;
 }
 
 void EncodeSession::FlushPending() {
@@ -150,34 +148,7 @@ core::DatasetArchive EncodeSession::Finish() {
   GLSC_CHECK_MSG(!finished_, "Finish called twice");
   finished_ = true;
 
-  // Pad the partial tail window up to the codec window by replicating the
-  // last real frame; the record remembers the true length.
-  if (buffered_frames_ > 0) {
-    const std::int64_t valid = buffered_frames_;
-    const std::int64_t hw = height_ * width_;
-    for (std::int64_t v = 0; v < variables_; ++v) {
-      auto& buffer = buffered_[static_cast<std::size_t>(v)];
-      const auto& norms = norms_[static_cast<std::size_t>(v)];
-      PendingWindow pw;
-      pw.variable = v;
-      pw.t0 = next_t0_;
-      pw.valid_frames = valid;
-      pw.window = Tensor({window_, height_, width_});
-      std::copy_n(buffer.data(), valid * hw, pw.window.data());
-      const float* last = buffer.data() + (valid - 1) * hw;
-      for (std::int64_t f = valid; f < window_; ++f) {
-        std::copy_n(last, hw, pw.window.data() + f * hw);
-      }
-      pw.norms.assign(
-          norms.begin() + static_cast<std::ptrdiff_t>(next_t0_),
-          norms.begin() + static_cast<std::ptrdiff_t>(next_t0_ + valid));
-      const data::FrameNorm last_norm = pw.norms.back();
-      pw.norms.resize(static_cast<std::size_t>(window_), last_norm);
-      buffer.clear();
-      pending_.push_back(std::move(pw));
-    }
-    buffered_frames_ = 0;
-  }
+  if (buffered_frames_ > 0) CutWindows(buffered_frames_);
   FlushPending();
 
   std::vector<data::FrameNorm> flat;

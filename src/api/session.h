@@ -16,6 +16,12 @@
 // clones are available. Chunk boundaries never change the output: pushing a
 // stream frame-by-frame or all at once yields byte-identical archives.
 //
+// Memory: frames are normalized straight into the window they belong to,
+// and a window is handed to the codec as soon as a batch is full — one
+// window with a single worker, 2 x workers otherwise. Besides the payloads
+// and per-frame norms it has produced, a session holds at most one partial
+// window per variable plus one batch, however large the pushed chunk.
+//
 // The read direction is core::ArchiveReader + serve::DecodeScheduler: Get for
 // a frame range, GetAll for the whole archive.
 #pragma once
@@ -33,7 +39,7 @@ struct SessionOptions {
   ErrorBound bound;
   // Total workers compressing windows concurrently. Values > 1 make the
   // session Clone() the codec (model instances are not thread-safe); windows
-  // are then buffered and flushed in deterministic batches.
+  // are then compressed in deterministic batches of 2 x parallelism.
   std::int64_t parallelism = 1;
 };
 
@@ -48,8 +54,8 @@ class EncodeSession {
   EncodeSession(const EncodeSession&) = delete;
   EncodeSession& operator=(const EncodeSession&) = delete;
 
-  // Appends `chunk` = [V, t, H, W] physical-unit frames (any t >= 1). Full
-  // windows compress as soon as they complete.
+  // Appends `chunk` = [V, t, H, W] physical-unit frames (any t >= 1).
+  // Windows compress as soon as a batch of them completes.
   void Push(const Tensor& chunk);
 
   // Pads and compresses the partial tail window (if any) and returns the
@@ -70,7 +76,10 @@ class EncodeSession {
     std::vector<data::FrameNorm> norms;  // one per frame (padding replicated)
   };
 
-  void CutCompletedWindows();
+  // Moves each variable's window [next_t0_, next_t0_ + valid) into
+  // pending_, padding it to the codec window, and compresses every batch
+  // that fills.
+  void CutWindows(std::int64_t valid);
   void FlushPending();
 
   Compressor* codec_;
@@ -84,9 +93,13 @@ class EncodeSession {
   // reuses it across every window the slot compresses.
   std::vector<std::unique_ptr<tensor::Workspace>> workspaces_;
 
-  // Normalized frames not yet assigned to a window, per variable (all
-  // variables hold the same count because chunks span every variable).
-  std::vector<std::vector<float>> buffered_;
+  // Windows pending_ collects before FlushPending compresses them.
+  std::size_t batch_ = 1;
+
+  // The window being filled, per variable ([window, H, W], normalized; only
+  // the first buffered_frames_ frames are written). All variables hold the
+  // same count because chunks span every variable.
+  std::vector<Tensor> partial_;
   std::vector<std::vector<data::FrameNorm>> norms_;  // per variable, ALL frames
   std::int64_t buffered_frames_ = 0;
   std::int64_t frames_pushed_ = 0;

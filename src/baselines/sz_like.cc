@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "codec/huffman.h"
+#include "tensor/workspace.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -78,8 +79,7 @@ void Traverse(const Dims& d, Visit&& visit) {
   }
 }
 
-double Predict(const std::vector<double>& recon, std::int64_t a,
-               std::int64_t b) {
+double Predict(const double* recon, std::int64_t a, std::int64_t b) {
   if (a < 0 && b < 0) return 0.0;
   if (b < 0) return recon[static_cast<std::size_t>(a)];
   if (a < 0) return recon[static_cast<std::size_t>(b)];
@@ -109,7 +109,7 @@ std::vector<std::uint8_t> SZLikeCompressor::Compress(const Tensor& field,
   const float* src = field.data();
 
   Traverse(d, [&](std::int64_t idx, std::int64_t a, std::int64_t b) {
-    const double pred = Predict(recon, a, b);
+    const double pred = Predict(recon.data(), a, b);
     const double diff = static_cast<double>(src[idx]) - pred;
     const auto k = static_cast<std::int64_t>(std::llround(diff / twice_eb));
     GLSC_CHECK_MSG(k >= INT32_MIN && k <= INT32_MAX, "code overflow");
@@ -128,31 +128,52 @@ std::vector<std::uint8_t> SZLikeCompressor::Compress(const Tensor& field,
   return out.Release();
 }
 
-Tensor SZLikeCompressor::Decompress(const std::vector<std::uint8_t>& bytes) {
+Tensor SZLikeCompressor::Decompress(const std::vector<std::uint8_t>& bytes,
+                                    tensor::Workspace* ws) {
   ByteReader in(bytes);
-  const Dims d{static_cast<std::int64_t>(in.GetVarU64()),
-               static_cast<std::int64_t>(in.GetVarU64()),
-               static_cast<std::int64_t>(in.GetVarU64())};
+  const std::uint64_t t = in.GetVarU64();
+  const std::uint64_t h = in.GetVarU64();
+  const std::uint64_t w = in.GetVarU64();
   const double abs_bound = in.GetF64();
   const double twice_eb = 2.0 * abs_bound;
   const std::uint64_t huff_size = in.GetVarU64();
-  std::vector<std::uint8_t> huff(huff_size);
-  in.GetBytes(huff.data(), huff_size);
-  const auto codes = codec::HuffmanDecode(huff);
+  GLSC_CHECK_MSG(huff_size <= in.remaining(),
+                 "corrupt sz payload: Huffman stream of "
+                     << huff_size << " bytes, " << in.remaining() << " left");
 
-  std::vector<double> recon(static_cast<std::size_t>(d.t * d.h * d.w), 0.0);
-  std::size_t cursor = 0;
-  Traverse(d, [&](std::int64_t idx, std::int64_t a, std::int64_t b) {
-    GLSC_CHECK(cursor < codes.size());
-    const double pred = Predict(recon, a, b);
-    recon[static_cast<std::size_t>(idx)] = pred + twice_eb * codes[cursor++];
-  });
-  GLSC_CHECK(cursor == codes.size());
+  tensor::Workspace::Scope scope(ws);
+  codec::HuffmanReader codes(bytes.data() + in.pos(),
+                             static_cast<std::size_t>(huff_size), ws);
+  // The traversal visits every lattice point once and takes one code at
+  // each, so a stream decodes only if it holds exactly T·H·W codes. Checking
+  // that first sizes recon by the validated count, never by declared dims.
+  GLSC_CHECK_MSG(DimsMatchCount({t, h, w}, codes.count()),
+                 "corrupt sz payload: dims [" << t << ", " << h << ", " << w
+                                              << "] for " << codes.count()
+                                              << " codes");
+  const Dims d{static_cast<std::int64_t>(t), static_cast<std::int64_t>(h),
+               static_cast<std::int64_t>(w)};
+  const auto n = static_cast<std::size_t>(codes.count());
 
-  Tensor out({d.t, d.h, d.w});
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<float>(recon[static_cast<std::size_t>(i)]);
+  // Prediction reads only points already reconstructed, so recon needs no
+  // zero fill.
+  std::vector<double> heap_recon;
+  double* recon = nullptr;
+  if (ws != nullptr) {
+    recon = reinterpret_cast<double*>(
+        ws->Allocate(static_cast<std::int64_t>(2 * n)));
+  } else {
+    heap_recon.resize(n);
+    recon = heap_recon.data();
   }
+  Traverse(d, [&](std::int64_t idx, std::int64_t a, std::int64_t b) {
+    const double pred = Predict(recon, a, b);
+    recon[idx] = pred + twice_eb * codes.Next();
+  });
+
+  Tensor out = Tensor::Empty({d.t, d.h, d.w});
+  float* dst = out.data();
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(recon[i]);
   return out;
 }
 

@@ -15,6 +15,11 @@
 //
 // Prediction always reads RECONSTRUCTED values, so encoder and decoder stay
 // bit-identical and the per-point bound holds end to end.
+//
+// The decoder pulls one Huffman code per lattice point straight from the
+// payload (codec::HuffmanReader), so no code array is built, and keeps its
+// double-precision reconstruction in the caller's Workspace when given one:
+// the owned float result is then its only heap allocation.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +27,21 @@
 
 #include "tensor/tensor.h"
 
+namespace glsc::tensor {
+class Workspace;
+}  // namespace glsc::tensor
+
 namespace glsc::baselines {
 
 class SZLikeCompressor {
  public:
   // field: [T, H, W] physical values; abs_bound: pointwise absolute bound.
   std::vector<std::uint8_t> Compress(const Tensor& field, double abs_bound);
-  Tensor Decompress(const std::vector<std::uint8_t>& bytes);
+  // Owned [T, H, W]. Scratch comes from `ws` (under a Scope this call opens)
+  // or the heap when it is null. Throws std::runtime_error on a corrupt
+  // payload, including one whose declared dims disagree with its code count.
+  Tensor Decompress(const std::vector<std::uint8_t>& bytes,
+                    tensor::Workspace* ws = nullptr);
 };
 
 }  // namespace glsc::baselines

@@ -140,15 +140,33 @@ std::vector<std::uint8_t> ZFPLikeCompressor::Compress(const Tensor& field,
 
 Tensor ZFPLikeCompressor::Decompress(const std::vector<std::uint8_t>& bytes) {
   ByteReader in(bytes);
-  const auto t_dim = static_cast<std::int64_t>(in.GetVarU64());
-  const auto h = static_cast<std::int64_t>(in.GetVarU64());
-  const auto w = static_cast<std::int64_t>(in.GetVarU64());
+  const std::uint64_t t_raw = in.GetVarU64();
+  const std::uint64_t h_raw = in.GetVarU64();
+  const std::uint64_t w_raw = in.GetVarU64();
   const double abs_bound = in.GetF64();
   const double step = 2.0 * abs_bound / kErrorGain;
   const std::uint64_t huff_size = in.GetVarU64();
+  GLSC_CHECK_MSG(huff_size <= in.remaining(),
+                 "corrupt zfp payload: Huffman stream of "
+                     << huff_size << " bytes, " << in.remaining() << " left");
   std::vector<std::uint8_t> huff(huff_size);
   in.GetBytes(huff.data(), huff_size);
   const auto codes = codec::HuffmanDecode(huff);
+  // One code per coefficient of every (edge-padded) block; the output is
+  // sized only once the dims agree with the decoded count.
+  const auto blocks = [](std::uint64_t n) {
+    constexpr auto kEdge = static_cast<std::uint64_t>(kBlock);
+    return n / kEdge + (n % kEdge != 0 ? 1 : 0);
+  };
+  GLSC_CHECK_MSG(
+      DimsMatchCount({blocks(t_raw), blocks(h_raw), blocks(w_raw),
+                      static_cast<std::uint64_t>(kBlockVolume)},
+                     codes.size()),
+      "corrupt zfp payload: dims [" << t_raw << ", " << h_raw << ", " << w_raw
+                                    << "] for " << codes.size() << " codes");
+  const auto t_dim = static_cast<std::int64_t>(t_raw);
+  const auto h = static_cast<std::int64_t>(h_raw);
+  const auto w = static_cast<std::int64_t>(w_raw);
 
   Tensor out({t_dim, h, w});
   double block[kBlockVolume];

@@ -1,5 +1,8 @@
-// MSB-first bit-level I/O used by the Huffman coder and the ZFP-like
-// bit-plane codec.
+// MSB-first bit-level I/O. BitWriter packs the Huffman encoder's codes;
+// decoding reads whole words through codec::HuffmanReader instead, so
+// BitReader (one bit per call) serves as the plain reference that reader is
+// tested against. The ZFP-like codec entropy-codes through Huffman and uses
+// neither directly.
 #pragma once
 
 #include <cstdint>

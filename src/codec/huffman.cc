@@ -1,11 +1,14 @@
 #include "codec/huffman.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <queue>
 
 #include "codec/bitio.h"
+#include "tensor/workspace.h"
 #include "util/bytes.h"
 #include "util/check.h"
 
@@ -126,71 +129,142 @@ std::vector<std::uint8_t> HuffmanEncode(
 }
 
 std::vector<std::int32_t> HuffmanDecode(const std::vector<std::uint8_t>& bytes) {
-  ByteReader in(bytes);
-  const std::uint64_t count = in.GetVarU64();
-  std::vector<std::int32_t> symbols;
-  symbols.reserve(count);
-  if (count == 0) return symbols;
-
-  const std::uint64_t alpha_size = in.GetVarU64();
-  std::vector<std::int32_t> alphabet(alpha_size);
-  std::vector<int> lengths(alpha_size);
-  for (std::uint64_t i = 0; i < alpha_size; ++i) {
-    alphabet[i] = static_cast<std::int32_t>(in.GetVarI64());
-    lengths[i] = in.GetU8();
-  }
-  std::vector<std::uint32_t> codes;
-  AssignCanonicalCodes(lengths, &codes);
-
-  // Decode via canonical first-code table per length.
-  const int max_len =
-      *std::max_element(lengths.begin(), lengths.end());
-  // For each length, the smallest code value and the index (into
-  // length-sorted order) where codes of that length start.
-  std::vector<int> order(alpha_size);
-  for (std::size_t i = 0; i < alpha_size; ++i) order[i] = static_cast<int>(i);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
-    return a < b;
-  });
-  std::vector<std::uint32_t> first_code(max_len + 1, 0);
-  std::vector<int> first_index(max_len + 1, 0);
-  std::vector<int> count_at(max_len + 1, 0);
-  for (std::size_t i = 0; i < alpha_size; ++i) ++count_at[lengths[i]];
-  {
-    std::uint32_t code = 0;
-    int idx = 0;
-    for (int len = 1; len <= max_len; ++len) {
-      code <<= 1;
-      first_code[len] = code;
-      first_index[len] = idx;
-      code += static_cast<std::uint32_t>(count_at[len]);
-      idx += count_at[len];
-    }
-  }
-
-  const std::uint64_t payload_size = in.GetVarU64();
-  std::vector<std::uint8_t> payload(payload_size);
-  in.GetBytes(payload.data(), payload_size);
-  BitReader bits(payload.data(), payload.size());
-
-  for (std::uint64_t k = 0; k < count; ++k) {
-    std::uint32_t code = 0;
-    int len = 0;
-    while (true) {
-      code = (code << 1) | static_cast<std::uint32_t>(bits.GetBit());
-      ++len;
-      GLSC_CHECK_MSG(len <= max_len, "corrupt Huffman stream");
-      if (count_at[len] > 0 &&
-          code - first_code[len] < static_cast<std::uint32_t>(count_at[len])) {
-        const int sorted_pos =
-            first_index[len] + static_cast<int>(code - first_code[len]);
-        symbols.push_back(alphabet[static_cast<std::size_t>(order[sorted_pos])]);
-        break;
-      }
-    }
-  }
+  HuffmanReader reader(bytes.data(), bytes.size());
+  std::vector<std::int32_t> symbols(static_cast<std::size_t>(reader.count()));
+  for (std::int32_t& s : symbols) s = reader.Next();
   return symbols;
+}
+
+HuffmanReader::HuffmanReader(const std::uint8_t* data, std::size_t size,
+                             tensor::Workspace* ws) {
+  ByteReader in(data, size);
+  count_ = in.GetVarU64();
+  if (count_ == 0) return;
+
+  // Pass 1 validates the table and counts codes per length; nothing is
+  // allocated until the whole header has been checked against the input.
+  const std::uint64_t alpha_size = in.GetVarU64();
+  GLSC_CHECK_MSG(alpha_size >= 1 && alpha_size <= count_,
+                 "corrupt Huffman stream: alphabet of " << alpha_size
+                                                        << " for " << count_
+                                                        << " symbols");
+  // Each entry costs at least two bytes (value varint + length byte).
+  GLSC_CHECK_MSG(alpha_size <= in.remaining() / 2,
+                 "corrupt Huffman stream: alphabet longer than the stream");
+  const std::size_t table_begin = in.pos();
+  for (std::uint64_t i = 0; i < alpha_size; ++i) {
+    const std::int64_t value = in.GetVarI64();
+    GLSC_CHECK_MSG(value >= INT32_MIN && value <= INT32_MAX,
+                   "corrupt Huffman stream: symbol " << value
+                                                     << " outside int32");
+    const int len = in.GetU8();
+    GLSC_CHECK_MSG(len >= 1 && len <= kMaxCodeBits,
+                   "corrupt Huffman stream: code length " << len);
+    ++count_at_[static_cast<std::size_t>(len)];
+    max_len_ = std::max(max_len_, len);
+  }
+  // Canonical codes: lengths ascending, symbols in table order within one
+  // length. A length holding more codes than remain at it is an
+  // over-subscribed table (Kraft sum above 1), which no prefix code has.
+  {
+    std::uint64_t code = 0;
+    std::uint64_t index = 0;
+    for (int len = 1; len <= kMaxCodeBits; ++len) {
+      code <<= 1;
+      first_code_[static_cast<std::size_t>(len)] = code;
+      first_index_[static_cast<std::size_t>(len)] = index;
+      const std::uint64_t n = count_at_[static_cast<std::size_t>(len)];
+      GLSC_CHECK_MSG(n <= (std::uint64_t{1} << len) - code,
+                     "corrupt Huffman stream: over-subscribed code table");
+      code += n;
+      index += n;
+    }
+  }
+  payload_size_ = static_cast<std::size_t>(in.GetVarU64());
+  GLSC_CHECK_MSG(payload_size_ <= in.remaining(),
+                 "corrupt Huffman stream: payload of "
+                     << payload_size_ << " bytes, " << in.remaining()
+                     << " left");
+  // Every code is at least one bit long, so no encoder writes more symbols
+  // than payload bits.
+  GLSC_CHECK_MSG(count_ / 8 + (count_ % 8 != 0 ? 1 : 0) <= payload_size_,
+                 "corrupt Huffman stream: " << count_ << " symbols in "
+                                            << payload_size_
+                                            << " payload bytes");
+  payload_ = data + in.pos();
+
+  // Pass 2 places the alphabet in canonical order (a counting sort by
+  // length, stable in table order).
+  std::int32_t* sorted = nullptr;
+  if (ws != nullptr) {
+    sorted = reinterpret_cast<std::int32_t*>(
+        ws->Allocate(static_cast<std::int64_t>(alpha_size)));
+  } else {
+    heap_sorted_.resize(static_cast<std::size_t>(alpha_size));
+    sorted = heap_sorted_.data();
+  }
+  sorted_ = sorted;
+  {
+    std::array<std::uint64_t, kMaxCodeBits + 1> next = first_index_;
+    ByteReader table(data + table_begin, size - table_begin);
+    for (std::uint64_t i = 0; i < alpha_size; ++i) {
+      const auto value = static_cast<std::int32_t>(table.GetVarI64());
+      sorted[next[table.GetU8()]++] = value;
+    }
+  }
+
+  // Lookup table: each code of up to kTableBits bits fills every entry it
+  // prefixes.
+  for (int len = 1; len <= std::min(max_len_, kTableBits); ++len) {
+    const auto l = static_cast<std::size_t>(len);
+    for (std::uint64_t k = 0; k < count_at_[l]; ++k) {
+      const std::uint64_t code = first_code_[l] + k;
+      const Entry entry{sorted[first_index_[l] + k], len};
+      const int spare = kTableBits - len;
+      std::fill(table_.begin() + static_cast<std::ptrdiff_t>(code << spare),
+                table_.begin() + static_cast<std::ptrdiff_t>((code + 1) << spare),
+                entry);
+    }
+  }
+}
+
+void HuffmanReader::Refill() {
+  if (pos_ + 8 <= payload_size_) {
+    // Branch-free refill: load 8 bytes big-endian, keep the whole bytes that
+    // fit. The bits below the new count are the stream's next bits, which
+    // the next refill ORs in again unchanged.
+    std::uint64_t word;
+    std::memcpy(&word, payload_ + pos_, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    bits_ |= word >> nbits_;
+    pos_ += static_cast<std::size_t>((63 - nbits_) >> 3);
+    nbits_ |= 56;
+    return;
+  }
+  // Last bytes: one at a time, zeros past the end.
+  while (nbits_ <= 56) {
+    const std::uint64_t byte = pos_ < payload_size_ ? payload_[pos_] : 0;
+    bits_ |= byte << (56 - nbits_);
+    ++pos_;
+    nbits_ += 8;
+  }
+}
+
+std::int32_t HuffmanReader::NextLong() {
+  const std::uint64_t top = bits_ >> (64 - kMaxCodeBits);
+  for (int len = kTableBits + 1; len <= max_len_; ++len) {
+    const auto l = static_cast<std::size_t>(len);
+    const std::uint64_t code = top >> (kMaxCodeBits - len);
+    if (code >= first_code_[l] && code - first_code_[l] < count_at_[l]) {
+      bits_ <<= len;
+      nbits_ -= len;
+      return sorted_[first_index_[l] + (code - first_code_[l])];
+    }
+  }
+  GLSC_CHECK_MSG(false, "corrupt Huffman stream: no code matches");
+  return 0;
 }
 
 double SymbolEntropyBits(const std::vector<std::int32_t>& symbols) {

@@ -27,6 +27,16 @@ std::vector<std::int64_t> GetDimsChecked(ByteReader* in) {
   return dims;
 }
 
+bool DimsMatchCount(std::initializer_list<std::uint64_t> dims,
+                    std::uint64_t count) {
+  std::uint64_t product = 1;
+  for (const std::uint64_t d : dims) {
+    if (d > (std::uint64_t{1} << 31)) return false;
+    if (__builtin_mul_overflow(product, d, &product)) return false;
+  }
+  return product == count;
+}
+
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;

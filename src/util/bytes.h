@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,9 @@ class ByteReader {
 
   void GetBytes(void* out, std::size_t n) {
     GLSC_CHECK_MSG(pos_ + n <= size_, "bitstream underrun");
+    // `out` may be null for n == 0 (data() of an empty vector), and memcpy
+    // with a null pointer is undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
@@ -185,6 +189,15 @@ class ByteReader {
 // an absurd allocation downstream, it throws std::runtime_error instead.
 void PutDims(const std::vector<std::int64_t>& dims, ByteWriter* out);
 std::vector<std::int64_t> GetDimsChecked(ByteReader* in);
+
+// True when every dim is at most 2^31 and the dims multiply to exactly
+// `count`, checked without overflow. Decoders whose payload declares its
+// geometry next to a validated element count (the rule-based baselines'
+// [T, H, W] over their Huffman code count) call this before sizing
+// anything by the dims, so a hostile header can neither wrap around to a
+// plausible count nor size an allocation the stream does not back.
+bool DimsMatchCount(std::initializer_list<std::uint64_t> dims,
+                    std::uint64_t count);
 
 // Whole-file helpers for the model artifact cache.
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out);

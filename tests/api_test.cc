@@ -179,6 +179,42 @@ TEST(Session, ChunkingAndParallelismAreByteIdentical) {
   EXPECT_EQ(one_shot, fanned);
 }
 
+// A session compresses each batch of windows as soon as it fills, so it
+// never holds more than one partial window per variable plus one batch,
+// whatever the chunk size.
+TEST(Session, CompressesEachBatchAsSoonAsItFills) {
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 88;  // five full windows per variable and an 8-frame tail
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 71;
+  const Tensor field = data::GenerateCombustion(spec);
+  auto codec = Compressor::Create("sz");
+  SessionOptions options;
+  options.bound = {ErrorBoundMode::kRelative, 0.02};
+
+  // One worker: every window as it completes, mid-chunk included.
+  EncodeSession serial(codec.get(), 2, 16, 16, options);
+  serial.Push(TimeSlice(field, 0, 40));
+  EXPECT_EQ(serial.records_emitted(), 4);  // two windows x two variables
+  serial.Push(TimeSlice(field, 40, 88));
+  EXPECT_EQ(serial.records_emitted(), 10);
+  EXPECT_EQ(serial.Finish().entries().size(), 12u);
+
+  // Two workers: batches of four windows.
+  options.parallelism = 2;
+  EncodeSession batched(codec.get(), 2, 16, 16, options);
+  batched.Push(TimeSlice(field, 0, 40));
+  EXPECT_EQ(batched.records_emitted(), 4);
+  batched.Push(TimeSlice(field, 40, 56));
+  EXPECT_EQ(batched.records_emitted(), 4);  // two windows pending
+  batched.Push(TimeSlice(field, 56, 88));
+  EXPECT_EQ(batched.records_emitted(), 8);  // two pending again
+  EXPECT_EQ(batched.Finish().entries().size(), 12u);
+  EXPECT_EQ(batched.records_emitted(), 12);
+}
+
 TEST(Session, SingleFrameTailAndShortStreams) {
   data::FieldSpec spec;
   spec.variables = 1;

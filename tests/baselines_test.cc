@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -9,10 +10,13 @@
 #include "baselines/sz_like.h"
 #include "baselines/vae_sr.h"
 #include "baselines/zfp_like.h"
+#include "codec/huffman.h"
 #include "data/dataset.h"
 #include "data/field_generators.h"
 #include "tensor/metrics.h"
 #include "tensor/ops.h"
+#include "tensor/workspace.h"
+#include "util/bytes.h"
 
 namespace glsc::baselines {
 namespace {
@@ -130,6 +134,98 @@ TEST(SZLike, DecompressIsDeterministic) {
   const Tensor a = sz.Decompress(bytes);
   const Tensor b = sz.Decompress(bytes);
   for (std::int64_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]);
+}
+
+TEST(SZLike, WorkspaceDecodeMatchesHeapDecodeAndRewinds) {
+  data::FieldSpec spec;
+  spec.frames = 7;
+  spec.height = 12;
+  spec.width = 20;
+  const Tensor field = data::GenerateTurbulence(spec).Reshape({7, 12, 20});
+  SZLikeCompressor sz;
+  const auto bytes = sz.Compress(field, 1e-3);
+  const Tensor heap = sz.Decompress(bytes);
+  tensor::Workspace ws;
+  const Tensor arena = sz.Decompress(bytes, &ws);
+  EXPECT_FALSE(arena.borrowed());  // arena memory must not escape
+  ASSERT_EQ(heap.shape(), arena.shape());
+  EXPECT_EQ(0, std::memcmp(heap.data(), arena.data(),
+                           static_cast<std::size_t>(heap.numel()) *
+                               sizeof(float)));
+  EXPECT_EQ(ws.bytes_in_use(), 0);
+  EXPECT_GT(ws.stats().borrows, 0);
+}
+
+// An sz or zfp payload (both share the layout): dims, bound, then a Huffman
+// stream of `codes`.
+std::vector<std::uint8_t> RuleBasedPayload(std::uint64_t t, std::uint64_t h,
+                                    std::uint64_t w,
+                                    const std::vector<std::int32_t>& codes) {
+  ByteWriter out;
+  out.PutVarU64(t);
+  out.PutVarU64(h);
+  out.PutVarU64(w);
+  out.PutF64(0.01);
+  const auto huff = codec::HuffmanEncode(codes);
+  out.PutVarU64(huff.size());
+  out.PutBytes(huff.data(), huff.size());
+  return out.Release();
+}
+
+TEST(SZLike, RejectsDimsThatDisagreeWithTheCodeCount) {
+  const std::vector<std::int32_t> codes(2 * 3 * 4, 0);
+  SZLikeCompressor sz;
+  EXPECT_EQ(sz.Decompress(RuleBasedPayload(2, 3, 4, codes)).shape(),
+            (Shape{2, 3, 4}));
+  tensor::Workspace ws;
+  for (const auto& dims : std::vector<std::array<std::uint64_t, 3>>{
+           {2, 3, 5},
+           {0, 3, 4},
+           {std::uint64_t{1} << 20, std::uint64_t{1} << 20,
+            std::uint64_t{1} << 20},
+           // (2^61 + 3) · 8 wraps to exactly 24 in 64 bits.
+           {(std::uint64_t{1} << 61) + 3, 8, 1},
+           {~std::uint64_t{0}, 1, 1}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << dims[0] << " x " << dims[1] << " x " << dims[2]);
+    const auto bytes = RuleBasedPayload(dims[0], dims[1], dims[2], codes);
+    EXPECT_THROW(sz.Decompress(bytes), std::runtime_error);
+    EXPECT_THROW(sz.Decompress(bytes, &ws), std::runtime_error);
+  }
+  // Nothing was sized by the declared dims: the arena only ever held the
+  // one-symbol alphabet.
+  EXPECT_LE(ws.stats().peak_bytes, 64);
+  EXPECT_EQ(ws.bytes_in_use(), 0);
+}
+
+TEST(SZLike, RejectsHuffmanStreamLongerThanThePayload) {
+  auto bytes = RuleBasedPayload(2, 3, 4, std::vector<std::int32_t>(24, 1));
+  bytes.pop_back();
+  SZLikeCompressor sz;
+  EXPECT_THROW(sz.Decompress(bytes), std::runtime_error);
+}
+
+TEST(ZFPLike, RejectsDimsThatDisagreeWithTheCodeCount) {
+  // Two 4x4x4 blocks' worth of codes.
+  const std::vector<std::int32_t> codes(2 * 64, 0);
+  ZFPLikeCompressor zfp;
+  EXPECT_EQ(zfp.Decompress(RuleBasedPayload(8, 3, 4, codes)).shape(),
+            (Shape{8, 3, 4}));
+  for (const auto& dims : std::vector<std::array<std::uint64_t, 3>>{
+           {9, 3, 4},
+           {0, 3, 4},
+           {std::uint64_t{1} << 20, std::uint64_t{1} << 20,
+            std::uint64_t{1} << 20},
+           {~std::uint64_t{0}, 1, 1}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << dims[0] << " x " << dims[1] << " x " << dims[2]);
+    EXPECT_THROW(zfp.Decompress(RuleBasedPayload(dims[0], dims[1], dims[2],
+                                                 codes)),
+                 std::runtime_error);
+  }
+  auto truncated = RuleBasedPayload(8, 3, 4, codes);
+  truncated.pop_back();
+  EXPECT_THROW(zfp.Decompress(truncated), std::runtime_error);
 }
 
 TEST(ZFPLike, TighterBoundCostsMore) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "codec/bitio.h"
 #include "codec/factorized_prior.h"
 #include "codec/gaussian_model.h"
 #include "codec/huffman.h"
 #include "codec/range_coder.h"
+#include "tensor/workspace.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace glsc::codec {
@@ -236,25 +242,35 @@ TEST(LogisticCodec, OutlierEscape) {
 class HuffmanTest
     : public ::testing::TestWithParam<std::pair<int, double>> {};
 
-TEST_P(HuffmanTest, RoundTrip) {
-  const auto [alphabet, skew] = GetParam();
+// Two-sided geometric-ish distribution centred at 0.
+std::vector<std::int32_t> GeometricStream(int alphabet, double skew,
+                                          std::size_t n) {
   Rng rng(888);
-  std::vector<std::int32_t> symbols(4000);
+  std::vector<std::int32_t> symbols(n);
   for (auto& s : symbols) {
-    // Two-sided geometric-ish distribution centred at 0.
     const double u = rng.Uniform();
     const int mag = static_cast<int>(-std::log(1.0 - u) * skew);
     s = (rng.UniformInt(2) == 0 ? mag : -mag) % alphabet;
   }
+  return symbols;
+}
+
+TEST_P(HuffmanTest, RoundTrip) {
+  const auto [alphabet, skew] = GetParam();
+  const auto symbols = GeometricStream(alphabet, skew, 4000);
   const auto bytes = HuffmanEncode(symbols);
   EXPECT_EQ(HuffmanDecode(bytes), symbols);
 }
 
+// {1, ...} is a one-symbol alphabet; {5000, 1000.0} draws mostly distinct
+// values, so most codes run past the reader's 11-bit lookup table.
 INSTANTIATE_TEST_SUITE_P(Streams, HuffmanTest,
                          ::testing::Values(std::pair{3, 0.5},
                                            std::pair{100, 2.0},
                                            std::pair{1000, 10.0},
-                                           std::pair{5, 0.01}));
+                                           std::pair{5, 0.01},
+                                           std::pair{1, 0.5},
+                                           std::pair{5000, 1000.0}));
 
 TEST(Huffman, EmptyStream) {
   const auto bytes = HuffmanEncode({});
@@ -285,6 +301,227 @@ TEST(Huffman, SizeNearEntropy) {
 TEST(Huffman, NegativeValues) {
   std::vector<std::int32_t> symbols{-1000000, 1000000, 0, -1, 1, 0, 0, -1};
   EXPECT_EQ(HuffmanDecode(HuffmanEncode(symbols)), symbols);
+}
+
+// ---- HuffmanReader against the bit-at-a-time decoder it replaced ----
+
+// The decoder HuffmanReader replaced, kept as the reference: one bit per
+// step, matching the canonical first code of each length.
+std::vector<std::int32_t> BitAtATimeDecode(
+    const std::vector<std::uint8_t>& bytes) {
+  ByteReader in(bytes);
+  const std::uint64_t count = in.GetVarU64();
+  std::vector<std::int32_t> symbols;
+  if (count == 0) return symbols;
+  const std::uint64_t alpha_size = in.GetVarU64();
+  std::vector<std::int32_t> alphabet(alpha_size);
+  std::vector<int> lengths(alpha_size);
+  for (std::uint64_t i = 0; i < alpha_size; ++i) {
+    alphabet[i] = static_cast<std::int32_t>(in.GetVarI64());
+    lengths[i] = in.GetU8();
+  }
+  const int max_len = *std::max_element(lengths.begin(), lengths.end());
+  std::vector<int> order(alpha_size);
+  for (std::size_t i = 0; i < alpha_size; ++i) order[i] = static_cast<int>(i);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (lengths[a] != lengths[b]) return lengths[a] < lengths[b];
+    return a < b;
+  });
+  std::vector<std::uint32_t> first_code(max_len + 1, 0);
+  std::vector<int> first_index(max_len + 1, 0);
+  std::vector<int> count_at(max_len + 1, 0);
+  for (std::size_t i = 0; i < alpha_size; ++i) ++count_at[lengths[i]];
+  std::uint32_t code = 0;
+  int idx = 0;
+  for (int len = 1; len <= max_len; ++len) {
+    code <<= 1;
+    first_code[len] = code;
+    first_index[len] = idx;
+    code += static_cast<std::uint32_t>(count_at[len]);
+    idx += count_at[len];
+  }
+  const std::uint64_t payload_size = in.GetVarU64();
+  std::vector<std::uint8_t> payload(payload_size);
+  in.GetBytes(payload.data(), payload_size);
+  BitReader bits(payload.data(), payload.size());
+  for (std::uint64_t k = 0; k < count; ++k) {
+    std::uint32_t c = 0;
+    int len = 0;
+    while (true) {
+      c = (c << 1) | static_cast<std::uint32_t>(bits.GetBit());
+      ++len;
+      if (len > max_len) throw std::runtime_error("corrupt Huffman stream");
+      if (count_at[len] > 0 &&
+          c - first_code[len] < static_cast<std::uint32_t>(count_at[len])) {
+        symbols.push_back(alphabet[static_cast<std::size_t>(
+            order[first_index[len] + static_cast<int>(c - first_code[len])])]);
+        break;
+      }
+    }
+  }
+  return symbols;
+}
+
+std::vector<std::int32_t> ReadAll(const std::vector<std::uint8_t>& bytes,
+                                  tensor::Workspace* ws = nullptr) {
+  HuffmanReader reader(bytes.data(), bytes.size(), ws);
+  std::vector<std::int32_t> symbols;
+  for (std::uint64_t i = 0; i < reader.count(); ++i) {
+    symbols.push_back(reader.Next());
+  }
+  return symbols;
+}
+
+TEST_P(HuffmanTest, ReaderMatchesBitAtATimeDecoder) {
+  const auto [alphabet, skew] = GetParam();
+  const auto symbols = GeometricStream(alphabet, skew, 4000);
+  const auto bytes = HuffmanEncode(symbols);
+  const auto reference = BitAtATimeDecode(bytes);
+  ASSERT_EQ(reference, symbols);
+  EXPECT_EQ(ReadAll(bytes), reference);
+  tensor::Workspace ws;
+  {
+    tensor::Workspace::Scope scope(&ws);
+    EXPECT_EQ(ReadAll(bytes, &ws), reference);
+  }
+  EXPECT_EQ(HuffmanDecode(bytes), reference);
+}
+
+// A hand-built stream: one symbol per code length 1, 2, ..., 32 plus a
+// second of length 32, which completes the code (Kraft sum exactly 1). Every
+// symbol appears, so the decode walks the per-length search for all lengths
+// past the lookup table.
+std::vector<std::uint8_t> LongCodeStream(std::vector<std::int32_t>* symbols) {
+  std::vector<int> lengths;
+  for (int len = 1; len <= 32; ++len) lengths.push_back(len);
+  lengths.push_back(32);
+  // Canonical codes: length L (L < 32) is L-1 ones then a zero; the two
+  // 32-bit codes are 31 ones then 0, and 32 ones.
+  BitWriter bits;
+  symbols->clear();
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    const int len = lengths[i];
+    const std::uint64_t ones = (std::uint64_t{1} << len) - 2;
+    const std::uint64_t code = i + 1 == lengths.size() ? ones + 1 : ones;
+    bits.PutBits(code, len);
+    symbols->push_back(static_cast<std::int32_t>(100 + i));
+  }
+  const auto payload = bits.Finish();
+  ByteWriter out;
+  out.PutVarU64(symbols->size());
+  out.PutVarU64(lengths.size());
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    out.PutVarI64(100 + static_cast<std::int64_t>(i));
+    out.PutU8(static_cast<std::uint8_t>(lengths[i]));
+  }
+  out.PutVarU64(payload.size());
+  out.PutBytes(payload.data(), payload.size());
+  return out.Release();
+}
+
+TEST(HuffmanReader, CodesLongerThanTheTableTakeTheSlowPath) {
+  std::vector<std::int32_t> symbols;
+  const auto bytes = LongCodeStream(&symbols);
+  EXPECT_EQ(BitAtATimeDecode(bytes), symbols);
+  EXPECT_EQ(ReadAll(bytes), symbols);
+}
+
+// ---- hostile streams: rejected before anything is sized by a count ----
+
+// A valid two-symbol table (lengths 1, 1) with `count` symbols declared and
+// `payload_bytes` of payload.
+std::vector<std::uint8_t> TwoSymbolStream(std::uint64_t count,
+                                          std::size_t payload_bytes,
+                                          std::uint8_t len_a = 1,
+                                          std::uint8_t len_b = 1) {
+  ByteWriter out;
+  out.PutVarU64(count);
+  out.PutVarU64(2);
+  out.PutVarI64(0);
+  out.PutU8(len_a);
+  out.PutVarI64(1);
+  out.PutU8(len_b);
+  out.PutVarU64(payload_bytes);
+  for (std::size_t i = 0; i < payload_bytes; ++i) out.PutU8(0xA5);
+  return out.Release();
+}
+
+TEST(HuffmanReader, AcceptsTheLargestCountItsPayloadHolds) {
+  const auto bytes = TwoSymbolStream(8, 1);
+  EXPECT_EQ(BitAtATimeDecode(bytes), ReadAll(bytes));
+  EXPECT_EQ(ReadAll(bytes).size(), 8u);
+}
+
+TEST(HuffmanReader, RejectsCountBeyondPayloadBits) {
+  // The bit-at-a-time decoder reserved and decoded 2^24 symbols for this
+  // 1-byte payload.
+  const auto hostile = TwoSymbolStream(std::uint64_t{1} << 24, 1);
+  EXPECT_THROW(HuffmanReader(hostile.data(), hostile.size()),
+               std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(hostile), std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(TwoSymbolStream(9, 1)), std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(TwoSymbolStream(~std::uint64_t{0}, 1)),
+               std::runtime_error);
+}
+
+TEST(HuffmanReader, RejectsCodeLengthsOutsideOneTo32) {
+  EXPECT_THROW(HuffmanDecode(TwoSymbolStream(2, 1, 0, 1)), std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(TwoSymbolStream(2, 1, 1, 33)), std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(TwoSymbolStream(2, 1, 255, 1)),
+               std::runtime_error);
+}
+
+TEST(HuffmanReader, RejectsOverSubscribedTable) {
+  // Three codes of length 1: Kraft sum 3/2.
+  ByteWriter out;
+  out.PutVarU64(3);
+  out.PutVarU64(3);
+  for (int v = 0; v < 3; ++v) {
+    out.PutVarI64(v);
+    out.PutU8(1);
+  }
+  out.PutVarU64(1);
+  out.PutU8(0);
+  EXPECT_THROW(HuffmanDecode(out.Release()), std::runtime_error);
+}
+
+TEST(HuffmanReader, RejectsAlphabetLargerThanCountOrStream) {
+  ByteWriter big_alphabet;
+  big_alphabet.PutVarU64(1);
+  big_alphabet.PutVarU64(2);  // two table entries for one symbol
+  big_alphabet.PutVarI64(0);
+  big_alphabet.PutU8(1);
+  big_alphabet.PutVarI64(1);
+  big_alphabet.PutU8(1);
+  big_alphabet.PutVarU64(1);
+  big_alphabet.PutU8(0);
+  EXPECT_THROW(HuffmanDecode(big_alphabet.Release()), std::runtime_error);
+
+  ByteWriter long_alphabet;
+  long_alphabet.PutVarU64(std::uint64_t{1} << 40);
+  long_alphabet.PutVarU64(std::uint64_t{1} << 40);  // 2^40 entries, 0 bytes
+  EXPECT_THROW(HuffmanDecode(long_alphabet.Release()), std::runtime_error);
+}
+
+TEST(HuffmanReader, RejectsPayloadLongerThanTheStream) {
+  auto bytes = TwoSymbolStream(8, 1);
+  bytes.pop_back();  // the declared payload byte is missing
+  EXPECT_THROW(HuffmanDecode(bytes), std::runtime_error);
+}
+
+TEST(HuffmanReader, RejectsBitsNoCodeMapsTo) {
+  // One symbol of length 2 ("00"): an incomplete code, so "1..." matches
+  // nothing.
+  ByteWriter out;
+  out.PutVarU64(1);
+  out.PutVarU64(1);
+  out.PutVarI64(5);
+  out.PutU8(2);
+  out.PutVarU64(1);
+  out.PutU8(0x80);
+  const auto bytes = out.Release();
+  EXPECT_THROW(BitAtATimeDecode(bytes), std::runtime_error);
+  EXPECT_THROW(HuffmanDecode(bytes), std::runtime_error);
 }
 
 }  // namespace

@@ -301,7 +301,8 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   archive.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
   // The byte surgery below assumes the v3 layout (inline norms + leading
   // record count); v4 hostile-index coverage lives in container_v4_test.cc.
-  auto bytes = archive.Serialize({.version = 3});
+  auto bytes =
+      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
   // Deserialize-but-corrupt path: patch the record's variable varint (first
   // byte after the record count) to 7, outside V=1.
   const DatasetArchive ok = DatasetArchive::Deserialize(bytes);

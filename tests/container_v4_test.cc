@@ -91,7 +91,9 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
     scalar_bytes = archive.Serialize();
   }
   // v4 actually engages the pipeline on this data.
-  EXPECT_LT(scalar_bytes.size(), archive.Serialize({.version = 3}).size());
+  EXPECT_LT(
+      scalar_bytes.size(),
+      archive.Serialize({.version = 3, .forced_filter = std::nullopt}).size());
   for (const simd::IsaLevel level : TestableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     const auto bytes = archive.Serialize();
@@ -127,7 +129,8 @@ TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
   const DatasetArchive archive = MakeArchive(13);
   // v3 comes straight from the writer's compatibility path.
   const DatasetArchive v3 =
-      DatasetArchive::Deserialize(archive.Serialize({.version = 3}));
+      DatasetArchive::Deserialize(archive.Serialize(
+          {.version = 3, .forced_filter = std::nullopt}));
   EXPECT_TRUE(EntriesEqual(archive, v3));
   // v2 (no index, no footer, inline norms) is hand-assembled.
   ByteWriter v2;
@@ -192,7 +195,8 @@ TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
   EXPECT_TRUE(EntriesEqual(combined, DatasetArchive::Deserialize(bytes)));
 
   // Legacy layouts cannot grow in place.
-  WriteFileBytes(path, first.Serialize({.version = 3}));
+  WriteFileBytes(path,
+                 first.Serialize({.version = 3, .forced_filter = std::nullopt}));
   EXPECT_THROW(DatasetArchive::AppendToFile(path, more), std::runtime_error);
   std::filesystem::remove(path);
 }

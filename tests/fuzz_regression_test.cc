@@ -10,10 +10,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "../fuzz/fuzz_entry_points.h"
+#include "api/compressor.h"
+#include "codec/huffman.h"
 
 namespace glsc {
 namespace {
@@ -50,6 +53,7 @@ constexpr Harness kHarnesses[] = {
     {"archive_deserialize", &fuzz::FuzzArchiveDeserialize},
     {"archive_reader", &fuzz::FuzzArchiveReader},
     {"range_coder", &fuzz::FuzzRangeCoder},
+    {"codec_decode", &fuzz::FuzzCodecDecode},
 };
 
 TEST(FuzzRegression, CorpusIsNonEmpty) {
@@ -67,6 +71,22 @@ TEST(FuzzRegression, EveryHarnessSurvivesEveryCorpusFile) {
       EXPECT_EQ(0, harness.entry(bytes.data(), bytes.size()));
     }
   }
+}
+
+// The hostile codec streams must not merely survive the harnesses: each is
+// rejected with a typed error.
+TEST(FuzzRegression, HostileCodecStreamsAreRejected) {
+  const fs::path dir = fs::path(GLSC_REPO_ROOT) / "fuzz" / "corpus-regressions";
+  for (const char* name :
+       {"huffman-count-beyond-payload.bin", "huffman-code-length-33.bin",
+        "huffman-over-subscribed.bin"}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(codec::HuffmanDecode(ReadBytes(dir / name)),
+                 std::runtime_error);
+  }
+  const auto sz = api::Compressor::Create("sz");
+  EXPECT_THROW(sz->DecompressWindow(ReadBytes(dir / "sz-dims-beyond-codes.bin")),
+               std::runtime_error);
 }
 
 TEST(FuzzRegression, HarnessesAcceptNullEmptyInput) {

@@ -153,7 +153,8 @@ std::vector<std::uint8_t> SerializeAsV2(
 TEST(ArchiveReader, V3IndexRoundTrip) {
   const Tensor field = MakeField();
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const auto bytes = archive.Serialize({.version = 3});
+  const auto bytes =
+      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
 
   const auto reader = core::ArchiveReader::FromBytes(bytes);
   EXPECT_EQ(reader.codec(), "sz");
@@ -188,7 +189,8 @@ TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
   const Tensor field = MakeField(113);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   const std::string path = ProcessTempPath("glsc_serve_test_v3.glsca");
-  const auto v3_bytes = archive.Serialize({.version = 3});
+  const auto v3_bytes =
+      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
   WriteFileBytes(path, v3_bytes);
   const std::uint64_t file_bytes = v3_bytes.size();
 

@@ -8,10 +8,13 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "api/adapters.h"
+#include "api/session.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/glsc_compressor.h"
@@ -24,6 +27,7 @@
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/norm.h"
+#include "serve/decode_scheduler.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 
@@ -563,13 +567,86 @@ TEST(WorkspaceApiTest, AdapterDecompressMatchesAcrossWorkspaces) {
   const Tensor ref = codec->DecompressWindow(payload);
   Workspace ws;
   ExpectBytesEqual(ref, codec->DecompressWindow(payload, &ws));
-  // Rule-based codecs ignore the workspace (default passthrough).
+  // sz keeps its decode scratch in the workspace; the result is the same.
   auto sz = api::Compressor::Create("sz");
   const std::vector<std::uint8_t> sz_payload =
       sz->CompressWindow(window, {api::ErrorBoundMode::kRelative, 0.01},
                          norms);
   ExpectBytesEqual(sz->DecompressWindow(sz_payload),
                    sz->DecompressWindow(sz_payload, &ws));
+}
+
+// Forwards to a codec and records every arena a decode is handed.
+class ArenaSpy final : public api::Compressor {
+ public:
+  explicit ArenaSpy(std::unique_ptr<api::Compressor> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  api::Capabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+  std::int64_t window() const override { return inner_->window(); }
+  std::vector<std::uint8_t> CompressWindow(
+      const Tensor& window, const api::ErrorBound& bound,
+      const std::vector<data::FrameNorm>& norms) override {
+    return inner_->CompressWindow(window, bound, norms);
+  }
+  Tensor DecompressWindow(const std::vector<std::uint8_t>& payload) override {
+    return inner_->DecompressWindow(payload);
+  }
+  Tensor DecompressWindow(const std::vector<std::uint8_t>& payload,
+                          Workspace* ws) override {
+    arenas.insert(ws);
+    return inner_->DecompressWindow(payload, ws);
+  }
+  std::unique_ptr<api::Compressor> Clone() override {
+    return std::make_unique<ArenaSpy>(inner_->Clone());
+  }
+
+  std::set<Workspace*> arenas;
+
+ private:
+  std::unique_ptr<api::Compressor> inner_;
+};
+
+// Every sz record decode on the serving path runs in the scheduler's worker
+// arena; once that arena has reached its high-water mark, further decodes
+// grow no slabs.
+TEST(WorkspaceApiTest, SzSchedulerDecodesGrowNoSlabsAtSteadyState) {
+  data::FieldSpec spec;
+  spec.frames = 56;  // three full records and a padded tail
+  spec.height = 32;
+  spec.width = 24;
+  const Tensor field = data::GenerateCombustion(spec);
+  auto sz = api::Compressor::Create("sz");
+  api::SessionOptions session_options;
+  session_options.bound = {api::ErrorBoundMode::kRelative, 1e-2};
+  api::EncodeSession session(sz.get(), spec.variables, spec.height,
+                             spec.width, session_options);
+  session.Push(field);
+  const auto reader =
+      core::ArchiveReader::FromBytes(session.Finish().Serialize());
+
+  ArenaSpy spy(api::Compressor::Create("sz"));
+  serve::ScheduleOptions options;
+  options.cache_windows = 0;  // every query decodes
+  serve::DecodeScheduler scheduler(&reader, &spy, options);
+  const Tensor all = scheduler.GetAll();
+  ASSERT_EQ(spy.arenas.size(), 1u);
+  Workspace* ws = *spy.arenas.begin();
+  ASSERT_NE(ws, nullptr);
+  const std::int64_t slabs = ws->stats().slab_allocations;
+  const std::int64_t borrows = ws->stats().borrows;
+  for (int pass = 0; pass < 4; ++pass) {
+    ExpectBytesEqual(all, scheduler.GetAll());
+    (void)scheduler.Get(0, 5, 40);
+  }
+  EXPECT_EQ(spy.arenas.size(), 1u);
+  EXPECT_EQ(ws->stats().slab_allocations, slabs)
+      << "steady-state sz decode allocated new slabs";
+  EXPECT_GT(ws->stats().borrows, borrows);  // decode scratch went through ws
+  EXPECT_EQ(ws->bytes_in_use(), 0);
 }
 
 }  // namespace
