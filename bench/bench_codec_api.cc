@@ -76,10 +76,11 @@ int main(int argc, char** argv) {
   session.Push(dataset.raw());
   const core::DatasetArchive archive = session.Finish();
   const double t_enc = enc.Seconds();
-  const std::size_t compressed = archive.Serialize().size();
+  std::vector<std::uint8_t> bytes = archive.Serialize();
+  const std::size_t compressed = bytes.size();
 
   Timer dec;
-  const auto reader = core::ArchiveReader::FromArchive(archive);
+  const auto reader = core::ArchiveReader::FromBytes(std::move(bytes));
   serve::DecodeScheduler scheduler(&reader, codec.get());
   const Tensor restored = scheduler.GetAll();
   const double t_dec = dec.Seconds();

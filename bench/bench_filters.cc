@@ -4,11 +4,13 @@
 //   kernels  — bitshuffle / delta / glz encode+decode GB/s at every ISA
 //              level this host can dispatch (scalar..AVX-512), on a
 //              structured f32-shaped buffer
-//   archives — per codec: v4 (filtered) vs v3 (raw) archive size on the
-//              trajectory config, the ratio check.sh tracks across PRs
+//   archives — per codec: v4 archive size with filter selection vs the same
+//              archive with every record and the norms stored raw
+//              (forced FilterSpec{}) on the trajectory config, the ratio
+//              check.sh tracks across PRs
 //   fetch    — per codec: file-backed Payload MB/s (decoded bytes per
-//              second) over the whole archive, v3 vs v4 — the acceptance
-//              bar is that filtered fetch is no worse than raw
+//              second) over the whole archive, raw vs filtered — the
+//              acceptance bar is that filtered fetch is no worse than raw
 //
 // scripts/check.sh runs this with --codecs=sz (model-free, fast) and greps
 // the JSON for required fields and non-finite values; bench_smoke.sh runs
@@ -79,12 +81,12 @@ struct LevelResult {
 
 struct CodecResult {
   std::string codec;
-  std::size_t v3_bytes = 0;
+  std::size_t raw_bytes = 0;
   std::size_t v4_bytes = 0;
-  double v4_over_v3_ratio = 0.0;
-  double v3_read_mb_s = 0.0;          // raw payload bytes out of the file
+  double v4_over_raw_ratio = 0.0;
+  double raw_read_mb_s = 0.0;          // raw payload bytes out of the file
   double v4_read_mb_s = 0.0;
-  double v3_window_fetch_mb_s = 0.0;  // decoded field bytes through the codec
+  double raw_window_fetch_mb_s = 0.0;  // decoded field bytes through the codec
   double v4_window_fetch_mb_s = 0.0;
 };
 
@@ -249,30 +251,30 @@ int main(int argc, char** argv) {
 
     CodecResult r;
     r.codec = codec_name;
-    const auto v3 =
-        archive.Serialize({.version = 3, .forced_filter = std::nullopt});
+    const auto raw =
+        archive.Serialize({.forced_filter = core::FilterSpec{}});
     const auto v4 = archive.Serialize();
-    r.v3_bytes = v3.size();
+    r.raw_bytes = raw.size();
     r.v4_bytes = v4.size();
-    r.v4_over_v3_ratio =
-        static_cast<double>(v4.size()) / static_cast<double>(v3.size());
+    r.v4_over_raw_ratio =
+        static_cast<double>(v4.size()) / static_cast<double>(raw.size());
 
-    const std::string v3_path = "/tmp/glsc_bench_filters_v3.glsca";
+    const std::string raw_path = "/tmp/glsc_bench_filters_raw.glsca";
     const std::string v4_path = "/tmp/glsc_bench_filters_v4.glsca";
-    WriteFileBytes(v3_path, v3);
+    WriteFileBytes(raw_path, raw);
     WriteFileBytes(v4_path, v4);
-    r.v3_read_mb_s = FetchMbPerS(v3_path, reps);
+    r.raw_read_mb_s = FetchMbPerS(raw_path, reps);
     r.v4_read_mb_s = FetchMbPerS(v4_path, reps);
-    r.v3_window_fetch_mb_s = WindowFetchMbPerS(v3_path, codec.get(), reps);
+    r.raw_window_fetch_mb_s = WindowFetchMbPerS(raw_path, codec.get(), reps);
     r.v4_window_fetch_mb_s = WindowFetchMbPerS(v4_path, codec.get(), reps);
-    std::filesystem::remove(v3_path);
+    std::filesystem::remove(raw_path);
     std::filesystem::remove(v4_path);
     codec_results.push_back(r);
     std::printf(
-        "%-5s v4/v3 size %zu/%zu = %.4f   payload read v3 %8.1f v4 %8.1f "
-        "MB/s   window fetch v3 %8.1f v4 %8.1f MB/s\n",
-        r.codec.c_str(), r.v4_bytes, r.v3_bytes, r.v4_over_v3_ratio,
-        r.v3_read_mb_s, r.v4_read_mb_s, r.v3_window_fetch_mb_s,
+        "%-5s v4/raw size %zu/%zu = %.4f   payload read raw %8.1f v4 %8.1f "
+        "MB/s   window fetch raw %8.1f v4 %8.1f MB/s\n",
+        r.codec.c_str(), r.v4_bytes, r.raw_bytes, r.v4_over_raw_ratio,
+        r.raw_read_mb_s, r.v4_read_mb_s, r.raw_window_fetch_mb_s,
         r.v4_window_fetch_mb_s);
   }
 
@@ -305,12 +307,12 @@ int main(int argc, char** argv) {
       const auto& r = codec_results[i];
       std::fprintf(
           out,
-          "    {\"codec\": \"%s\", \"v3_bytes\": %zu, \"v4_bytes\": %zu, "
-          "\"v4_over_v3_ratio\": %.6g, \"v3_read_mb_s\": %.6g, "
-          "\"v4_read_mb_s\": %.6g, \"v3_window_fetch_mb_s\": %.6g, "
+          "    {\"codec\": \"%s\", \"raw_bytes\": %zu, \"v4_bytes\": %zu, "
+          "\"v4_over_raw_ratio\": %.6g, \"raw_read_mb_s\": %.6g, "
+          "\"v4_read_mb_s\": %.6g, \"raw_window_fetch_mb_s\": %.6g, "
           "\"v4_window_fetch_mb_s\": %.6g}%s\n",
-          r.codec.c_str(), r.v3_bytes, r.v4_bytes, r.v4_over_v3_ratio,
-          r.v3_read_mb_s, r.v4_read_mb_s, r.v3_window_fetch_mb_s,
+          r.codec.c_str(), r.raw_bytes, r.v4_bytes, r.v4_over_raw_ratio,
+          r.raw_read_mb_s, r.v4_read_mb_s, r.raw_window_fetch_mb_s,
           r.v4_window_fetch_mb_s, i + 1 < codec_results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");

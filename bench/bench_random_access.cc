@@ -2,8 +2,8 @@
 // over parsing and decoding the whole archive. Three measurements on one
 // file-backed archive:
 //
-//   full      — DatasetArchive::ReadFile (every record parsed) + GetAll
-//               (every record decoded)
+//   full      — ArchiveReader::FromFile + GetAll (every record read and
+//               decoded)
 //   window    — ArchiveReader::FromFile + one cold DecodeScheduler::Get of a
 //               single window (one record decoded, one payload read)
 //   cached    — the same Get again (served from the LRU, no decode)
@@ -60,11 +60,10 @@ int main(int argc, char** argv) {
   std::printf("random access — %s archive: %zu records, %.2f MB on disk\n",
               archive.codec().c_str(), archive.entries().size(), archive_mb);
 
-  // Full decode: the pre-index workflow — every record parsed and decoded.
+  // Full decode: the pre-index workflow — every record read and decoded.
   Timer full_timer;
-  const core::DatasetArchive loaded = core::DatasetArchive::ReadFile(path);
-  const auto loaded_reader = core::ArchiveReader::FromArchive(loaded);
-  serve::DecodeScheduler full_scheduler(&loaded_reader, codec.get());
+  const auto full_reader = core::ArchiveReader::FromFile(path);
+  serve::DecodeScheduler full_scheduler(&full_reader, codec.get());
   const Tensor full = full_scheduler.GetAll();
   const double t_full = full_timer.Seconds();
   const double nrmse = Nrmse(field, full);

@@ -1,10 +1,14 @@
-// Fuzz target: ArchiveReader::FromBytes + full record fetch over arbitrary
-// bytes.
+// Fuzz target: ArchiveReader::FromBytes + record-area walk + full record
+// fetch over arbitrary bytes.
 //
-// Exercises the v3/v4 footer/index path, the v1/v2 scan-built index path, and
-// Payload's offset/length arithmetic and filter inversion. The contract under
-// fire: any input either opens (and then every indexed record is fetchable or
-// fails typed) or raises ArchiveError / std::exception — never a crash, hang,
+// Exercises the v3/v4 footer/index path, the v1/v2 scan-built index path,
+// the walk of the record area against the index (VerifyRecordArea), and
+// Payload's offset/length arithmetic and filter inversion. The container
+// format promises that every length/count field is validated against the
+// remaining input before any allocation (container.h), so the contract under
+// fire is: any input either opens (and then the walk passes or fails typed,
+// and every indexed record is fetchable or fails typed) or raises
+// ArchiveError / std::exception — never a crash, hang, OOM-sized allocation
 // or wild read.
 #include <algorithm>
 #include <cstddef>
@@ -21,6 +25,12 @@ int FuzzArchiveReader(const std::uint8_t* data, std::size_t size) {
   std::vector<std::uint8_t> bytes(data, data + size);
   try {
     const auto reader = glsc::core::ArchiveReader::FromBytes(std::move(bytes));
+    // Its own try: a walk that fails typed must not skip the fetches and
+    // range queries below.
+    try {
+      reader.VerifyRecordArea();
+    } catch (const std::exception&) {
+    }
     // Fetch every record the index claims to exist (bounded: a hostile index
     // cannot inflate the record count past what validation admitted, but cap
     // the walk anyway so the harness stays fast on large accepted inputs).

@@ -13,7 +13,6 @@
 
 namespace glsc::fuzz {
 
-int FuzzArchiveDeserialize(const std::uint8_t* data, std::size_t size);
 int FuzzArchiveReader(const std::uint8_t* data, std::size_t size);
 int FuzzRangeCoder(const std::uint8_t* data, std::size_t size);
 int FuzzCodecDecode(const std::uint8_t* data, std::size_t size);

@@ -2,7 +2,7 @@
 //
 //   glsc_make_corpus OUT_DIR
 //
-// writes OUT_DIR/archive/*.bin (container bytes in v3 and v2 wire formats,
+// writes OUT_DIR/archive/*.bin (container bytes in v4, v3 and v2 wire formats,
 // from the model-free test codecs, plus truncated/corrupted variants so even
 // a coverage-blind replay run reaches the error paths) and
 // OUT_DIR/range_coder/*.bin (structured inputs for the round-trip
@@ -23,6 +23,7 @@
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
+#include "legacy_archives.h"
 
 namespace {
 
@@ -124,14 +125,12 @@ int main(int argc, char** argv) {
   // container structure, which is codec-independent.) ---
   for (const std::string codec : {"sz", "zfp"}) {
     const auto archive = SmallArchive(codec, 7 + codec.size());
-    WriteBlob(
-        archive_dir / ("v3_" + codec + ".bin"),
-        archive.Serialize({.version = 3, .forced_filter = std::nullopt}));
+    WriteBlob(archive_dir / ("v3_" + codec + ".bin"),
+              glsc::core::SerializeAsV3(archive));
   }
   {
     const auto archive = SmallArchive("sz", 23);
-    const auto v3 =
-        archive.Serialize({.version = 3, .forced_filter = std::nullopt});
+    const auto v3 = glsc::core::SerializeAsV3(archive);
     WriteBlob(archive_dir / "v2_sz.bin", SerializeAsV2(archive));
 
     // Damaged variants reach the rejection paths without coverage feedback:
@@ -176,7 +175,7 @@ int main(int argc, char** argv) {
     };
     for (const auto& f : forced) {
       WriteBlob(archive_dir / ("v4_forced_" + std::string(f.name) + ".bin"),
-                tiny.Serialize({.version = 4, .forced_filter = f.spec}));
+                tiny.Serialize({.forced_filter = f.spec}));
     }
 
     const auto clean = tiny.Serialize();

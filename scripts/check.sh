@@ -113,20 +113,21 @@ if [[ ! -s "$BUILD_DIR/BENCH_filters.json" ]]; then
   exit 1
 fi
 for field in bitshuffle_enc_gbps bitshuffle_dec_gbps delta_enc_gbps \
-             delta_dec_gbps glz_comp_gbps glz_decomp_gbps v4_over_v3_ratio \
-             v3_window_fetch_mb_s v4_window_fetch_mb_s; do
+             delta_dec_gbps glz_comp_gbps glz_decomp_gbps v4_over_raw_ratio \
+             raw_window_fetch_mb_s v4_window_fetch_mb_s; do
   if ! grep -q "\"$field\"" "$BUILD_DIR/BENCH_filters.json"; then
     echo "error: BENCH_filters.json missing field: $field" >&2
     exit 1
   fi
 done
-# v4 must actually shrink the archive relative to raw v3 (ratio < 1).
-if grep -qE '"v4_over_v3_ratio": (1|[2-9])' "$BUILD_DIR/BENCH_filters.json"; then
-  echo "error: v4 archive not smaller than raw v3" >&2
+# Filter selection must actually shrink the archive relative to the same
+# archive stored raw (ratio < 1).
+if grep -qE '"v4_over_raw_ratio": (1|[2-9])' "$BUILD_DIR/BENCH_filters.json"; then
+  echo "error: filtered v4 archive not smaller than raw" >&2
   exit 1
 fi
 bad=0
-# Gate ONLY the two files the commands above emitted. A BENCH_*.json glob over
+# Gate ONLY the four files the commands above emitted. A BENCH_*.json glob over
 # the repo root (or the whole build dir) would also pick up artifacts from
 # earlier manual bench runs and fail this gate on files this run never wrote.
 for f in "$BUILD_DIR/BENCH_random_access.json" "$BUILD_DIR/BENCH_e2e.json" \

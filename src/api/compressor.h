@@ -51,10 +51,6 @@ struct Capabilities {
   // from Create() with no Train/LoadModel, and their (trivial) model
   // description is exact — nothing is lost by skipping the artifact.
   bool model_free = false;
-  // Whether the codec supports chunked encode through EncodeSession. All
-  // built-in codecs do; the flag exists for future adapters wrapping
-  // whole-dataset-only tools.
-  bool streaming = true;
 
   bool Supports(ErrorBoundMode mode) const {
     return (bound_modes & BoundModeBit(mode)) != 0;
@@ -182,10 +178,11 @@ void RegisterCompressor(const std::string& name, CompressorFactory factory);
 // Sorted names currently registered (built-ins included).
 std::vector<std::string> RegisteredCompressors();
 
-// Cached train-or-load for the polymorphic API, mirroring core::GetOrTrain:
-// returns a ready-to-use codec, loading `<artifacts_dir>/<tag>.glsc` when
-// present, otherwise training and writing it. Model-free codecs skip the
-// artifact entirely. Set GLSC_RETRAIN=1 to ignore caches.
+// Cached train-or-load for the polymorphic API, through the same artifact
+// cache as core::GetOrTrain (core::LoadOrTrainArtifact): returns a
+// ready-to-use codec, loading `<artifacts_dir>/<tag>.glsc` when present,
+// otherwise training and writing it. Model-free codecs skip the artifact
+// entirely. Set GLSC_RETRAIN=1 to ignore caches.
 std::unique_ptr<Compressor> GetOrTrainCodec(
     const std::string& name, const CodecOptions& options,
     const data::SequenceDataset& dataset, const TrainOptions& train,

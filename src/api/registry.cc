@@ -6,7 +6,6 @@
 #include "core/registry.h"
 #include "util/mutex.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace glsc::api {
 namespace {
@@ -84,29 +83,11 @@ std::unique_ptr<Compressor> GetOrTrainCodec(
     const std::string& artifacts_dir, const std::string& tag) {
   auto codec = Compressor::Create(name, options);
   if (codec->capabilities().model_free) return codec;
-
-  // Process-wide artifact-cache lock: two concurrent calls with the same tag
-  // would otherwise both miss the file check, train twice, and interleave
-  // their WriteFileBytes. Training dominates the hold time, which is exactly
-  // the point — the second caller waits and then loads the first one's model.
-  static Mutex artifact_mu{"api.artifact_mu"};
-  MutexLock lock(artifact_mu);
-  const std::string path = core::ArtifactPath(artifacts_dir, tag);
-  if (!core::RetrainRequested() && FileExists(path)) {
-    std::vector<std::uint8_t> bytes;
-    GLSC_CHECK(ReadFileBytes(path, &bytes));
-    ByteReader in(bytes);
-    codec->LoadModel(&in);
-    LOG_INFO << "loaded cached " << name << " model " << path;
-    return codec;
-  }
-  codec->Train(dataset, train);
-  core::EnsureArtifactsDir(artifacts_dir);
-  ByteWriter out;
-  codec->SaveModel(&out);
-  WriteFileBytes(path, out.bytes());
-  LOG_INFO << "trained + cached " << name << " model " << path << " ("
-           << out.size() << " bytes)";
+  Compressor* model = codec.get();
+  core::LoadOrTrainArtifact(
+      artifacts_dir, tag, [model](ByteReader* in) { model->LoadModel(in); },
+      [&] { model->Train(dataset, train); },
+      [model](ByteWriter* out) { model->SaveModel(out); });
   return codec;
 }
 

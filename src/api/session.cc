@@ -19,9 +19,6 @@ EncodeSession::EncodeSession(Compressor* codec, std::int64_t variables,
   GLSC_CHECK(variables_ > 0 && height_ > 0 && width_ > 0);
   window_ = codec_->window();
   GLSC_CHECK_MSG(window_ > 0, "codec reports non-positive window");
-  GLSC_CHECK_MSG(codec_->capabilities().streaming,
-                 "codec '" << codec_->name()
-                           << "' does not support streaming sessions");
   GLSC_CHECK_MSG(codec_->capabilities().Supports(options_.bound.mode),
                  "codec '" << codec_->name()
                            << "' does not support the requested bound mode");

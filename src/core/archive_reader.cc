@@ -66,26 +66,20 @@ constexpr std::uint64_t kFooterBytesV4 = 20;  // u64 norms/index offs + "GIDX"
 
 class MemorySource final : public ArchiveReader::Source {
  public:
-  // Owns `bytes`.
   explicit MemorySource(std::vector<std::uint8_t> bytes)
-      : owned_(std::move(bytes)), bytes_(&owned_) {}
-  // Borrows `*bytes`, which must outlive the source.
-  explicit MemorySource(const std::vector<std::uint8_t>* bytes)
-      : bytes_(bytes) {}
-  std::uint64_t size() const override { return bytes_->size(); }
+      : bytes_(std::move(bytes)) {}
+  std::uint64_t size() const override { return bytes_.size(); }
   void ReadAt(std::uint64_t offset, std::uint64_t length,
               std::uint8_t* dst) override {
     CheckRange(offset, length);
     // Zero-length reads of an empty backing hand memcpy null pointers, which
     // is UB even for n = 0 (fuzzer-found via UBSan).
     if (length == 0) return;
-    std::memcpy(dst, bytes_->data() + offset,
-                static_cast<std::size_t>(length));
+    std::memcpy(dst, bytes_.data() + offset, static_cast<std::size_t>(length));
   }
 
  private:
-  std::vector<std::uint8_t> owned_;
-  const std::vector<std::uint8_t>* bytes_;
+  std::vector<std::uint8_t> bytes_;
 };
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -276,34 +270,10 @@ ArchiveReader ArchiveReader::FromBytes(std::vector<std::uint8_t> bytes) {
   return Open(std::make_unique<MemorySource>(std::move(bytes)));
 }
 
-ArchiveReader ArchiveReader::BorrowBytes(
-    const std::vector<std::uint8_t>& bytes) {
-  return Open(std::make_unique<MemorySource>(&bytes));
-}
-
 ArchiveReader ArchiveReader::Open(std::unique_ptr<Source> source) {
   ArchiveReader reader;
   reader.source_ = std::move(source);
   RethrowTyped(ArchiveFault::kTruncated, [&reader] { reader.ParseSource(); });
-  return reader;
-}
-
-ArchiveReader ArchiveReader::FromArchive(const DatasetArchive& archive) {
-  ArchiveReader reader;
-  reader.archive_ = &archive;
-  reader.codec_ = archive.codec();
-  reader.shape_ = archive.dataset_shape();
-  reader.window_ = archive.window();
-  reader.records_.reserve(archive.entries().size());
-  for (std::size_t i = 0; i < archive.entries().size(); ++i) {
-    const ArchiveEntry& entry = archive.entries()[i];
-    // offset doubles as the entry index; length is still the payload size.
-    reader.records_.push_back({entry.variable, entry.t0, entry.valid_frames,
-                               static_cast<std::uint64_t>(i),
-                               entry.payload.size(), FilterSpec{},
-                               entry.payload.size()});
-  }
-  reader.BuildVariableIndex();
   return reader;
 }
 
@@ -532,7 +502,7 @@ void ArchiveReader::CheckPlacement(const RecordRef& ref,
 }
 
 void ArchiveReader::VerifyRecordArea() const {
-  if (source_ == nullptr || version_ < 3) return;
+  if (version_ < 3) return;
   // Longest record header: five varints (<= 10 bytes each) + two filter
   // bytes (v4); v3 headers are four varints.
   constexpr std::uint64_t kMaxRecordHeader = 5 * 10 + 2;
@@ -593,7 +563,6 @@ void ArchiveReader::BuildVariableIndex() {
 
 const data::FrameNorm& ArchiveReader::norm(std::int64_t variable,
                                            std::int64_t t) const {
-  if (archive_ != nullptr) return archive_->norm(variable, t);
   GLSC_CHECK(variable >= 0 && variable < shape_[0] && t >= 0 && t < shape_[1]);
   return norms_[static_cast<std::size_t>(variable * shape_[1] + t)];
 }
@@ -603,9 +572,6 @@ const std::vector<std::uint8_t>& ArchiveReader::Payload(
     tensor::Workspace* ws) const {
   GLSC_CHECK_MSG(record < records_.size(), "record index out of range");
   const RecordRef& ref = records_[record];
-  if (archive_ != nullptr) {
-    return archive_->entries()[static_cast<std::size_t>(ref.offset)].payload;
-  }
   fetched_->fetch_add(ref.length, std::memory_order_relaxed);
   if (ref.filter.IsRaw()) {
     // v1-v3 and honestly-raw v4 records: the stored bytes ARE the payload.
@@ -667,7 +633,7 @@ std::uint64_t ArchiveReader::decoded_payload_bytes() const {
 }
 
 std::uint64_t ArchiveReader::archive_bytes() const {
-  return source_ ? source_->size() : 0;
+  return source_->size();
 }
 
 }  // namespace glsc::core

@@ -13,10 +13,10 @@
 // serve::DecodeScheduler is the one decoder over it (Get for a frame range,
 // GetAll for the whole archive).
 //
-// It is the only code that parses archive bytes. `DatasetArchive::Deserialize`
-// and `ReadFile` open through it, run VerifyRecordArea and then materialize
-// every payload; `DatasetArchive::AppendToFile` opens through it to take the
-// old header, norms and index. Post-hoc analysis (the paper's visualization /
+// It is the only code that parses archive bytes, and so the only way to read
+// an archive: `DatasetArchive` only builds and writes them, and
+// `DatasetArchive::AppendToFile` opens through the reader to take the old
+// header, norms and index. Post-hoc analysis (the paper's visualization /
 // region-of-interest workloads) reads small time slices of single variables
 // far more often than whole datasets, which is what the lazy open serves.
 //
@@ -109,9 +109,6 @@ class ArchiveReader {
                                 FileBacking backing = FileBacking::kAuto);
   // Same over an in-memory byte buffer (takes ownership of the copy).
   static ArchiveReader FromBytes(std::vector<std::uint8_t> bytes);
-  // Wraps an already-deserialized archive without copying its payloads. The
-  // archive must outlive the reader.
-  static ArchiveReader FromArchive(const DatasetArchive& archive);
 
   // Move operations are defined out of line (with the destructor): Source is
   // incomplete here, and defaulting them in-class would force callers that
@@ -125,19 +122,17 @@ class ArchiveReader {
   const std::string& codec() const { return codec_; }
   const Shape& dataset_shape() const { return shape_; }
   std::int64_t window() const { return window_; }
-  // Container version of the backing bytes (0 for FromArchive readers).
+  // Container version of the archive (1-4).
   int version() const { return version_; }
   const data::FrameNorm& norm(std::int64_t variable, std::int64_t t) const;
   const std::vector<RecordRef>& records() const { return records_; }
 
-  // One record's RAW payload, with any v4 filter chain inverted.
-  // FromArchive readers return the archive's own vector (no copy, `scratch`
-  // untouched). Every other backing reads exactly that record's stored byte
-  // span, fills `*scratch` (reusing its capacity) and returns it; filter/LZ
-  // scratch comes from `ws` when non-null (the reader opens its own
-  // Workspace::Scope), heap otherwise — with a warm Workspace, steady-state
-  // filtered decode is allocation-free. Thread-safe as long as concurrent
-  // callers pass distinct scratch vectors.
+  // One record's RAW payload, with any v4 filter chain inverted. Reads
+  // exactly that record's stored byte span, fills `*scratch` (reusing its
+  // capacity) and returns it; filter/LZ scratch comes from `ws` when non-null
+  // (the reader opens its own Workspace::Scope), heap otherwise — with a warm
+  // Workspace, steady-state filtered decode is allocation-free. Thread-safe
+  // as long as concurrent callers pass distinct scratch vectors.
   const std::vector<std::uint8_t>& Payload(
       std::size_t record, std::vector<std::uint8_t>* scratch,
       tensor::Workspace* ws = nullptr) const;
@@ -146,9 +141,9 @@ class ArchiveReader {
   // header mirrors its index entry (v3/v4), the records tile the area in
   // index order with nothing left over, and a v3 archive's leading record
   // count equals the index count. Throws ArchiveError(kCorruptRecord).
-  // Deserialize and ReadFile run it before materializing; lazy opens do not,
-  // because they never read the record area. A no-op for v1/v2 (the open
-  // already scanned every record) and for FromArchive readers.
+  // Opens do not run it, because they never read the record area; a caller
+  // about to read every record runs it first to validate the whole input.
+  // A no-op for v1/v2 (the open already scanned every record).
   void VerifyRecordArea() const;
 
   // Indices (into records()) of `variable`'s records overlapping
@@ -165,23 +160,18 @@ class ArchiveReader {
   // RAW payload bytes handed to callers after unfiltering. Equal to
   // payload_bytes_fetched() for unfiltered archives.
   std::uint64_t decoded_payload_bytes() const;
-  // Total size of the backing stream (0 for FromArchive readers).
+  // Total size of the backing stream.
   std::uint64_t archive_bytes() const;
   // Byte span [records_begin, records_end) of the record area: v4 from the
   // header's end to the norms block (where AppendToFile starts rewriting),
   // v1-v3 from the leading record count to the index (v3) or the end of the
-  // stream (v1/v2). Zero for FromArchive readers.
+  // stream (v1/v2).
   std::uint64_t records_begin() const { return records_begin_; }
   std::uint64_t records_end() const { return records_end_; }
 
   class Source;  // internal byte source (file or memory)
 
  private:
-  // Deserialize opens its input in place: FromBytes over borrowed `bytes`,
-  // which must outlive the reader.
-  friend class DatasetArchive;
-  static ArchiveReader BorrowBytes(const std::vector<std::uint8_t>& bytes);
-
   ArchiveReader();
   static ArchiveReader Open(std::unique_ptr<Source> source);
   void ParseSource();
@@ -198,7 +188,7 @@ class ArchiveReader {
   Shape shape_;
   int version_ = 0;
   std::int64_t window_ = 0;
-  std::vector<data::FrameNorm> norms_;  // unused when archive_ is set
+  std::vector<data::FrameNorm> norms_;
   std::uint64_t records_begin_ = 0;
   std::uint64_t records_end_ = 0;
   std::vector<RecordRef> records_;
@@ -206,8 +196,7 @@ class ArchiveReader {
   // record count, never by the header's V.
   std::vector<std::size_t> sorted_;
 
-  std::unique_ptr<Source> source_;           // file/bytes backing
-  const DatasetArchive* archive_ = nullptr;  // borrowed backing
+  std::unique_ptr<Source> source_;  // file/bytes backing
   std::unique_ptr<std::atomic<std::uint64_t>> fetched_;
   std::unique_ptr<std::atomic<std::uint64_t>> decoded_;
 };

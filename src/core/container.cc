@@ -12,7 +12,6 @@ namespace {
 constexpr char kMagic[4] = {'G', 'L', 'S', 'C'};
 constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
 constexpr std::uint8_t kVersion = 4;          // filtered records, appendable
-constexpr std::uint8_t kVersionIndexed = 3;   // v2 + random-access footer index
 
 void PutShape(const Shape& shape, ByteWriter* out) { PutDims(shape, out); }
 Shape GetShape(ByteReader* in) { return GetDimsChecked(in); }
@@ -112,29 +111,6 @@ void PutV4Tail(ByteWriter* out, std::uint64_t base,
   out->PutBytes(kIndexMagic, sizeof kIndexMagic);
 }
 
-// Deserialize and ReadFile: check the record area against the index the
-// reader parsed, then copy out every record's raw payload.
-DatasetArchive Materialize(const ArchiveReader& reader) {
-  reader.VerifyRecordArea();
-  const Shape& shape = reader.dataset_shape();
-  // One flat V-major pass: a header with V = 2^31 and T = 0 costs nothing.
-  const std::int64_t frames = shape[1];
-  std::vector<data::FrameNorm> norms(static_cast<std::size_t>(shape[0] * frames));
-  for (std::size_t i = 0; i < norms.size(); ++i) {
-    const auto vt = static_cast<std::int64_t>(i);
-    norms[i] = reader.norm(vt / frames, vt % frames);
-  }
-  DatasetArchive archive(reader.codec(), shape, reader.window(),
-                         std::move(norms));
-  std::vector<std::uint8_t> scratch;
-  for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    const RecordRef& ref = reader.records()[i];
-    archive.Add(ref.variable, ref.t0, ref.valid_frames,
-                reader.Payload(i, &scratch));
-  }
-  return archive;
-}
-
 }  // namespace
 
 void SerializeWindow(const CompressedWindow& window, ByteWriter* out) {
@@ -184,10 +160,14 @@ CompressedWindow DeserializeWindow(ByteReader* in) {
 void DatasetArchive::Add(std::int64_t variable, std::int64_t t0,
                          std::int64_t valid_frames,
                          std::vector<std::uint8_t> payload) {
-  GLSC_CHECK(variable >= 0 && t0 >= 0);
   GLSC_CHECK_MSG(valid_frames > 0 && valid_frames <= window_,
                  "valid_frames " << valid_frames << " outside (0, " << window_
                                  << "]");
+  GLSC_CHECK_MSG(dataset_shape_.size() == 4 && variable >= 0 &&
+                     variable < dataset_shape_[0] && t0 >= 0 &&
+                     t0 < dataset_shape_[1],
+                 "record (variable " << variable << ", t0 " << t0
+                                     << ") outside the dataset");
   entries_.push_back({variable, t0, valid_frames, std::move(payload)});
 }
 
@@ -201,11 +181,9 @@ const data::FrameNorm& DatasetArchive::norm(std::int64_t variable,
 
 std::vector<std::uint8_t> DatasetArchive::Serialize(
     const ArchiveWriteOptions& options) const {
-  GLSC_CHECK_MSG(options.version == 3 || options.version == 4,
-                 "unsupported archive write version " << options.version);
   ByteWriter out;
   out.PutBytes(kMagic, sizeof kMagic);
-  out.PutU8(options.version == 3 ? kVersionIndexed : kVersion);
+  out.PutU8(kVersion);
   out.PutString(codec_);
   GLSC_CHECK(dataset_shape_.size() == 4);
   for (const auto d : dataset_shape_) {
@@ -214,69 +192,22 @@ std::vector<std::uint8_t> DatasetArchive::Serialize(
   out.PutU64(static_cast<std::uint64_t>(window_));
   GLSC_CHECK(static_cast<std::int64_t>(norms_.size()) ==
              dataset_shape_[0] * dataset_shape_[1]);
-
-  if (options.version == 4) {
-    std::vector<RecordRef> records;
-    records.reserve(entries_.size());
-    for (const auto& entry : entries_) {
-      records.push_back(
-          PutV4Record(&out, 0, entry, options.forced_filter, 0));
-    }
-    PutV4Tail(&out, 0, records, norms_, options.forced_filter);
-    return out.Release();
+  std::vector<RecordRef> records;
+  records.reserve(entries_.size());
+  for (const auto& entry : entries_) {
+    records.push_back(PutV4Record(&out, 0, entry, options.forced_filter, 0));
   }
-
-  GLSC_CHECK_MSG(!options.forced_filter.has_value(),
-                 "forced_filter requires the v4 layout");
-  for (const auto& n : norms_) {
-    out.PutF32(n.mean);
-    out.PutF32(n.range);
-  }
-  out.PutVarU64(entries_.size());
-  std::vector<std::uint64_t> payload_offsets(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const auto& entry = entries_[i];
-    out.PutVarU64(static_cast<std::uint64_t>(entry.variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.valid_frames));
-    out.PutVarU64(entry.payload.size());
-    payload_offsets[i] = out.size();  // absolute offset of the payload bytes
-    out.PutBytes(entry.payload.data(), entry.payload.size());
-  }
-
-  // Footer index: each record's metadata plus the absolute byte span of its
-  // payload, then a fixed-size trailer pointing at the index block.
-  const std::uint64_t index_offset = out.size();
-  out.PutVarU64(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].valid_frames));
-    out.PutVarU64(payload_offsets[i]);
-    out.PutVarU64(entries_[i].payload.size());
-  }
-  out.PutU64(index_offset);
-  out.PutBytes(kIndexMagic, sizeof kIndexMagic);
+  PutV4Tail(&out, 0, records, norms_, options.forced_filter);
   return out.Release();
-}
-
-DatasetArchive DatasetArchive::Deserialize(
-    const std::vector<std::uint8_t>& bytes) {
-  return Materialize(ArchiveReader::BorrowBytes(bytes));
 }
 
 void DatasetArchive::WriteFile(const std::string& path) const {
   WriteFileBytes(path, Serialize());
 }
 
-DatasetArchive DatasetArchive::ReadFile(const std::string& path) {
-  return Materialize(ArchiveReader::FromFile(path, FileBacking::kPread));
-}
-
 void DatasetArchive::AppendToFile(const std::string& path,
                                   const DatasetArchive& more,
                                   const ArchiveWriteOptions& options) {
-  GLSC_CHECK_MSG(options.version == 4, "append requires the v4 layout");
   GLSC_CHECK(more.dataset_shape_.size() == 4);
   if (!FileExists(path)) {
     WriteFileBytes(path, more.Serialize(options));
@@ -303,7 +234,7 @@ void DatasetArchive::AppendToFile(const std::string& path,
     GLSC_CHECK_MSG(old.version() == kVersion,
                    "cannot append in place to a v"
                        << old.version()
-                       << " archive; rewrite it through Serialize");
+                       << " archive; it must first be rewritten as v4");
     GLSC_CHECK_MSG(old.codec() == more.codec_,
                    "append codec mismatch: archive holds "
                        << old.codec() << ", appending " << more.codec_);

@@ -49,20 +49,17 @@
 //
 // Version 1-3 archives still load unchanged: v3 has inline norms, raw records
 // and a 12-byte footer, v2 lacks the index/footer, and v1 record bodies are
-// bit-identical to the "glsc" codec payload. Serialize can still WRITE the v3
-// layout (ArchiveWriteOptions::version = 3) for compatibility tests and
-// raw-vs-filtered benchmarks.
+// bit-identical to the "glsc" codec payload. Only v4 is written.
 //
-// This file holds the writers and the "glsc" payload body codec. Every read
-// of archive bytes — v1 to v4 — goes through core::ArchiveReader, the one
-// parser: Deserialize and ReadFile open with it, run its record-area walk
-// (ArchiveReader::VerifyRecordArea) and materialize every payload;
-// AppendToFile opens with it to take the old header, norms and index. All
-// length/count/size fields are validated against the remaining input before
-// any allocation, so a truncated or hostile archive raises a typed
-// core::ArchiveError instead of OOMing or crashing. Decoding records back
-// into frames is serve::DecodeScheduler's job, over an ArchiveReader (GetAll
-// for the whole archive).
+// This file holds the writer and the "glsc" payload body codec. A
+// DatasetArchive is built in memory and written; it never reads archive
+// bytes. Every read — v1 to v4, from bytes or a file — goes through
+// core::ArchiveReader, the one parser; AppendToFile opens with it to take the
+// old header, norms and index. All length/count/size fields are validated
+// against the remaining input before any allocation, so a truncated or
+// hostile archive raises a typed core::ArchiveError instead of OOMing or
+// crashing. Decoding records back into frames is serve::DecodeScheduler's
+// job, over an ArchiveReader (GetAll for the whole archive).
 #pragma once
 
 #include <optional>
@@ -87,14 +84,13 @@ struct ArchiveEntry {
 };
 
 struct ArchiveWriteOptions {
-  // 4 = filtered, appendable (default); 3 = the raw pre-filter layout, kept
-  // for compatibility tests and raw-vs-filtered benchmarks.
-  int version = 4;
-  // Test/fuzz hook (v4 only): bypass trial selection and force this spec on
-  // every record and the norms block.
+  // Test/fuzz hook: bypass trial selection and force this spec on every
+  // record and the norms block (FilterSpec{} stores everything raw).
   std::optional<FilterSpec> forced_filter;
 };
 
+// Builds an archive in memory and writes it as v4. Reading one back is
+// ArchiveReader's job.
 class DatasetArchive {
  public:
   DatasetArchive() = default;
@@ -105,6 +101,9 @@ class DatasetArchive {
         window_(window),
         norms_(std::move(norms)) {}
 
+  // Throws unless the record lies inside the dataset (variable < V, t0 < T)
+  // and 0 < valid_frames <= window: the writer refuses what the reader
+  // refuses.
   void Add(std::int64_t variable, std::int64_t t0, std::int64_t valid_frames,
            std::vector<std::uint8_t> payload);
 
@@ -117,19 +116,7 @@ class DatasetArchive {
 
   std::vector<std::uint8_t> Serialize(
       const ArchiveWriteOptions& options = {}) const;
-  // ArchiveReader over `bytes` (borrowed, not copied), then VerifyRecordArea,
-  // then a copy of every record's raw payload. Throws ArchiveError on hostile
-  // or damaged bytes, with the fault ArchiveReader::FromBytes reports for
-  // them.
-  static DatasetArchive Deserialize(const std::vector<std::uint8_t>& bytes);
-
   void WriteFile(const std::string& path) const;
-  // Same as Deserialize over ArchiveReader::FromFile with the pread backing:
-  // the header and tail first, then one header read (the walk) and one
-  // payload read per record. No whole-file buffer is held, so peak memory is
-  // the payloads alone, and a file truncated underneath fails typed instead
-  // of faulting through a mapping.
-  static DatasetArchive ReadFile(const std::string& path);
 
   // Extends the v4 archive at `path` with `more`'s records WITHOUT rewriting
   // the existing record bytes: overwrites from the old norms-offset with
@@ -143,7 +130,9 @@ class DatasetArchive {
   // only its header and tail and validates them: an archive the reader
   // rejects throws that ArchiveError before anything is written.
   // Creates the file when it does not exist. v1-v3 archives are rejected —
-  // their layout cannot grow in place; rewrite them through Serialize.
+  // their layout cannot grow in place; such an archive must first be
+  // rewritten as v4 (read it with ArchiveReader, Add its records to a
+  // DatasetArchive and write that).
   // Not crash-atomic: a failure mid-append leaves the tail unreadable (the
   // footer is written last), like any in-place container mutation.
   static void AppendToFile(const std::string& path, const DatasetArchive& more,

@@ -85,8 +85,8 @@ struct FilterSpec {
   static FilterSpec FromWire(std::uint8_t filter, std::uint8_t backend);
 };
 
-// Hostile-size gate shared by the archive reader and Deserialize: validates a
-// record's declared (stored, raw) byte sizes against the spec BEFORE any
+// Hostile-size gate of the archive reader: validates a record's declared
+// (stored, raw) byte sizes against the spec BEFORE any
 // allocation. backend none cannot change the size; glz expands at most
 // ~255x (one max-extended match per 3-byte sequence), so a lying raw_size
 // cannot force an allocation unbounded by the archive's actual size.

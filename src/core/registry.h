@@ -32,48 +32,38 @@ std::unique_ptr<GlscCompressor> GetOrTrainGlsc(
     const TrainBudget& budget, const std::string& artifacts_dir,
     const std::string& tag);
 
+// The artifact cache behind every GetOrTrain* (api::GetOrTrainCodec too):
+// loads `ArtifactPath(artifacts_dir, tag)` through `load` when it exists and
+// GLSC_RETRAIN=1 is not set; otherwise runs `train`, creates `artifacts_dir`
+// when missing (throwing if it cannot) and saves through `save`. One
+// process-wide lock serializes the calls, so two callers with one tag train
+// once: the second waits, then loads what the first saved.
+void LoadOrTrainArtifact(const std::string& artifacts_dir,
+                         const std::string& tag,
+                         const std::function<void(ByteReader*)>& load,
+                         const std::function<void()>& train,
+                         const std::function<void(ByteWriter*)>& save);
+
 // Generic cached-train helper for the learned baselines: `make` constructs
 // the model, `train` trains it; Save/Load round-trips through the cache.
 template <typename Model>
 std::unique_ptr<Model> GetOrTrain(
     const std::string& artifacts_dir, const std::string& tag,
     const std::function<std::unique_ptr<Model>()>& make,
-    const std::function<void(Model*)>& train);
+    const std::function<void(Model*)>& train) {
+  auto model = make();
+  LoadOrTrainArtifact(
+      artifacts_dir, tag, [&](ByteReader* in) { model->Load(in); },
+      [&] { train(model.get()); }, [&](ByteWriter* out) { model->Save(out); });
+  return model;
+}
 
-bool RetrainRequested();
 std::string ArtifactPath(const std::string& artifacts_dir,
                          const std::string& tag);
-// Creates `artifacts_dir` (and parents) when missing; throws if the path
-// cannot be created or is not a directory, so a bad cache location fails
-// loudly instead of silently dropping the trained artifact.
-void EnsureArtifactsDir(const std::string& artifacts_dir);
 
 // Fits the PCA basis from pipeline residuals on training windows.
 void FitPcaFromResiduals(GlscCompressor* compressor,
                          const data::SequenceDataset& dataset,
                          std::int64_t fit_windows, std::int64_t crop);
-
-// ---- template implementation ----
-template <typename Model>
-std::unique_ptr<Model> GetOrTrain(
-    const std::string& artifacts_dir, const std::string& tag,
-    const std::function<std::unique_ptr<Model>()>& make,
-    const std::function<void(Model*)>& train) {
-  auto model = make();
-  const std::string path = ArtifactPath(artifacts_dir, tag);
-  if (!RetrainRequested() && FileExists(path)) {
-    std::vector<std::uint8_t> bytes;
-    GLSC_CHECK(ReadFileBytes(path, &bytes));
-    ByteReader in(bytes);
-    model->Load(&in);
-    return model;
-  }
-  train(model.get());
-  EnsureArtifactsDir(artifacts_dir);
-  ByteWriter out;
-  model->Save(&out);
-  WriteFileBytes(path, out.bytes());
-  return model;
-}
 
 }  // namespace glsc::core

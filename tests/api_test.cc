@@ -43,10 +43,10 @@ core::DatasetArchive StreamIn(Compressor* codec, const Tensor& field,
   return session.Finish();
 }
 
-// The whole archive back in physical units, through the program's one
-// decode path.
+// The whole archive back in physical units, serialized and then read through
+// the program's one decode path.
 Tensor DecodeAll(Compressor* codec, const core::DatasetArchive& archive) {
-  const auto reader = core::ArchiveReader::FromArchive(archive);
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   serve::DecodeScheduler scheduler(&reader, codec);
   return scheduler.GetAll();
 }
@@ -146,9 +146,7 @@ TEST(Session, RuleBasedStreamRoundTripWithPartialTail) {
 
     // Serialize -> parse -> decode; the relative bound must hold pointwise on
     // every frame, tail included.
-    const core::DatasetArchive loaded =
-        core::DatasetArchive::Deserialize(archive.Serialize());
-    const Tensor recon = DecodeAll(codec.get(), loaded);
+    const Tensor recon = DecodeAll(codec.get(), archive);
     ASSERT_EQ(recon.shape(), field.shape());
     ExpectPointwiseBound(field, recon, dataset, 0.01);
   }
@@ -365,9 +363,7 @@ TEST(Session, AllSixCodecsRoundTripStream) {
     EXPECT_EQ(archive.codec(), name);
     ASSERT_EQ(archive.entries().size(), 6u);  // 2 vars x (2 full + 1 tail)
 
-    const core::DatasetArchive loaded =
-        core::DatasetArchive::Deserialize(archive.Serialize());
-    const Tensor recon = DecodeAll(codec.get(), loaded);
+    const Tensor recon = DecodeAll(codec.get(), archive);
     ASSERT_EQ(recon.shape(), field.shape());
     EXPECT_TRUE(recon.AllFinite());
 
@@ -415,7 +411,7 @@ TEST(Session, DecodeRejectsSlabValidFramesMismatch) {
   core::DatasetArchive archive("sz", {2, 16, 32, 32}, 16, norms);
   archive.Add(0, 0, 16, encoded.entries()[0].payload);
   archive.Add(1, 0, 9, encoded.entries()[0].payload);  // disagrees
-  const auto reader = core::ArchiveReader::FromArchive(archive);
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   serve::DecodeScheduler scheduler(&reader, codec.get());
   EXPECT_THROW(scheduler.GetAll(), std::runtime_error);
   EXPECT_EQ(scheduler.decoded_records(), 0);

@@ -1,8 +1,9 @@
 // Typed-failure assertions shared by the hostile-archive tests.
 //
-// DatasetArchive::Deserialize and ArchiveReader::FromBytes run the same
-// parser, so on any bytes the reader rejects, Deserialize must throw an
-// ArchiveError with the very same fault.
+// A lazy open (ArchiveReader::FromBytes) reads only the header and tail. A
+// full read also walks the record area against the index and fetches every
+// payload, so it sees every fault an open sees plus the ones in the record
+// area; on bytes the open rejects it must fail with the very same fault.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/archive_reader.h"
-#include "core/container.h"
 
 namespace glsc::core {
 
@@ -28,12 +28,24 @@ std::optional<ArchiveFault> FaultOf(Fn&& fn) {
   return std::nullopt;
 }
 
-inline void ExpectDeserializeFailsLikeReader(
+// Reads all of `bytes`: FromBytes, then VerifyRecordArea, then Payload on
+// every record. Returns the reader.
+inline ArchiveReader ReadFully(std::vector<std::uint8_t> bytes) {
+  ArchiveReader reader = ArchiveReader::FromBytes(std::move(bytes));
+  reader.VerifyRecordArea();
+  std::vector<std::uint8_t> scratch;
+  for (std::size_t i = 0; i < reader.records().size(); ++i) {
+    reader.Payload(i, &scratch);
+  }
+  return reader;
+}
+
+inline void ExpectFullReadFailsLikeOpen(
     const std::vector<std::uint8_t>& bytes) {
-  const std::optional<ArchiveFault> reader =
+  const std::optional<ArchiveFault> open =
       FaultOf([&] { ArchiveReader::FromBytes(bytes); });
-  ASSERT_TRUE(reader.has_value()) << "FromBytes accepted the bytes";
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }), reader);
+  ASSERT_TRUE(open.has_value()) << "FromBytes accepted the bytes";
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }), open);
 }
 
 }  // namespace glsc::core

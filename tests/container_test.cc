@@ -13,6 +13,7 @@
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
+#include "legacy_archives.h"
 #include "serve/decode_scheduler.h"
 #include "temp_path.h"
 #include "tensor/metrics.h"
@@ -107,25 +108,25 @@ TEST(Container, ArchiveRoundTrip) {
   archive.Add(0, 8, 8, Payload(MakeFakeWindow(rng)));
   archive.Add(1, 0, 3, Payload(MakeFakeWindow(rng)));  // padded tail record
 
-  const auto bytes = archive.Serialize();
-  const DatasetArchive back = DatasetArchive::Deserialize(bytes);
+  const ArchiveReader back = ReadFully(archive.Serialize());
   EXPECT_EQ(back.codec(), "glsc");
   EXPECT_EQ(back.dataset_shape(), archive.dataset_shape());
   EXPECT_EQ(back.window(), 8);
-  ASSERT_EQ(back.entries().size(), 3u);
+  ASSERT_EQ(back.records().size(), 3u);
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(back.entries()[i].variable, archive.entries()[i].variable);
-    EXPECT_EQ(back.entries()[i].t0, archive.entries()[i].t0);
-    EXPECT_EQ(back.entries()[i].valid_frames,
+    EXPECT_EQ(back.records()[i].variable, archive.entries()[i].variable);
+    EXPECT_EQ(back.records()[i].t0, archive.entries()[i].t0);
+    EXPECT_EQ(back.records()[i].valid_frames,
               archive.entries()[i].valid_frames);
-    EXPECT_EQ(back.entries()[i].payload, archive.entries()[i].payload);
+    EXPECT_EQ(back.Payload(i, &scratch), archive.entries()[i].payload);
   }
   EXPECT_FLOAT_EQ(back.norm(1, 3).mean, archive.norm(1, 3).mean);
 }
 
 TEST(Container, V1ArchiveStillLoads) {
   // Hand-assemble a version-1 archive (GLSC-only records, no codec id, no
-  // valid_frames) and check it deserializes into equivalent v2 entries.
+  // valid_frames) and check it reads back as equivalent records.
   Rng rng(17);
   const CompressedWindow w0 = MakeFakeWindow(rng);
   const CompressedWindow w1 = MakeFakeWindow(rng);
@@ -147,15 +148,16 @@ TEST(Container, V1ArchiveStillLoads) {
   v1.PutVarU64(8);
   SerializeWindow(w1, &v1);
 
-  const DatasetArchive archive = DatasetArchive::Deserialize(v1.bytes());
+  const ArchiveReader archive = ReadFully(v1.bytes());
   EXPECT_EQ(archive.codec(), "glsc");
   EXPECT_EQ(archive.dataset_shape(), (Shape{1, 16, 16, 16}));
-  ASSERT_EQ(archive.entries().size(), 2u);
+  ASSERT_EQ(archive.records().size(), 2u);
   // v1 records are full windows; the record body is the "glsc" payload.
-  EXPECT_EQ(archive.entries()[0].valid_frames, 8);
-  EXPECT_EQ(archive.entries()[0].payload, Payload(w0));
-  EXPECT_EQ(archive.entries()[1].t0, 8);
-  EXPECT_EQ(archive.entries()[1].payload, Payload(w1));
+  std::vector<std::uint8_t> scratch;
+  EXPECT_EQ(archive.records()[0].valid_frames, 8);
+  EXPECT_EQ(archive.Payload(0, &scratch), Payload(w0));
+  EXPECT_EQ(archive.records()[1].t0, 8);
+  EXPECT_EQ(archive.Payload(1, &scratch), Payload(w1));
   EXPECT_FLOAT_EQ(archive.norm(0, 3).mean, 3.0f);
 }
 
@@ -164,8 +166,8 @@ TEST(Container, RejectsCorruptMagic) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[0] = 'X';
-  ExpectDeserializeFailsLikeReader(bytes);
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+  ExpectFullReadFailsLikeOpen(bytes);
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }),
             ArchiveFault::kNotAnArchive);
 }
 
@@ -174,8 +176,8 @@ TEST(Container, RejectsUnknownVersion) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[4] = 99;  // version byte
-  ExpectDeserializeFailsLikeReader(bytes);
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+  ExpectFullReadFailsLikeOpen(bytes);
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }),
             ArchiveFault::kNotAnArchive);
 }
 
@@ -191,7 +193,7 @@ TEST(Container, TruncatedArchiveThrowsInsteadOfCrashing) {
     const std::vector<std::uint8_t> cut(bytes.begin(),
                                         bytes.begin() + static_cast<std::ptrdiff_t>(len));
     SCOPED_TRACE(len);
-    ExpectDeserializeFailsLikeReader(cut);
+    ExpectFullReadFailsLikeOpen(cut);
   }
 }
 
@@ -208,7 +210,7 @@ TEST(Container, EmptyAndTinyInputsThrowTyped) {
         FaultOf([&] { ArchiveReader::FromBytes(bytes); });
     EXPECT_TRUE(fault == ArchiveFault::kNotAnArchive ||
                 fault == ArchiveFault::kTruncated);
-    ExpectDeserializeFailsLikeReader(bytes);
+    ExpectFullReadFailsLikeOpen(bytes);
   }
 }
 
@@ -229,7 +231,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   hostile.PutVarU64(0);
   hostile.PutVarU64(1ull << 60);  // y-stream "length"
   hostile.PutU8(0);
-  ExpectDeserializeFailsLikeReader(hostile.bytes());
+  ExpectFullReadFailsLikeOpen(hostile.bytes());
 
   // Hostile header: dataset dims whose norm count could never fit the input.
   ByteWriter huge;
@@ -241,7 +243,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   huge.PutU64(16);
   huge.PutU64(16);
   huge.PutU64(8);
-  ExpectDeserializeFailsLikeReader(huge.bytes());
+  ExpectFullReadFailsLikeOpen(huge.bytes());
 
   // V = T = 2^32 would wrap V*T to zero and sneak past a naive norm-count
   // guard; the per-dimension cap must reject it first.
@@ -254,7 +256,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   wrap.PutU64(16);
   wrap.PutU64(16);
   wrap.PutU64(8);
-  ExpectDeserializeFailsLikeReader(wrap.bytes());
+  ExpectFullReadFailsLikeOpen(wrap.bytes());
 
   // Dims [2, 2, 2^31, 2^31] each pass the per-dimension cap, but the
   // [V, T, H, W] element count (2^64) would wrap ShapeNumel to 0, so a full
@@ -276,14 +278,14 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   overflow.PutVarU64(0);  // no records
   EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(overflow.bytes()); }),
             ArchiveFault::kCorruptRecord);
-  ExpectDeserializeFailsLikeReader(overflow.bytes());
+  ExpectFullReadFailsLikeOpen(overflow.bytes());
 
   // V = 2^31 with T = 0 (fuzz/corpus-regressions/wide-empty-header.bin) is a
   // valid archive with no norms and no records. Nothing may be sized by the
   // header's V alone: a per-variable table here would be ~48 GiB.
   const std::vector<std::uint8_t> wide = EmptyV4(1ull << 31, 0);
   EXPECT_TRUE(ArchiveReader::FromBytes(wide).records().empty());
-  EXPECT_TRUE(DatasetArchive::Deserialize(wide).entries().empty());
+  EXPECT_TRUE(ReadFully(wide).records().empty());
 
   // V = 2^31, T = 2^30 (norms-size-wrap-header.bin): 2^61 norms of 8 bytes
   // each wrap a multiplied byte count to 0, which the empty norms block
@@ -291,7 +293,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   const std::vector<std::uint8_t> wrapped = EmptyV4(1ull << 31, 1ull << 30);
   EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(wrapped); }),
             ArchiveFault::kCorruptIndex);
-  ExpectDeserializeFailsLikeReader(wrapped);
+  ExpectFullReadFailsLikeOpen(wrapped);
 }
 
 TEST(Container, RejectsRecordOutsideDatasetBounds) {
@@ -301,12 +303,11 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   archive.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
   // The byte surgery below assumes the v3 layout (inline norms + leading
   // record count); v4 hostile-index coverage lives in container_v4_test.cc.
-  auto bytes =
-      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
-  // Deserialize-but-corrupt path: patch the record's variable varint (first
-  // byte after the record count) to 7, outside V=1.
-  const DatasetArchive ok = DatasetArchive::Deserialize(bytes);
-  ASSERT_EQ(ok.entries().size(), 1u);
+  auto bytes = SerializeAsV3(archive);
+  // Read-but-corrupt path: patch the record's variable varint (first byte
+  // after the record count) to 7, outside V=1.
+  const ArchiveReader ok = ReadFully(bytes);
+  ASSERT_EQ(ok.records().size(), 1u);
   // Locate the record area: header is magic(4)+version(1)+codec(1+4)+
   // dims(32)+window(8)+norms(64)+count(1) -> variable byte follows.
   const std::size_t var_at = 4 + 1 + 5 + 32 + 8 + 64 + 1;
@@ -314,10 +315,10 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   auto record_lies = bytes;
   record_lies[var_at] = 7;
   // A lazy open reads only the index, which is intact; the record-area walk
-  // Deserialize runs catches the record header disagreeing with it.
+  // of a full read catches the record header disagreeing with it.
   EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(record_lies); }),
             std::nullopt);
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(record_lies); }),
+  EXPECT_EQ(FaultOf([&] { ReadFully(record_lies); }),
             ArchiveFault::kCorruptRecord);
 
   // The index's copy of the variable (first byte after the index count)
@@ -326,8 +327,8 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
   ASSERT_EQ(bytes[index_offset + 1], 0u);
   bytes[index_offset + 1] = 7;
-  ExpectDeserializeFailsLikeReader(bytes);
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+  ExpectFullReadFailsLikeOpen(bytes);
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }),
             ArchiveFault::kCorruptIndex);
 }
 
@@ -384,8 +385,8 @@ TEST(Container, EndToEndFileRoundTrip) {
   auto other = GetOrTrainGlsc(dataset, config, budget, artifacts,
                               "container_e2e");
   const auto other_codec = api::WrapGlsc(other.get());
-  const DatasetArchive loaded = DatasetArchive::ReadFile(path);
-  const ArchiveReader reader = ArchiveReader::FromArchive(loaded);
+  const ArchiveReader reader = ArchiveReader::FromFile(path);
+  reader.VerifyRecordArea();
   serve::DecodeScheduler scheduler(&reader, other_codec.get());
   const Tensor decompressed = scheduler.GetAll();
   ASSERT_EQ(decompressed.shape(), dataset.raw().shape());

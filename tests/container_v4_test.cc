@@ -15,6 +15,7 @@
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "isa_levels.h"
+#include "legacy_archives.h"
 #include "temp_path.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
@@ -70,13 +71,16 @@ DatasetArchive MakeArchive(std::uint64_t seed, std::int64_t t = 16) {
   return archive;
 }
 
-bool EntriesEqual(const DatasetArchive& a, const DatasetArchive& b) {
-  if (a.entries().size() != b.entries().size()) return false;
+// Whether `b` holds `a`'s records in order, payloads included.
+bool EntriesEqual(const DatasetArchive& a, const ArchiveReader& b) {
+  if (a.entries().size() != b.records().size()) return false;
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < a.entries().size(); ++i) {
     const auto& x = a.entries()[i];
-    const auto& y = b.entries()[i];
+    const RecordRef& y = b.records()[i];
     if (x.variable != y.variable || x.t0 != y.t0 ||
-        x.valid_frames != y.valid_frames || x.payload != y.payload) {
+        x.valid_frames != y.valid_frames ||
+        x.payload != b.Payload(i, &scratch)) {
       return false;
     }
   }
@@ -91,15 +95,13 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
     scalar_bytes = archive.Serialize();
   }
   // v4 actually engages the pipeline on this data.
-  EXPECT_LT(
-      scalar_bytes.size(),
-      archive.Serialize({.version = 3, .forced_filter = std::nullopt}).size());
+  EXPECT_LT(scalar_bytes.size(), SerializeAsV3(archive).size());
   for (const simd::IsaLevel level : TestableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     const auto bytes = archive.Serialize();
     // The archive a host writes never depends on its ISA.
     EXPECT_EQ(bytes, scalar_bytes) << "level=" << static_cast<int>(level);
-    const DatasetArchive back = DatasetArchive::Deserialize(bytes);
+    const ArchiveReader back = ReadFully(bytes);
     EXPECT_EQ(back.codec(), archive.codec());
     EXPECT_EQ(back.window(), archive.window());
     EXPECT_TRUE(EntriesEqual(archive, back));
@@ -113,11 +115,10 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
 TEST(ContainerV4, ForcedFilterHookAppliesToEveryRecord) {
   const DatasetArchive archive = MakeArchive(12);
   const ArchiveWriteOptions forced{
-      .version = 4,
       .forced_filter =
           FilterSpec{FilterChain::kDelta, 1, FilterBackend::kGlz}};
   const auto bytes = archive.Serialize(forced);
-  EXPECT_TRUE(EntriesEqual(archive, DatasetArchive::Deserialize(bytes)));
+  EXPECT_TRUE(EntriesEqual(archive, ReadFully(bytes)));
   const ArchiveReader reader = ArchiveReader::FromBytes(bytes);
   for (const RecordRef& ref : reader.records()) {
     EXPECT_EQ(ref.filter.chain, FilterChain::kDelta);
@@ -127,11 +128,8 @@ TEST(ContainerV4, ForcedFilterHookAppliesToEveryRecord) {
 
 TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
   const DatasetArchive archive = MakeArchive(13);
-  // v3 comes straight from the writer's compatibility path.
-  const DatasetArchive v3 =
-      DatasetArchive::Deserialize(archive.Serialize(
-          {.version = 3, .forced_filter = std::nullopt}));
-  EXPECT_TRUE(EntriesEqual(archive, v3));
+  // v3 from the test writer, pinned to the retired one below.
+  EXPECT_TRUE(EntriesEqual(archive, ReadFully(SerializeAsV3(archive))));
   // v2 (no index, no footer, inline norms) is hand-assembled.
   ByteWriter v2;
   v2.PutBytes("GLSC", 4);
@@ -153,12 +151,38 @@ TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
     v2.PutVarU64(e.payload.size());
     v2.PutBytes(e.payload.data(), e.payload.size());
   }
-  const DatasetArchive back = DatasetArchive::Deserialize(v2.bytes());
+  const ArchiveReader back = ReadFully(v2.bytes());
   EXPECT_TRUE(EntriesEqual(archive, back));
   EXPECT_EQ(back.codec(), archive.codec());
   // The readers agree on the version they loaded.
   EXPECT_EQ(ArchiveReader::FromBytes(v2.bytes()).version(), 2);
   EXPECT_EQ(ArchiveReader::FromBytes(archive.Serialize()).version(), 4);
+}
+
+TEST(ContainerV4, SerializeAsV3MatchesTheRetiredWriter) {
+  // The bytes DatasetArchive::Serialize wrote for this archive when it still
+  // had a v3 branch: magic, version 3, codec "sz", dims [1, 2, 2, 2],
+  // window 2, two inline norms, a record count, one 5-byte record, the index
+  // and the 12-byte footer.
+  constexpr std::uint8_t kRetiredWriterBytes[] = {
+      0x47, 0x4c, 0x53, 0x43, 0x03, 0x02, 0x73, 0x7a, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0xa0, 0xbf,
+      0x00, 0x00, 0x80, 0x40, 0x01, 0x00, 0x00, 0x02, 0x05, 0x01, 0x02, 0x03,
+      0x04, 0x05, 0x01, 0x00, 0x00, 0x02, 0x45, 0x05, 0x4a, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x47, 0x49, 0x44, 0x58};
+  DatasetArchive archive("sz", {1, 2, 2, 2}, 2,
+                         {{0.5f, 2.0f}, {-1.25f, 4.0f}});
+  archive.Add(0, 0, 2, {1, 2, 3, 4, 5});
+  const std::vector<std::uint8_t> bytes = SerializeAsV3(archive);
+  EXPECT_EQ(bytes, std::vector<std::uint8_t>(std::begin(kRetiredWriterBytes),
+                                             std::end(kRetiredWriterBytes)));
+  const ArchiveReader reader = ReadFully(bytes);
+  EXPECT_EQ(reader.version(), 3);
+  EXPECT_TRUE(EntriesEqual(archive, reader));
+  EXPECT_EQ(reader.norm(0, 1).mean, -1.25f);
 }
 
 TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
@@ -192,11 +216,10 @@ TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
   const auto bytes = FileBytes(path);
   // ...to exactly the bytes one-shot serialization would have produced.
   EXPECT_EQ(bytes, combined.Serialize());
-  EXPECT_TRUE(EntriesEqual(combined, DatasetArchive::Deserialize(bytes)));
+  EXPECT_TRUE(EntriesEqual(combined, ReadFully(bytes)));
 
   // Legacy layouts cannot grow in place.
-  WriteFileBytes(path,
-                 first.Serialize({.version = 3, .forced_filter = std::nullopt}));
+  WriteFileBytes(path, SerializeAsV3(first));
   EXPECT_THROW(DatasetArchive::AppendToFile(path, more), std::runtime_error);
   std::filesystem::remove(path);
 }
@@ -214,7 +237,7 @@ TEST(ContainerV4, HostileIndexFilterByteFailsTyped) {
   bytes[index_offset + 4] = 0xFF;  // reserved filter bits set
   EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }),
             ArchiveFault::kCorruptRecord);
-  ExpectDeserializeFailsLikeReader(bytes);
+  ExpectFullReadFailsLikeOpen(bytes);
 }
 
 TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
@@ -238,30 +261,29 @@ TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
   std::vector<std::uint8_t> scratch;
   EXPECT_EQ(FaultOf([&] { reader.Payload(0, &scratch); }),
             ArchiveFault::kCorruptRecord);
-  // Deserialize fetches every payload through the same call.
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
-            ArchiveFault::kCorruptRecord);
+  // A full read fetches every payload through the same call.
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }), ArchiveFault::kCorruptRecord);
 }
 
-TEST(ContainerV4, RecordHeaderDisagreeingWithIndexFailsDeserialize) {
+TEST(ContainerV4, RecordHeaderDisagreeingWithIndexFailsFullRead) {
   auto bytes = MakeArchive(24).Serialize();
   const std::uint64_t first = ArchiveReader::FromBytes(bytes).records_begin();
   ASSERT_EQ(bytes[first], 0u);  // record 0's variable varint
   bytes[first] = 1;
-  // Lazy opens never read record headers; the walk Deserialize runs does.
+  // Lazy opens never read record headers; the walk of a full read does.
   EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }), std::nullopt);
-  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
-            ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { ReadFully(bytes); }), ArchiveFault::kCorruptRecord);
 }
 
 TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
   const auto clean = MakeArchive(18).Serialize();
+  ASSERT_GT(clean.size(), 45u);  // every cut below lands inside the archive
   {
     // norms-offset beyond index-offset.
     auto bytes = clean;
     const std::uint64_t lie = bytes.size();
     std::memcpy(bytes.data() + bytes.size() - 20, &lie, 8);
-    ExpectDeserializeFailsLikeReader(bytes);
+    ExpectFullReadFailsLikeOpen(bytes);
   }
   {
     // Truncation anywhere in the tail: typed failure, never a crash.
@@ -269,7 +291,7 @@ TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
       auto bytes = clean;
       bytes.resize(bytes.size() - cut);
       SCOPED_TRACE(cut);
-      ExpectDeserializeFailsLikeReader(bytes);
+      ExpectFullReadFailsLikeOpen(bytes);
     }
   }
 }
@@ -339,21 +361,16 @@ TEST(ContainerV4, FilteredDecodeIsAllocationFreeAtSteadyState) {
   std::filesystem::remove(path);
 }
 
-TEST(ContainerV4, PayloadBorrowsFromArchiveAndFillsScratchOtherwise) {
+TEST(ContainerV4, PayloadFillsAndReturnsScratch) {
   const DatasetArchive archive = MakeArchive(22);
-  const ArchiveReader borrowed = ArchiveReader::FromArchive(archive);
   const ArchiveReader bytes = ArchiveReader::FromBytes(archive.Serialize());
   std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < archive.entries().size(); ++i) {
-    // FromArchive hands out the archive's own vector: no copy, no counting.
-    EXPECT_EQ(&borrowed.Payload(i, &scratch), &archive.entries()[i].payload);
-    EXPECT_TRUE(scratch.empty());
-    // Byte-backed readers fill (and return) the caller's scratch.
+    // The reader fills (and returns) the caller's scratch.
     EXPECT_EQ(&bytes.Payload(i, &scratch), &scratch);
     EXPECT_EQ(scratch, archive.entries()[i].payload);
     scratch.clear();
   }
-  EXPECT_EQ(borrowed.payload_bytes_fetched(), 0u);
   EXPECT_GT(bytes.payload_bytes_fetched(), 0u);
 }
 
@@ -381,6 +398,27 @@ TEST(ContainerV4, AppendRejectsArchiveTheReaderRejectsWithoutWriting) {
   EXPECT_EQ(FaultOf([&] { DatasetArchive::AppendToFile(path, more); }),
             open_fault);
   EXPECT_EQ(FileBytes(path), bytes);
+  std::filesystem::remove(path);
+}
+
+TEST(ContainerV4, AddRejectsRecordsTheReaderRejects) {
+  // The reader refuses a record at variable >= V or t0 >= T, so the writer
+  // must too: appending one used to be accepted and left the grown file,
+  // good records included, unreadable.
+  const std::string path = ProcessTempPath("glsc_add_out_of_range");
+  DatasetArchive first("sz", {2, 16, 8, 8}, 8, MakeNorms(2, 16));
+  Rng rng(25);
+  first.Add(0, 0, 8, StructuredPayload(&rng, 600));
+  first.WriteFile(path);
+
+  DatasetArchive more("sz", {2, 8, 8, 8}, 8, MakeNorms(2, 8));
+  EXPECT_THROW(more.Add(5, 0, 8, StructuredPayload(&rng, 600)),
+               std::runtime_error);  // variable >= V
+  EXPECT_THROW(more.Add(0, 8, 8, StructuredPayload(&rng, 600)),
+               std::runtime_error);  // t0 >= T
+  EXPECT_TRUE(more.entries().empty());
+  DatasetArchive::AppendToFile(path, more);
+  EXPECT_EQ(ArchiveReader::FromFile(path).records().size(), 1u);
   std::filesystem::remove(path);
 }
 

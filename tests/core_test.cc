@@ -3,9 +3,12 @@
 // the artifact registry.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <thread>
 
 #include "core/glsc_compressor.h"
 #include "core/registry.h"
@@ -201,6 +204,42 @@ TEST_F(GlscEndToEnd, RegistryCacheHitSkipsTraining) {
   const Tensor ra = compressor_->Decompress(compressor_->Compress(window, -1.0));
   const Tensor rb = again->Decompress(again->Compress(window, -1.0));
   for (std::int64_t i = 0; i < ra.numel(); ++i) ASSERT_EQ(ra[i], rb[i]);
+}
+
+TEST(ArtifactCache, ConcurrentCallersWithOneTagTrainOnce) {
+  // Two threads race one tag through the cache. Without its lock both would
+  // miss the file check and train (the slow train keeps both in the window);
+  // with it one trains and saves, and the other waits and loads those bytes.
+  const std::string root = ProcessTempPath("glsc_artifact_cache");
+  const std::string dir = root + "/nested";
+  std::filesystem::remove_all(root);
+  std::atomic<int> trains{0};
+  std::vector<std::uint8_t> loaded[2];
+  const auto call = [&](int i) {
+    LoadOrTrainArtifact(
+        dir, "shared",
+        [&loaded, i](ByteReader* in) {
+          loaded[i].resize(in->remaining());
+          in->GetBytes(loaded[i].data(), loaded[i].size());
+        },
+        [&trains] {
+          trains.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        },
+        [](ByteWriter* out) { out->PutString("trained once"); });
+  };
+  std::thread a(call, 0);
+  std::thread b(call, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(trains.load(), 1);
+  ByteWriter saved;
+  saved.PutString("trained once");
+  // Exactly one caller loaded, and it read what the other saved.
+  EXPECT_NE(loaded[0].empty(), loaded[1].empty());
+  EXPECT_EQ(loaded[0].empty() ? loaded[1] : loaded[0], saved.bytes());
+  EXPECT_TRUE(FileExists(ArtifactPath(dir, "shared")));
+  std::filesystem::remove_all(root);
 }
 
 TEST(GlscCompressor, ByteAccountingConsistent) {

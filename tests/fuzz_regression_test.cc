@@ -50,7 +50,6 @@ struct Harness {
 };
 
 constexpr Harness kHarnesses[] = {
-    {"archive_deserialize", &fuzz::FuzzArchiveDeserialize},
     {"archive_reader", &fuzz::FuzzArchiveReader},
     {"range_coder", &fuzz::FuzzRangeCoder},
     {"codec_decode", &fuzz::FuzzCodecDecode},

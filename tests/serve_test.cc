@@ -21,6 +21,7 @@
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
+#include "legacy_archives.h"
 #include "serve/decode_scheduler.h"
 #include "temp_path.h"
 #include "util/deadline.h"
@@ -153,8 +154,7 @@ std::vector<std::uint8_t> SerializeAsV2(
 TEST(ArchiveReader, V3IndexRoundTrip) {
   const Tensor field = MakeField();
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const auto bytes =
-      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
+  const auto bytes = core::SerializeAsV3(archive);
 
   const auto reader = core::ArchiveReader::FromBytes(bytes);
   EXPECT_EQ(reader.codec(), "sz");
@@ -189,8 +189,7 @@ TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
   const Tensor field = MakeField(113);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   const std::string path = ProcessTempPath("glsc_serve_test_v3.glsca");
-  const auto v3_bytes =
-      archive.Serialize({.version = 3, .forced_filter = std::nullopt});
+  const auto v3_bytes = core::SerializeAsV3(archive);
   WriteFileBytes(path, v3_bytes);
   const std::uint64_t file_bytes = v3_bytes.size();
 
@@ -216,12 +215,11 @@ TEST(ArchiveReader, BuildsIndexOnTheFlyForV2) {
   const core::DatasetArchive archive = EncodeSzArchive(field);
   const auto v2_bytes = SerializeAsV2(archive);
 
-  // The v2 wire format still loads through DatasetArchive::Deserialize...
-  const core::DatasetArchive reloaded =
-      core::DatasetArchive::Deserialize(v2_bytes);
-  ASSERT_EQ(reloaded.entries().size(), archive.entries().size());
+  // The v2 wire format still reads in full...
+  const core::ArchiveReader reloaded = core::ReadFully(v2_bytes);
+  ASSERT_EQ(reloaded.records().size(), archive.entries().size());
 
-  // ...and through ArchiveReader, which rebuilds the index by scanning.
+  // ...and lazily, with the index rebuilt by scanning.
   const auto reader = core::ArchiveReader::FromBytes(v2_bytes);
   ASSERT_EQ(reader.records().size(), archive.entries().size());
   std::vector<std::uint8_t> scratch;
@@ -315,14 +313,14 @@ TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
     const std::vector<std::uint8_t> cut(
         bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
     SCOPED_TRACE(len);
-    core::ExpectDeserializeFailsLikeReader(cut);
+    core::ExpectFullReadFailsLikeOpen(cut);
   }
 
   // Corrupt index magic.
   auto bad_magic = bytes;
   bad_magic[bad_magic.size() - 1] = 'Z';
   EXPECT_THROW(core::ArchiveReader::FromBytes(bad_magic), std::runtime_error);
-  core::ExpectDeserializeFailsLikeReader(bad_magic);
+  core::ExpectFullReadFailsLikeOpen(bad_magic);
 
   // Footer pointing the index out of range.
   auto bad_offset = bytes;
@@ -331,7 +329,7 @@ TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
   }
   EXPECT_THROW(core::ArchiveReader::FromBytes(bad_offset),
                std::runtime_error);
-  core::ExpectDeserializeFailsLikeReader(bad_offset);
+  core::ExpectFullReadFailsLikeOpen(bad_offset);
 }
 
 TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
@@ -497,14 +495,13 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   const std::string path = ProcessTempPath("glsc_serve_backings");
   WriteFileBytes(path, bytes);
   std::vector<std::pair<std::string, core::ArchiveReader>> readers;
-  readers.emplace_back("archive", core::ArchiveReader::FromArchive(archive));
   readers.emplace_back("bytes", core::ArchiveReader::FromBytes(bytes));
   readers.emplace_back(
       "mmap", core::ArchiveReader::FromFile(path, core::FileBacking::kMmap));
   readers.emplace_back(
       "pread", core::ArchiveReader::FromFile(path, core::FileBacking::kPread));
   bool filtered = false;
-  for (const core::RecordRef& ref : readers[1].second.records()) {
+  for (const core::RecordRef& ref : readers[0].second.records()) {
     filtered = filtered || !ref.filter.IsRaw();
   }
   ASSERT_TRUE(filtered) << "no record engaged the v4 filter pipeline";
@@ -541,18 +538,17 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
     }
   }
   // The byte-backed readers ran identical query sequences, so they fetched
-  // and unfiltered identical byte counts; FromArchive readers count none.
-  const core::ArchiveReader& memory = readers[1].second;
+  // and unfiltered identical byte counts.
+  const core::ArchiveReader& memory = readers[0].second;
   EXPECT_GT(memory.payload_bytes_fetched(), 0u);
   EXPECT_LT(memory.payload_bytes_fetched(), memory.decoded_payload_bytes());
-  for (std::size_t k = 2; k < readers.size(); ++k) {
+  for (std::size_t k = 1; k < readers.size(); ++k) {
     const core::ArchiveReader& reader = readers[k].second;
     EXPECT_EQ(reader.payload_bytes_fetched(), memory.payload_bytes_fetched())
         << readers[k].first;
     EXPECT_EQ(reader.decoded_payload_bytes(), memory.decoded_payload_bytes())
         << readers[k].first;
   }
-  EXPECT_EQ(readers[0].second.payload_bytes_fetched(), 0u);
   std::filesystem::remove(path);
 }
 
