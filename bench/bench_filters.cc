@@ -14,8 +14,8 @@
 //
 // scripts/check.sh runs this with --codecs=sz (model-free, fast) and greps
 // the JSON for required fields and non-finite values; bench_smoke.sh runs
-// the full --codecs=glsc,sz trajectory (glsc trains or reuses the cached
-// e2e artifact).
+// the full --codecs=glsc,sz trajectory (glsc trains or reuses its cached
+// artifact).
 //
 //   ./bench_filters [--codecs=sz] [--frames=128] [--hw=32] [--variables=2]
 //                   [--mb=8] [--reps=5] [--json=BENCH_filters.json]
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
               static_cast<double>(glz_stream.size()) / n);
 
   // --- Groups 2+3: archive ratio and fetch MB/s per codec on the trajectory
-  // config (same generator/seed as bench_e2e_decode). ---
+  // config (climate generator, seed 2026). ---
   data::FieldSpec spec;
   spec.variables = flags.GetInt("variables", 2);
   spec.frames = flags.GetInt("frames", 128);

@@ -180,7 +180,7 @@ void BM_ConvForwardBackward(benchmark::State& state) {
   nn::Conv2d conv(16, 16, 3, 1, 1, rng);
   Tensor x = Tensor::Randn({4, 16, 16, 16}, rng);
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, true);
+    Tensor y = conv.Forward(x);
     Tensor g = conv.Backward(y);
     benchmark::DoNotOptimize(g.data());
   }

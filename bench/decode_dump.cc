@@ -5,7 +5,7 @@
 // outputs match line for line:
 //
 //   ./decode_dump > native.txt
-//   GLSC_FORCE_SCALAR=1 ./decode_dump > scalar.txt
+//   GLSC_ISA=scalar ./decode_dump > scalar.txt
 //
 // Only public API is used, so the same source also builds against an older
 // tree's libglsc_core.a for a before/after comparison. The configurations

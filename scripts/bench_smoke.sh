@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Micro-kernel perf smoke: runs the hot-path benchmarks (GEMM, Conv2d
 # forward, attention forward, batched GLSC window decode, sz window decode)
-# and emits BENCH_micro.json, then runs the end-to-end decode throughput
-# bench (bench_e2e_decode) and emits BENCH_e2e.json, so the performance trajectory
-# is tracked across PRs. With --codec=NAME it additionally runs the
+# and emits BENCH_micro.json. With --codec=NAME it additionally runs the
 # unified-API codec throughput smoke (bench_codec_api) for that backend.
 #
 # Also runs the v4 filter-pipeline bench (bench_filters) over glsc + sz and
 # emits BENCH_filters.json with the filtered-vs-raw ratio and fetch MB/s.
+#
+# GLSC end-to-end numbers (decode served through ShardManager) come from
+# `python3 perfbench/run.py --workload glsc_window_reads`.
 #
 # Usage:
 #   scripts/bench_smoke.sh [--codec=NAME] [extra google-benchmark flags...]
@@ -15,10 +16,8 @@
 # Environment:
 #   BUILD_DIR   build tree containing the bench binaries (default: build)
 #   OUT         output JSON path (default: BENCH_micro.json)
-#   E2E_OUT     e2e decode JSON path (default: BENCH_e2e.json)
-#   E2E_CODEC   codec for the e2e decode bench (default: glsc; the first run
-#               trains a tiny cached artifact under glsc_artifacts/)
-#   GLSC_FORCE_SCALAR=1 / GLSC_ISA=...  pin the dispatch level under test
+#   FILTERS_OUT filter bench JSON path (default: BENCH_filters.json)
+#   GLSC_ISA=scalar|sse2|avx2|avx512  pin the dispatch level under test
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,24 +49,13 @@ fi
 
 echo "wrote $OUT"
 
-E2E_BIN="$BUILD_DIR/bench_e2e_decode"
-E2E_OUT=${E2E_OUT:-BENCH_e2e.json}
-E2E_CODEC=${E2E_CODEC:-glsc}
-if [[ ! -x "$E2E_BIN" ]]; then
-  echo "error: $E2E_BIN not found — rebuild first" >&2
-  exit 1
-fi
-# 128 frames = 8 records so the batched-fetch arm coalesces a full
-# max_batch=8 chunk (3 records would cap the batch at 3).
-"$E2E_BIN" --codec="$E2E_CODEC" --frames=128 --batch=8 --json="$E2E_OUT"
-
 FILTERS_BIN="$BUILD_DIR/bench_filters"
 FILTERS_OUT=${FILTERS_OUT:-BENCH_filters.json}
 if [[ ! -x "$FILTERS_BIN" ]]; then
   echo "error: $FILTERS_BIN not found — rebuild first" >&2
   exit 1
 fi
-# Full trajectory arm: glsc (trains or reuses the cached e2e artifact) + sz,
+# Full trajectory arm: glsc (trains or reuses its cached artifact) + sz,
 # so BENCH_filters.json carries the filtered-vs-raw ratio for both.
 "$FILTERS_BIN" --codecs=glsc,sz --json="$FILTERS_OUT"
 echo "wrote $FILTERS_OUT"

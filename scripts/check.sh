@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command PR gate: configure, build, and run the full ctest suite (native
-# + _scalar registrations) with a nonzero exit on any failure.
+# + _scalar registrations), glsc_lint, the serving and filter bench gates and
+# the perfbench selftest, with a nonzero exit on any failure.
 #
 # Usage:
 #   scripts/check.sh [-j N] [extra ctest args...]
@@ -60,25 +61,16 @@ for t in serve_test serve_test_scalar workspace_test workspace_test_scalar \
   fi
 done
 
-# Bench JSON gate: run the (cheap, rule-based) random-access and e2e decode
-# benches and reject any inf/nan in every emitted bench JSON — degenerate
-# metrics must be clamped at the source, not discovered downstream by a JSON
-# parser. The e2e gate uses the model-free sz codec so it stays fast; the
-# GLSC trajectory numbers come from scripts/bench_smoke.sh.
+# Bench JSON gate: the serving front end (bench_serve, the only shed/timeout
+# measurement) and the L0 filter kernels (bench_filters) on gate-sized inputs.
+# Reject any inf/nan in what they emit — degenerate metrics must be clamped at
+# the source, not discovered downstream by a JSON parser.
 echo "== bench JSON gate =="
-"$BUILD_DIR/bench_random_access" --frames=48 --variables=1 \
-    --json="$BUILD_DIR/BENCH_random_access.json"
-"$BUILD_DIR/bench_e2e_decode" --codec=sz --frames=48 --variables=1 \
-    --json="$BUILD_DIR/BENCH_e2e.json"
 "$BUILD_DIR/bench_serve" --json="$BUILD_DIR/BENCH_serve.json"
 # Filter-pipeline gate: model-free sz arm, small buffer so it stays cheap.
 # The full glsc trajectory (which may train) lives in bench_smoke.sh.
 "$BUILD_DIR/bench_filters" --codecs=sz --frames=64 --mb=2 --reps=3 \
     --json="$BUILD_DIR/BENCH_filters.json"
-if [[ ! -s "$BUILD_DIR/BENCH_e2e.json" ]]; then
-  echo "error: BENCH_e2e.json missing or empty" >&2
-  exit 1
-fi
 if [[ ! -s "$BUILD_DIR/BENCH_serve.json" ]]; then
   echo "error: BENCH_serve.json missing or empty" >&2
   exit 1
@@ -97,15 +89,6 @@ if grep -q '"overload_shed": 0,' "$BUILD_DIR/BENCH_serve.json"; then
   echo "error: overload arm shed nothing — not an overload" >&2
   exit 1
 fi
-# The batched-fetch comparison must actually be in the emitted JSON — a stale
-# bench binary would silently drop the tentpole's headline numbers.
-for field in fetch_serial_windows_per_s fetch_batched_windows_per_s \
-             fetch_batched_speedup fetch_batch_size; do
-  if ! grep -q "\"$field\"" "$BUILD_DIR/BENCH_e2e.json"; then
-    echo "error: BENCH_e2e.json missing field: $field" >&2
-    exit 1
-  fi
-done
 # The filter bench must report the kernel throughputs and the filtered-vs-raw
 # comparison — a stale binary would silently drop the v4 headline numbers.
 if [[ ! -s "$BUILD_DIR/BENCH_filters.json" ]]; then
@@ -127,11 +110,10 @@ if grep -qE '"v4_over_raw_ratio": (1|[2-9])' "$BUILD_DIR/BENCH_filters.json"; th
   exit 1
 fi
 bad=0
-# Gate ONLY the four files the commands above emitted. A BENCH_*.json glob over
+# Gate ONLY the two files the commands above emitted. A BENCH_*.json glob over
 # the repo root (or the whole build dir) would also pick up artifacts from
 # earlier manual bench runs and fail this gate on files this run never wrote.
-for f in "$BUILD_DIR/BENCH_random_access.json" "$BUILD_DIR/BENCH_e2e.json" \
-         "$BUILD_DIR/BENCH_serve.json" "$BUILD_DIR/BENCH_filters.json"; do
+for f in "$BUILD_DIR/BENCH_serve.json" "$BUILD_DIR/BENCH_filters.json"; do
   [[ -f "$f" ]] || continue
   if grep -nE '(^|[^A-Za-z_])-?(inf|nan)([^A-Za-z_]|$)' "$f"; then
     echo "error: non-finite value in $f" >&2
@@ -141,6 +123,13 @@ done
 if [[ $bad -ne 0 ]]; then
   exit 1
 fi
+
+# The read-path benchmark (perfbench/, declared in BENCHMARK.json): build it
+# against this tree under $BUILD_DIR/perfbench and run every workload at tiny
+# size, timed and traced. It fails on a build error, a non-zero exit, an
+# incorrect result, or a declared metric that is missing or not finite.
+echo "== perfbench selftest =="
+CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py --selftest
 
 # Opt-in lanes. A lane requested via env var must RUN or FAIL the gate —
 # never skip: the CMake configure step behind each lane probes its toolchain
@@ -192,7 +181,7 @@ fi
 # Opt-in debug-checker lane: CHECK_DEBUG=1 builds a RelWithDebInfo tree with
 # the runtime lock-order checker (GLSC_DEBUG_LOCKS) and arena borrow
 # validation (GLSC_DEBUG_ARENA) force-enabled, then runs the FULL suite plus
-# the bench gates under them. This is the gcc-toolchain counterpart of the
+# the serving bench under them. This is the gcc-toolchain counterpart of the
 # clang thread-safety leg: the lock discipline and borrow lifetimes are
 # enforced at runtime instead of compile time.
 if [[ -n "${CHECK_DEBUG:-}" ]]; then
@@ -202,19 +191,16 @@ if [[ -n "${CHECK_DEBUG:-}" ]]; then
       -DGLSC_DEBUG_LOCKS=ON -DGLSC_DEBUG_ARENA=ON
   cmake --build "$DEBUG_DIR" -j"$JOBS"
   ctest --test-dir "$DEBUG_DIR" --output-on-failure -j"$JOBS"
-  "$DEBUG_DIR/bench_e2e_decode" --codec=sz --frames=48 --variables=1 \
-      --json="$DEBUG_DIR/BENCH_e2e.json"
   "$DEBUG_DIR/bench_serve" --json="$DEBUG_DIR/BENCH_serve.json"
-  for f in "$DEBUG_DIR/BENCH_e2e.json" "$DEBUG_DIR/BENCH_serve.json"; do
-    if [[ ! -s "$f" ]]; then
-      echo "error: $f missing or empty" >&2
-      exit 1
-    fi
-    if grep -nE '(^|[^A-Za-z_])-?(inf|nan)([^A-Za-z_]|$)' "$f"; then
-      echo "error: non-finite value in $f" >&2
-      exit 1
-    fi
-  done
+  f="$DEBUG_DIR/BENCH_serve.json"
+  if [[ ! -s "$f" ]]; then
+    echo "error: $f missing or empty" >&2
+    exit 1
+  fi
+  if grep -nE '(^|[^A-Za-z_])-?(inf|nan)([^A-Za-z_]|$)' "$f"; then
+    echo "error: non-finite value in $f" >&2
+    exit 1
+  fi
 fi
 
 # Opt-in static-analysis lane: the project linter, a -Werror rebuild and

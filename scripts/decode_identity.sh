@@ -4,7 +4,7 @@
 # worktree and this checkout's in BUILD_DIR, compiles this checkout's
 # bench/decode_dump.cc against each (it uses public API only), then diffs
 # the hashes the two binaries print at every dispatch level: native,
-# GLSC_ISA=avx2, GLSC_ISA=sse2 and GLSC_FORCE_SCALAR=1. decode_dump hashes
+# GLSC_ISA=avx2, GLSC_ISA=sse2 and GLSC_ISA=scalar. decode_dump hashes
 # each shard of the glsc_window_reads and sz_window_reads workloads — its
 # archive file and its GetAll output at max_batch 1 and 3 — so a pass covers
 # the GLSC pipeline, the sz writer, EncodeSession and the sz decoder. Levels
@@ -66,7 +66,7 @@ for level in native avx2 sse2 scalar; do
     native) pin=() ;;
     avx2) pin=(GLSC_ISA=avx2) ;;
     sse2) pin=(GLSC_ISA=sse2) ;;
-    scalar) pin=(GLSC_FORCE_SCALAR=1) ;;
+    scalar) pin=(GLSC_ISA=scalar) ;;
   esac
   for side in ref head; do
     env -u GLSC_ISA -u GLSC_FORCE_SCALAR ${pin[@]+"${pin[@]}"} \

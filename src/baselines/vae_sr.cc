@@ -20,12 +20,12 @@ VAESRCompressor::VAESRCompressor(const VaeSrConfig& config)
 
 Tensor VAESRCompressor::Downsample2x(const Tensor& frames_n1hw) {
   nn::AvgPool2x pool;
-  return pool.Forward(frames_n1hw, /*training=*/false);
+  return pool.Forward(frames_n1hw);
 }
 
-Tensor VAESRCompressor::SrForward(const Tensor& lr, bool training) {
-  const Tensor residual = sr_net_.Forward(lr, training);
-  const Tensor skip = sr_skip_.Forward(lr, training);
+Tensor VAESRCompressor::SrForward(const Tensor& lr) {
+  const Tensor residual = sr_net_.Forward(lr);
+  const Tensor skip = sr_skip_.Forward(lr);
   return Add(skip, residual);
 }
 
@@ -65,7 +65,7 @@ void VAESRCompressor::Train(const data::SequenceDataset& dataset,
     const Tensor lr_decoded =
         vae_.DecodeLatent(Round(vae_.EncodeLatent(lr)));
 
-    const Tensor sr = SrForward(lr_decoded, /*training=*/true);
+    const Tensor sr = SrForward(lr_decoded);
     const double loss = MeanSquaredError(hr, sr);
 
     Tensor g = Sub(sr, hr);
@@ -99,7 +99,7 @@ VAESRCompressor::Compressed VAESRCompressor::Compress(const Tensor& window) {
 Tensor VAESRCompressor::Decompress(const Compressed& compressed) {
   const Tensor y = vae_.DecompressLatents(compressed.frames);
   const Tensor lr = vae_.DecodeLatent(y);
-  return SrForward(lr, /*training=*/false).Reshape(compressed.window_shape);
+  return SrForward(lr).Reshape(compressed.window_shape);
 }
 
 void VAESRCompressor::Save(ByteWriter* out) {

@@ -41,7 +41,7 @@ class VAESRCompressor {
 
  private:
   // SR forward: nearest-upsampled input + learned residual.
-  Tensor SrForward(const Tensor& lr, bool training);
+  Tensor SrForward(const Tensor& lr);
   Tensor SrBackward(const Tensor& grad_out);
   std::vector<nn::Param*> SrParams();
   static Tensor Downsample2x(const Tensor& frames_n1hw);

@@ -88,7 +88,7 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
   const std::int64_t lat = config_.latent_channels;
 
   // ---------- forward ----------
-  Tensor y = encoder_.Forward(x, /*training=*/true);
+  Tensor y = encoder_.Forward(x);
 
   // Noise-proxy quantization of y (for decoder + rate) — identity gradient.
   Tensor y_noisy = Tensor::Empty(y.shape());
@@ -100,7 +100,7 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
     }
   }
 
-  Tensor z = hyper_encoder_.Forward(y, /*training=*/true);
+  Tensor z = hyper_encoder_.Forward(y);
   Tensor z_noisy = Tensor::Empty(z.shape());
   {
     const float* pz = z.data();
@@ -110,7 +110,7 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
     }
   }
 
-  Tensor params = hyper_decoder_.Forward(z_noisy, /*training=*/true);
+  Tensor params = hyper_decoder_.Forward(z_noisy);
   GLSC_CHECK(params.dim(1) == 2 * lat);
   const std::int64_t batch = params.dim(0);
   const std::int64_t hw = params.dim(2) * params.dim(3);
@@ -121,7 +121,7 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
   Tensor sigma = Map(sigma_raw,
                      [](float v) { return Softplus(v) + kSigmaFloor; });
 
-  Tensor x_hat = decoder_.Forward(y_noisy, /*training=*/true);
+  Tensor x_hat = decoder_.Forward(y_noisy);
 
   // ---------- losses ----------
   LossInfo info;
@@ -182,11 +182,11 @@ VaeHyperprior::LossInfo VaeHyperprior::TrainingForwardBackward(const Tensor& x,
 }
 
 Tensor VaeHyperprior::EncodeLatent(const Tensor& x) {
-  return encoder_.Forward(x, /*training=*/false);
+  return encoder_.Forward(x);
 }
 
 Tensor VaeHyperprior::DecodeLatent(const Tensor& y_hat) {
-  return decoder_.Forward(y_hat, /*training=*/false);
+  return decoder_.Forward(y_hat);
 }
 
 Tensor VaeHyperprior::DecodeLatentBatched(const Tensor& y_hat,
@@ -202,9 +202,9 @@ void VaeHyperprior::HyperForwardInference(const Tensor& y, Tensor* z_hat,
   GLSC_CHECK_MSG(y.dim(2) % 4 == 0 && y.dim(3) % 4 == 0,
                  "latent grid " << y.dim(2) << "x" << y.dim(3)
                                 << " must be divisible by 4 (frame edge by 16)");
-  Tensor z = hyper_encoder_.Forward(y, /*training=*/false);
+  Tensor z = hyper_encoder_.Forward(y);
   *z_hat = Round(z);
-  Tensor params = hyper_decoder_.Forward(*z_hat, /*training=*/false);
+  Tensor params = hyper_decoder_.Forward(*z_hat);
   const std::int64_t lat = config_.latent_channels;
   const std::int64_t batch = params.dim(0);
   *mu = Tensor::Empty({batch, lat, params.dim(2), params.dim(3)});
@@ -231,7 +231,7 @@ VaeBitstream VaeHyperprior::CompressLatents(const Tensor& y_continuous) {
 
 Tensor VaeHyperprior::DecompressLatents(const VaeBitstream& bits) {
   const Tensor z_hat = prior_.Decode(bits.z_stream, bits.z_shape);
-  Tensor params = hyper_decoder_.Forward(z_hat, /*training=*/false);
+  Tensor params = hyper_decoder_.Forward(z_hat);
   const std::int64_t lat = config_.latent_channels;
   const std::int64_t batch = params.dim(0);
   Tensor mu = Tensor::Empty({batch, lat, params.dim(2), params.dim(3)});

@@ -1,21 +1,18 @@
 #include "core/archive_reader.h"
 
-#include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <numeric>
-#include <tuple>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <numeric>
+#include <tuple>
 
 #include "tensor/workspace.h"
 #include "util/check.h"
-#include "util/mutex.h"
 
 // Typed variant of GLSC_CHECK_MSG for archive validation: a failed condition
 // means hostile or damaged bytes, so it throws core::ArchiveError with the
@@ -81,8 +78,6 @@ class MemorySource final : public ArchiveReader::Source {
  private:
   std::vector<std::uint8_t> bytes_;
 };
-
-#if defined(__unix__) || defined(__APPLE__)
 
 // Read-only mapping of the whole archive: payload fetches become plain
 // memcpys out of the page cache, with no syscall and no shared stream state —
@@ -182,49 +177,6 @@ std::unique_ptr<ArchiveReader::Source> OpenFileSource(const std::string& path,
     return std::make_unique<PreadSource>(path);
   }
 }
-
-#else  // no POSIX mmap/pread: shared-stream fallback
-
-class FileSource final : public ArchiveReader::Source {
- public:
-  explicit FileSource(const std::string& path)
-      : stream_(path, std::ios::binary) {
-    GLSC_ARCHIVE_CHECK(stream_.good(), ArchiveFault::kIo,
-                       "cannot open archive " << path);
-    stream_.seekg(0, std::ios::end);
-    size_ = static_cast<std::uint64_t>(stream_.tellg());
-  }
-  std::uint64_t size() const override { return size_; }
-  void ReadAt(std::uint64_t offset, std::uint64_t length,
-              std::uint8_t* dst) override {
-    CheckRange(offset, length);
-    // One shared stream: serialize seek+read so concurrent decode workers can
-    // fetch payloads without interleaving positions.
-    MutexLock lock(mu_);
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(offset));
-    stream_.read(reinterpret_cast<char*>(dst),
-                 static_cast<std::streamsize>(length));
-    GLSC_ARCHIVE_CHECK(static_cast<std::uint64_t>(stream_.gcount()) == length,
-                       ArchiveFault::kIo, "short read from archive");
-  }
-
- private:
-  Mutex mu_{"ArchiveReader.FileSource.mu"};
-  // The shared seek position makes the stream the contended state; size_ is
-  // written once in the constructor and read-only afterwards.
-  std::ifstream stream_ GUARDED_BY(mu_);
-  std::uint64_t size_ = 0;
-};
-
-std::unique_ptr<ArchiveReader::Source> OpenFileSource(const std::string& path,
-                                                      FileBacking backing) {
-  GLSC_ARCHIVE_CHECK(backing != FileBacking::kMmap, ArchiveFault::kIo,
-                     "mmap backing unavailable on this platform");
-  return std::make_unique<FileSource>(path);
-}
-
-#endif
 
 // Unpacks V*T (f32 mean, f32 range) pairs, V-major.
 std::vector<data::FrameNorm> ParseNorms(const std::vector<std::uint8_t>& raw) {

@@ -29,10 +29,9 @@ ResBlock::ResBlock(std::int64_t channels, std::int64_t temb_dim, Rng& rng,
 
 Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb) {
   cached_x_shape_ = x.shape();
-  Tensor h = conv1_.Forward(act1_.Forward(gn1_.Forward(x, true), true), true);
+  Tensor h = conv1_.Forward(act1_.Forward(gn1_.Forward(x)));
   // Per-channel time-embedding shift, broadcast over frames and pixels.
-  const Tensor p =
-      temb_proj_.Forward(act_temb_.Forward(temb, true), true);  // [1, C]
+  const Tensor p = temb_proj_.Forward(act_temb_.Forward(temb));  // [1, C]
   const std::int64_t frames = h.dim(0);
   const std::int64_t hw = h.dim(2) * h.dim(3);
   float* ph = h.data();
@@ -44,7 +43,7 @@ Tensor ResBlock::Forward(const Tensor& x, const Tensor& temb) {
       for (std::int64_t i = 0; i < hw; ++i) row[i] += shift;
     }
   }
-  Tensor k = conv2_.Forward(act2_.Forward(gn2_.Forward(h, true), true), true);
+  Tensor k = conv2_.Forward(act2_.Forward(gn2_.Forward(h)));
   return Add(x, k);
 }
 
@@ -120,13 +119,13 @@ SpatialAttentionBlock::SpatialAttentionBlock(std::int64_t channels,
                                              const std::string& name)
     : norm_(channels, name + ".ln"), attn_(channels, heads, rng, name) {}
 
-Tensor SpatialAttentionBlock::Forward(const Tensor& x, bool training) {
+Tensor SpatialAttentionBlock::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 4);
   cached_shape_ = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   // [N, C, H, W] -> [N, H*W, C]
   Tensor seq = x.Permute({0, 2, 3, 1}).Reshape({n, h * w, c});
-  Tensor out = attn_.Forward(norm_.Forward(seq, training), training);
+  Tensor out = attn_.Forward(norm_.Forward(seq));
   Tensor back = out.Reshape({n, h, w, c}).Permute({0, 3, 1, 2});
   return Add(x, back);
 }
@@ -168,13 +167,13 @@ TemporalAttentionBlock::TemporalAttentionBlock(std::int64_t channels,
                                                const std::string& name)
     : norm_(channels, name + ".ln"), attn_(channels, heads, rng, name) {}
 
-Tensor TemporalAttentionBlock::Forward(const Tensor& x, bool training) {
+Tensor TemporalAttentionBlock::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 4);
   cached_shape_ = x.shape();
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   // [N, C, H, W] -> [H, W, N, C] -> [H*W, N, C]: attention along frames.
   Tensor seq = x.Permute({2, 3, 0, 1}).Reshape({h * w, n, c});
-  Tensor out = attn_.Forward(norm_.Forward(seq, training), training);
+  Tensor out = attn_.Forward(norm_.Forward(seq));
   Tensor back = out.Reshape({h, w, n, c}).Permute({2, 3, 0, 1});
   return Add(x, back);
 }
@@ -271,22 +270,20 @@ Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t) {
   // Time embedding shared by all ResBlocks: [1, Cm].
   Tensor sin_emb = nn::SinusoidalTimeEmbedding(t, config_.model_channels)
                        .Reshape({1, config_.model_channels});
-  temb_ = temb_fc2_.Forward(
-      temb_act_.Forward(temb_fc1_.Forward(sin_emb, true), true), true);
+  temb_ = temb_fc2_.Forward(temb_act_.Forward(temb_fc1_.Forward(sin_emb)));
 
-  Tensor h0 = conv_in_.Forward(y_t, true);
+  Tensor h0 = conv_in_.Forward(y_t);
   Tensor h1 = res1_.Forward(h0, temb_);
   if (config_.stage1_attention) {
-    h1 = tattn1_.Forward(sattn1_.Forward(h1, true), true);
+    h1 = tattn1_.Forward(sattn1_.Forward(h1));
   }
-  Tensor h2 = down_.Forward(h1, true);
+  Tensor h2 = down_.Forward(h1);
   h2 = res2_.Forward(h2, temb_);
-  h2 = tattn2_.Forward(sattn2_.Forward(h2, true), true);
-  Tensor u = up_conv_.Forward(up_.Forward(h2, true), true);
+  h2 = tattn2_.Forward(sattn2_.Forward(h2));
+  Tensor u = up_conv_.Forward(up_.Forward(h2));
   Tensor s = Add(u, h1);  // skip connection
   Tensor h3 = res3_.Forward(s, temb_);
-  return conv_out_.Forward(
-      act_out_.Forward(gn_out_.Forward(h3, true), true), true);
+  return conv_out_.Forward(act_out_.Forward(gn_out_.Forward(h3)));
 }
 
 Tensor SpaceTimeUNet::Forward(const Tensor& y_t, std::int64_t t,

@@ -76,7 +76,7 @@ class SpatialAttentionBlock : public nn::Layer {
  public:
   SpatialAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                         const std::string& name);
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   // Frames attend only within themselves, so stacked windows batch for free
   // along dim 0: this one workspace forward serves any batch. Leaves only
   // its result allocated in `ws`.
@@ -96,7 +96,7 @@ class TemporalAttentionBlock : public nn::Layer {
  public:
   TemporalAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                          const std::string& name);
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   // One window: ForwardBatchedWindows with windows == 1.
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   // Batched temporal attention over `windows` stacked windows: x is

@@ -11,7 +11,7 @@ inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 }  // namespace
 
-Tensor SiLU::Forward(const Tensor& x, bool /*training*/) {
+Tensor SiLU::Forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = Tensor::Empty(x.shape());
   simd::ActiveKernels().silu_fwd(x.data(), y.data(), x.numel());
@@ -39,7 +39,7 @@ Tensor SiLU::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor ReLU::Forward(const Tensor& x, bool /*training*/) {
+Tensor ReLU::Forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = Tensor::Empty(x.shape());
   const float* px = x.data();
@@ -77,7 +77,7 @@ Tensor ReLU::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor LeakyReLU::Forward(const Tensor& x, bool /*training*/) {
+Tensor LeakyReLU::Forward(const Tensor& x) {
   cached_input_ = x;
   Tensor y = Tensor::Empty(x.shape());
   const float* px = x.data();
@@ -123,7 +123,7 @@ Tensor LeakyReLU::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor FixedScale::Forward(const Tensor& x, bool /*training*/) {
+Tensor FixedScale::Forward(const Tensor& x) {
   Tensor y = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* py = y.data();
@@ -154,7 +154,7 @@ Tensor FixedScale::Backward(const Tensor& grad_out) {
   return g;
 }
 
-Tensor Tanh::Forward(const Tensor& x, bool /*training*/) {
+Tensor Tanh::Forward(const Tensor& x) {
   Tensor y = Tensor::Empty(x.shape());
   const float* px = x.data();
   float* py = y.data();

@@ -10,7 +10,7 @@ namespace glsc::nn {
 // x * sigmoid(x) — the activation used throughout the diffusion UNet.
 class SiLU : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
@@ -22,7 +22,7 @@ class SiLU : public Layer {
 
 class ReLU : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
@@ -35,7 +35,7 @@ class ReLU : public Layer {
 class LeakyReLU : public Layer {
  public:
   explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
@@ -53,7 +53,7 @@ class LeakyReLU : public Layer {
 class FixedScale : public Layer {
  public:
   explicit FixedScale(float scale) : scale_(scale) {}
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
@@ -65,7 +65,7 @@ class FixedScale : public Layer {
 
 class Tanh : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;

@@ -86,12 +86,12 @@ void MergeHeads(const float* src, float* dst, std::int64_t b, std::int64_t l,
 
 }  // namespace
 
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool training) {
+Tensor MultiHeadSelfAttention::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 3 && x.dim(2) == dim_);
   const std::int64_t b = x.dim(0);
   const std::int64_t l = x.dim(1);
 
-  Tensor qkv = qkv_.Forward(x, training);
+  Tensor qkv = qkv_.Forward(x);
   cached_q_ = Tensor::Empty({b, heads_, l, head_dim_});
   cached_k_ = Tensor::Empty({b, heads_, l, head_dim_});
   cached_v_ = Tensor::Empty({b, heads_, l, head_dim_});
@@ -106,7 +106,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool training) {
 
   Tensor merged = Tensor::Empty({b, l, dim_});
   MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);
-  return proj_.Forward(merged, training);
+  return proj_.Forward(merged);
 }
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {

@@ -19,7 +19,7 @@ class MultiHeadSelfAttention : public Layer {
                          const std::string& name = "attn");
 
   // x: [B, L, D] -> [B, L, D]
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;

@@ -96,7 +96,7 @@ void Conv2d::Apply(const Tensor& x, Tensor* y, float* padded,
   }
 }
 
-Tensor Conv2d::Forward(const Tensor& x, bool /*training*/) {
+Tensor Conv2d::Forward(const Tensor& x) {
   Tensor y = Tensor::Empty(OutputShape(x));
   cached_input_ = x;
   const Scratch floats = ScratchFloats(x, y);
@@ -200,7 +200,7 @@ void AvgPool2xApply(const float* src, float* dst, std::int64_t bc,
 
 }  // namespace
 
-Tensor NearestUpsample2x::Forward(const Tensor& x, bool /*training*/) {
+Tensor NearestUpsample2x::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 4);
   cached_in_shape_ = x.shape();
   Tensor y = Tensor::Empty({x.dim(0), x.dim(1), 2 * x.dim(2), 2 * x.dim(3)});
@@ -237,7 +237,7 @@ Tensor NearestUpsample2x::Backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor AvgPool2x::Forward(const Tensor& x, bool /*training*/) {
+Tensor AvgPool2x::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 4);
   GLSC_CHECK(x.dim(2) % 2 == 0 && x.dim(3) % 2 == 0);
   cached_in_shape_ = x.shape();

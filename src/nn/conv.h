@@ -23,7 +23,7 @@ class Conv2d : public Layer {
   // one weight pass instead of one GEMM per frame. Per-element
   // accumulation order does not depend on the column position, so the
   // output does not depend on the chunking.
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
@@ -65,7 +65,7 @@ class Conv2d : public Layer {
 // incoming gradient.
 class NearestUpsample2x : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return "NearestUpsample2x"; }
@@ -78,7 +78,7 @@ class NearestUpsample2x : public Layer {
 // low-resolution branch.
 class AvgPool2x : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::string Name() const override { return "AvgPool2x"; }

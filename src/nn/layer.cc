@@ -4,7 +4,7 @@ namespace glsc::nn {
 
 Tensor Layer::Forward(const Tensor& x, tensor::Workspace* ws) {
   (void)ws;
-  return Forward(x, /*training=*/false);
+  return Forward(x);
 }
 
 bool Layer::ForwardInPlace(Tensor* x) {
@@ -12,9 +12,9 @@ bool Layer::ForwardInPlace(Tensor* x) {
   return false;
 }
 
-Tensor Sequential::Forward(const Tensor& x, bool training) {
+Tensor Sequential::Forward(const Tensor& x) {
   Tensor h = x;
-  for (auto& layer : layers_) h = layer->Forward(h, training);
+  for (auto& layer : layers_) h = layer->Forward(h);
   return h;
 }
 

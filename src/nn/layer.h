@@ -36,16 +36,16 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // `training` toggles noise-style behaviours (dropout would live here; the
-  // hyperprior's additive-noise quantization proxy is handled by the model).
-  virtual Tensor Forward(const Tensor& x, bool training) = 0;
+  // Allocating forward: the training path, and the reference the workspace
+  // forward below is held to. Caches what Backward needs.
+  virtual Tensor Forward(const Tensor& x) = 0;
 
   // Workspace-aware INFERENCE forward: the result (and any scratch) is
   // allocated from `ws` (non-null), so the returned tensor borrows arena
   // memory valid only until the caller's enclosing Workspace::Scope rewinds.
   // Dim 0 is the batch (stacked windows x frames in batched decode); layers
   // may fuse work across it, as Conv2d merges frames into wide GEMMs.
-  // Numerically identical to Forward(x, /*training=*/false).
+  // Numerically identical to Forward(x).
   //
   // Reentrancy contract: an override writes nothing but its arena and its
   // result — no caches for Backward, no member scratch. One layer instance
@@ -96,7 +96,7 @@ class Sequential : public Layer {
     layers_.push_back(std::move(layer));
   }
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;

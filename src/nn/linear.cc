@@ -18,7 +18,7 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng,
   }
 }
 
-Tensor Dense::Forward(const Tensor& x, bool /*training*/) {
+Tensor Dense::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() >= 1 && x.shape().back() == in_);
   cached_input_ = x;
   const std::int64_t rows = x.numel() / in_;

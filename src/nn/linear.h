@@ -12,7 +12,7 @@ class Dense : public Layer {
   Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng,
         bool bias = true, const std::string& name = "dense");
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;

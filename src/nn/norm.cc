@@ -61,7 +61,7 @@ GroupNorm::GroupNorm(std::int64_t groups, std::int64_t channels,
   beta_ = Param(name + ".beta", Tensor::Zeros({channels}));
 }
 
-Tensor GroupNorm::Forward(const Tensor& x, bool /*training*/) {
+Tensor GroupNorm::Forward(const Tensor& x) {
   GLSC_CHECK(x.rank() == 4 && x.dim(1) == channels_);
   cached_input_ = x;
   const std::int64_t batch = x.dim(0);
@@ -187,7 +187,7 @@ LayerNorm::LayerNorm(std::int64_t dim, const std::string& name, float eps)
   beta_ = Param(name + ".beta", Tensor::Zeros({dim}));
 }
 
-Tensor LayerNorm::Forward(const Tensor& x, bool /*training*/) {
+Tensor LayerNorm::Forward(const Tensor& x) {
   GLSC_CHECK(x.shape().back() == dim_);
   cached_input_ = x;
   const std::int64_t rows = x.numel() / dim_;

@@ -13,7 +13,7 @@ class GroupNorm : public Layer {
             const std::string& name = "gn", float eps = 1e-5f);
 
   // x: [B, C, H, W]
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
@@ -37,7 +37,7 @@ class LayerNorm : public Layer {
   LayerNorm(std::int64_t dim, const std::string& name = "ln",
             float eps = 1e-5f);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;

@@ -22,7 +22,8 @@
 //  - An optional RequestContext (deadline + cancel token) is checked
 //    cooperatively between decode chunks; an expired/cancelled request
 //    terminates with StatusError(kDeadlineExceeded/kCancelled) without
-//    poisoning the single-flight table (waiters re-decode for themselves).
+//    poisoning the single-flight table (its waiters claim the records again,
+//    so one of them decodes each).
 //  - ScheduleOptions::fault_injector is the test seam those guarantees are
 //    proven through.
 //
@@ -117,7 +118,8 @@ class DecodeScheduler {
   // is published: `done` (result valid), `aborted` with `error` set (the
   // decode itself failed — waiters rethrow the same typed error), or
   // `aborted` with no error (the owner stopped before decoding, e.g. its
-  // deadline expired — waiters decode for themselves).
+  // deadline expired — waiters claim the record again, exactly as if they
+  // had just missed it).
   //
   // Every field is written and read under the scheduler's mu_ (a nested
   // struct cannot name the enclosing class's mutex in a GUARDED_BY, so the
@@ -136,15 +138,19 @@ class DecodeScheduler {
   // concurrent queries via the in-flight table.
   std::vector<Tensor> Fetch(const std::vector<std::size_t>& indices,
                             const RequestContext* ctx);
+  // Decodes the records at positions `owned` of `indices`, whose `flights`
+  // this query opened, into `out`, and publishes each as it finishes. Throws
+  // the first record's failure, or the typed error of a deadline/cancel that
+  // skipped records; either way every flight is closed first.
+  void DecodeOwned(const std::vector<std::size_t>& indices,
+                   const std::vector<std::size_t>& owned,
+                   const std::vector<std::shared_ptr<Flight>>& flights,
+                   const RequestContext* ctx, std::vector<Tensor>* out);
   void Insert(std::size_t record, const Tensor& decoded) REQUIRES(mu_);
-
-  // One record decode on worker slot `worker` (its mutex already held),
-  // injector hook included. Throws on failure.
-  Tensor DecodeRecord(std::size_t record, std::size_t worker,
-                      tensor::Workspace* ws);
-  // One payload through the same DecompressWindows call batches take.
-  Tensor DecodeOne(const std::vector<std::uint8_t>& payload,
-                   std::size_t worker, tensor::Workspace* ws);
+  // Drops `record`'s in-flight entry if it is still `flight`, and wakes
+  // every waiter.
+  void Close(std::size_t record, const std::shared_ptr<Flight>& flight)
+      REQUIRES(mu_);
 
   const core::ArchiveReader* reader_;
   ScheduleOptions options_;

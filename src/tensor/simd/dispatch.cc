@@ -26,15 +26,10 @@ IsaLevel DetectIsa() {
   return IsaLevel::kScalar;
 }
 
-// Environment caps are read once; the dispatch level never changes after the
-// first kernel call except through ScopedIsaOverride.
+// The environment cap is read once; the dispatch level never changes after
+// the first kernel call except through ScopedIsaOverride.
 IsaLevel EnvCappedIsa() {
   IsaLevel level = DetectIsa();
-  const char* force_scalar = std::getenv("GLSC_FORCE_SCALAR");
-  if (force_scalar != nullptr && std::strcmp(force_scalar, "0") != 0 &&
-      std::strcmp(force_scalar, "") != 0) {
-    return IsaLevel::kScalar;
-  }
   if (const char* isa = std::getenv("GLSC_ISA")) {
     if (std::strcmp(isa, "scalar") == 0) return IsaLevel::kScalar;
     if (std::strcmp(isa, "sse2") == 0 && level >= IsaLevel::kSSE2) {

@@ -3,10 +3,9 @@
 // Every hot kernel (GEMM micro-kernel, activations, softmax, normalization
 // moments, GEMM epilogues, …) exists in up to four variants — portable
 // scalar, SSE2, AVX2+FMA and AVX-512 — collected in a KernelTable
-// (kernels.h). The variant is chosen once, at first use, from CPUID plus two
-// environment overrides:
+// (kernels.h). The variant is chosen once, at first use, from CPUID plus one
+// environment override:
 //
-//   GLSC_FORCE_SCALAR=1      force the scalar reference kernels
 //   GLSC_ISA=scalar|sse2|avx2|avx512  cap the dispatch level explicitly
 //
 // An override can only lower the level below what the CPU supports; asking

@@ -1,5 +1,5 @@
 // Portable scalar reference kernels. These define the semantics every SIMD
-// variant approximates; they are also the GLSC_FORCE_SCALAR fallback and the
+// variant approximates; they are also the GLSC_ISA=scalar fallback and the
 // baseline the micro-benchmarks compare against.
 #include <algorithm>
 #include <cmath>

@@ -143,7 +143,7 @@ TEST(BatchedAttention, WorkspaceForwardMatchesForward) {
   nn::MultiHeadSelfAttention attn(8, 2, rng);
   for (const std::int64_t batch : {1, 3, 6}) {
     Tensor x = Tensor::Randn({batch, 5, 8}, rng);
-    const Tensor ref = attn.Forward(x, /*training=*/false);
+    const Tensor ref = attn.Forward(x);
     Workspace ws;
     const Tensor batched = attn.Forward(x, &ws);
     ExpectBytesEqual(ref, batched);

@@ -22,7 +22,7 @@ constexpr double kTol = 2e-2;
 template <typename L>
 void CheckLayer(L& layer, Tensor input, Rng& rng, double tol = kTol) {
   const auto result = CheckGradients(
-      [&layer](const Tensor& x) { return layer.Forward(x, true); },
+      [&layer](const Tensor& x) { return layer.Forward(x); },
       [&layer](const Tensor& g) { return layer.Backward(g); }, layer.Params(),
       std::move(input), rng);
   EXPECT_LT(result.max_rel_err_input, tol) << "input gradient mismatch";

@@ -21,7 +21,7 @@ TEST(Dense, OutputShapeAndBias) {
   Rng rng(1);
   Dense layer(4, 3, rng);
   Tensor x = Tensor::Zeros({2, 4});
-  Tensor y = layer.Forward(x, false);
+  Tensor y = layer.Forward(x);
   EXPECT_EQ(y.shape(), (Shape{2, 3}));
   // Zero input -> output equals the bias, identical across rows.
   for (std::int64_t c = 0; c < 3; ++c) EXPECT_EQ(y[c], y[3 + c]);
@@ -31,7 +31,7 @@ TEST(Conv2d, OutputGeometry) {
   Rng rng(2);
   Conv2d conv(3, 8, 5, 2, 2, rng);
   Tensor x = Tensor::Zeros({2, 3, 16, 16});
-  Tensor y = conv.Forward(x, false);
+  Tensor y = conv.Forward(x);
   EXPECT_EQ(y.shape(), (Shape{2, 8, 8, 8}));
 }
 
@@ -42,7 +42,7 @@ TEST(Conv2d, IdentityKernelPassesThrough) {
   for (Param* p : conv.Params()) p->value.Zero();
   conv.Params()[0]->value[4] = 1.0f;  // center of the 3x3 kernel
   Tensor x = Tensor::Randn({1, 1, 6, 6}, rng);
-  Tensor y = conv.Forward(x, false);
+  Tensor y = conv.Forward(x);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
 
@@ -50,7 +50,7 @@ TEST(NearestUpsample2x, Duplicates) {
   Tensor x({1, 1, 2, 2});
   x[0] = 1; x[1] = 2; x[2] = 3; x[3] = 4;
   NearestUpsample2x up;
-  Tensor y = up.Forward(x, false);
+  Tensor y = up.Forward(x);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 4, 4}));
   EXPECT_FLOAT_EQ(y.At({0, 0, 0, 0}), 1.0f);
   EXPECT_FLOAT_EQ(y.At({0, 0, 0, 1}), 1.0f);
@@ -62,7 +62,7 @@ TEST(AvgPool2x, Averages) {
   Tensor x({1, 1, 2, 2});
   x[0] = 1; x[1] = 2; x[2] = 3; x[3] = 4;
   AvgPool2x pool;
-  Tensor y = pool.Forward(x, false);
+  Tensor y = pool.Forward(x);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_FLOAT_EQ(y[0], 2.5f);
 }
@@ -71,7 +71,7 @@ TEST(GroupNorm, NormalizesPerGroup) {
   Rng rng(4);
   GroupNorm gn(2, 4);
   Tensor x = Tensor::Randn({2, 4, 8, 8}, rng, 5.0f);
-  Tensor y = gn.Forward(x, false);
+  Tensor y = gn.Forward(x);
   // With unit gamma / zero beta each (batch, group) slice is ~N(0,1).
   const std::int64_t hw = 64;
   for (std::int64_t b = 0; b < 2; ++b) {
@@ -94,7 +94,7 @@ TEST(LayerNorm, NormalizesRows) {
   Rng rng(5);
   LayerNorm ln(32);
   Tensor x = Tensor::Randn({4, 32}, rng, 3.0f);
-  Tensor y = ln.Forward(x, false);
+  Tensor y = ln.Forward(x);
   for (std::int64_t r = 0; r < 4; ++r) {
     double sum = 0.0;
     for (std::int64_t i = 0; i < 32; ++i) sum += y[r * 32 + i];
@@ -130,7 +130,7 @@ TEST(Attention, PermutationEquivariance) {
   Rng rng(7);
   MultiHeadSelfAttention attn(8, 2, rng);
   Tensor x = Tensor::Randn({1, 4, 8}, rng);
-  Tensor y = attn.Forward(x, false);
+  Tensor y = attn.Forward(x);
   attn.Backward(Tensor::Zeros(y.shape()));  // clear cache
 
   // Swap rows 1 and 2 of the sequence.
@@ -138,7 +138,7 @@ TEST(Attention, PermutationEquivariance) {
   for (std::int64_t d = 0; d < 8; ++d) {
     std::swap(xp[1 * 8 + d], xp[2 * 8 + d]);
   }
-  Tensor yp = attn.Forward(xp, false);
+  Tensor yp = attn.Forward(xp);
   for (std::int64_t d = 0; d < 8; ++d) {
     EXPECT_NEAR(yp[1 * 8 + d], y[2 * 8 + d], 1e-4);
     EXPECT_NEAR(yp[2 * 8 + d], y[1 * 8 + d], 1e-4);
@@ -166,12 +166,12 @@ TEST(Adam, ConvergesOnQuadratic) {
   Dense layer(4, 4, rng);
   Dense oracle(4, 4, rng);
   Tensor x = Tensor::Randn({8, 4}, rng);
-  Tensor target = oracle.Forward(x, false);
+  Tensor target = oracle.Forward(x);
   Adam opt(layer.Params(), 5e-2f);
 
   double first_loss = 0.0, last_loss = 0.0;
   for (int iter = 0; iter < 300; ++iter) {
-    Tensor y = layer.Forward(x, true);
+    Tensor y = layer.Forward(x);
     const double loss = MeanSquaredError(target, y);
     if (iter == 0) first_loss = loss;
     last_loss = loss;
@@ -189,11 +189,11 @@ TEST(Sgd, MomentumDescends) {
   Dense layer(3, 1, rng);
   Dense oracle(3, 1, rng);
   Tensor x = Tensor::Randn({16, 3}, rng);
-  Tensor target = oracle.Forward(x, false);
+  Tensor target = oracle.Forward(x);
   Sgd opt(layer.Params(), 1e-2f, 0.9f);
   double first_loss = 0.0, last_loss = 0.0;
   for (int iter = 0; iter < 200; ++iter) {
-    Tensor y = layer.Forward(x, true);
+    Tensor y = layer.Forward(x);
     const double loss = MeanSquaredError(target, y);
     if (iter == 0) first_loss = loss;
     last_loss = loss;
@@ -253,7 +253,7 @@ TEST(Sequential, ComposesAndCollectsParams) {
   seq.Emplace<SiLU>();
   seq.Emplace<Dense>(8, 2, rng, true, "b");
   EXPECT_EQ(seq.Params().size(), 4u);
-  Tensor y = seq.Forward(Tensor::Zeros({1, 4}), false);
+  Tensor y = seq.Forward(Tensor::Zeros({1, 4}));
   EXPECT_EQ(y.shape(), (Shape{1, 2}));
 }
 

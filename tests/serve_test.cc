@@ -2,7 +2,7 @@
 // core::ArchiveReader) and the parallel decode scheduler (serve/): index
 // round-trips, v1/v2 archives served through the same reader, byte-identity
 // of scheduler output against a per-entry reference decode for any worker
-// count, LRU eviction, truncated-footer rejection, a waiter decoding a record
+// count, LRU eviction, truncated-footer rejection, waiters claiming a record
 // its owner gave up on, and — via a counting codec — the guarantee that
 // fetching one window decodes exactly one record and reads only that
 // record's payload bytes.
@@ -480,12 +480,49 @@ TEST(DecodeScheduler, ConcurrentGetsAreSafeAndConsistent) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Every (workers, max_batch) dispatch of `reader` through `codec` — GetAll
+// and each variable's full-range Get — must match `reference` byte for byte.
+// The cache is off so every query pays real payload fetches and decodes
+// through the chosen dispatch.
+void ExpectEveryDispatchMatches(const core::ArchiveReader& reader,
+                                api::Compressor* codec,
+                                const Tensor& reference,
+                                const std::string& input) {
+  const std::int64_t frames = reference.dim(1);
+  const std::int64_t hw = reference.dim(2) * reference.dim(3);
+  for (const std::int64_t workers : {1, 4}) {
+    for (const std::int64_t max_batch : {1, 2, 5, 8}) {
+      ScheduleOptions options;
+      options.workers = workers;
+      options.cache_windows = 0;
+      options.max_batch = max_batch;
+      DecodeScheduler scheduler(&reader, codec, options);
+      const Tensor full = scheduler.GetAll();
+      ASSERT_EQ(full.shape(), reference.shape());
+      EXPECT_EQ(std::memcmp(full.data(), reference.data(),
+                            static_cast<std::size_t>(full.numel()) *
+                                sizeof(float)),
+                0)
+          << input << ", " << workers << " workers, max_batch " << max_batch;
+      for (std::int64_t v = 0; v < reference.dim(0); ++v) {
+        const Tensor slice = scheduler.Get(v, 0, frames);
+        EXPECT_EQ(std::memcmp(slice.data(),
+                              reference.data() + v * frames * hw,
+                              static_cast<std::size_t>(frames * hw) *
+                                  sizeof(float)),
+                  0)
+            << "variable " << v << ", " << input << ", " << workers
+            << " workers, max_batch " << max_batch;
+      }
+    }
+  }
+}
+
 TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   // The coalesced DecompressWindows dispatch must be byte-identical to the
-  // per-record dispatch for every (workers, max_batch) combination and every
-  // reader backing over the same filtered v4 archive; the cache is off so
-  // every query pays real payload fetches and decodes through the chosen
-  // dispatch.
+  // per-record dispatch for every (workers, max_batch) combination: for sz
+  // over every reader backing of the same filtered v4 archive, and for GLSC,
+  // whose batches run one sampler and VAE pass over the stacked windows.
   const Tensor field = MakeField(163);  // 2 variables, 6 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
@@ -506,36 +543,8 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   }
   ASSERT_TRUE(filtered) << "no record engaged the v4 filter pipeline";
 
-  const std::int64_t frames = field.dim(1);
-  const std::int64_t hw = field.dim(2) * field.dim(3);
   for (const auto& [backing, reader] : readers) {
-    for (const std::int64_t workers : {1, 4}) {
-      for (const std::int64_t max_batch : {1, 2, 5, 8}) {
-        ScheduleOptions options;
-        options.workers = workers;
-        options.cache_windows = 0;
-        options.max_batch = max_batch;
-        DecodeScheduler scheduler(&reader, codec.get(), options);
-        const Tensor full = scheduler.GetAll();
-        ASSERT_EQ(full.shape(), reference.shape());
-        EXPECT_EQ(std::memcmp(full.data(), reference.data(),
-                              static_cast<std::size_t>(full.numel()) *
-                                  sizeof(float)),
-                  0)
-            << backing << ", " << workers << " workers, max_batch "
-            << max_batch;
-        for (std::int64_t v = 0; v < field.dim(0); ++v) {
-          const Tensor slice = scheduler.Get(v, 0, frames);
-          EXPECT_EQ(std::memcmp(slice.data(),
-                                reference.data() + v * frames * hw,
-                                static_cast<std::size_t>(frames * hw) *
-                                    sizeof(float)),
-                    0)
-              << "variable " << v << ", " << backing << ", " << workers
-              << " workers, max_batch " << max_batch;
-        }
-      }
-    }
+    ExpectEveryDispatchMatches(reader, codec.get(), reference, "sz " + backing);
   }
   // The byte-backed readers ran identical query sequences, so they fetched
   // and unfiltered identical byte counts.
@@ -550,6 +559,43 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
         << readers[k].first;
   }
   std::filesystem::remove(path);
+
+  // GLSC with seeded random-init weights: Train with no VAE or diffusion
+  // iterations fits only the PCA basis, and the pointwise-L2 bound puts PCA
+  // corrections in the payloads. Backings do not depend on the codec, so
+  // bytes are enough. [2, 20, 16, 16] with window 8: 6 records.
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 20;
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 167;
+  const Tensor glsc_field = data::GenerateClimate(spec);
+  api::CodecOptions glsc_options;
+  glsc_options.window = 8;
+  glsc_options.latent_channels = 4;
+  glsc_options.hidden_channels = 6;
+  glsc_options.hyper_channels = 2;
+  glsc_options.model_channels = 8;
+  glsc_options.heads = 2;
+  glsc_options.schedule_steps = 30;
+  glsc_options.sample_steps = 4;
+  auto glsc = api::Compressor::Create("glsc", glsc_options);
+  api::TrainOptions train;
+  train.vae_iterations = 0;
+  train.model_iterations = 0;
+  glsc->Train(data::SequenceDataset(glsc_field), train);
+  api::SessionOptions session_options;
+  session_options.bound = {api::ErrorBoundMode::kPointwiseL2, 0.1};
+  api::EncodeSession session(glsc.get(), spec.variables, spec.height,
+                             spec.width, session_options);
+  session.Push(glsc_field);
+  const core::DatasetArchive glsc_archive = session.Finish();
+  const auto glsc_reader =
+      core::ArchiveReader::FromBytes(glsc_archive.Serialize());
+  ExpectEveryDispatchMatches(glsc_reader, glsc.get(),
+                             ReferenceDecode(glsc.get(), glsc_archive),
+                             "glsc bytes");
 }
 
 TEST(DecodeScheduler, ConcurrentIdenticalQueriesDecodeEachRecordOnce) {
@@ -635,6 +681,58 @@ TEST(DecodeScheduler, WaiterDecodesRecordItsOwnerGaveUp) {
                         static_cast<std::size_t>(16 * hw) * sizeof(float)),
             0);
   // A decoded the first record, B the second; nobody decoded the third.
+  EXPECT_EQ(scheduler.decoded_records(), 2);
+}
+
+TEST(DecodeScheduler, TwoWaitersOnAnAbandonedFlightDecodeTheRecordOnce) {
+  // As above, but two requests wait on A's abandoned flight for the second
+  // record. Each claims it again like any other miss, so one decodes it and
+  // the other waits on that decode or hits the cache: the record is decoded
+  // once, not once per waiter.
+  const Tensor field = MakeField(191, /*variables=*/1);  // 3 records
+  const core::DatasetArchive archive = EncodeSzArchive(field);
+  auto codec = api::Compressor::Create("sz");
+  const Tensor reference = ReferenceDecode(codec.get(), archive);
+
+  FaultInjector injector;
+  injector.Arm(FaultInjector::Kind::kSlow, /*count=*/1, /*record=*/-1,
+               /*slow_ms=*/150);
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
+  ScheduleOptions options;
+  options.max_batch = 1;
+  options.fault_injector = &injector;
+  DecodeScheduler scheduler(&reader, codec.get(), options);
+
+  const std::int64_t frames = field.dim(1);
+  std::optional<ErrorCode> a_error;
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    RequestContext ctx;
+    ctx.deadline = Deadline::AfterMillis(40);
+    try {
+      (void)scheduler.Get(0, 0, frames, &ctx);
+    } catch (const StatusError& e) {
+      a_error = e.code();
+    }
+    a_done = true;
+  });
+  while (injector.decode_calls() < 1 && !a_done) std::this_thread::yield();
+  Tensor b[2];
+  std::thread waiter([&] { b[0] = scheduler.Get(0, 16, 32); });
+  b[1] = scheduler.Get(0, 16, 32);
+  waiter.join();
+  a.join();
+
+  ASSERT_TRUE(a_error.has_value());
+  EXPECT_EQ(*a_error, ErrorCode::kDeadlineExceeded);
+  const std::int64_t hw = field.dim(2) * field.dim(3);
+  for (const Tensor& got : b) {
+    ASSERT_EQ(got.shape(), (Shape{16, field.dim(2), field.dim(3)}));
+    EXPECT_EQ(std::memcmp(got.data(), reference.data() + 16 * hw,
+                          static_cast<std::size_t>(16 * hw) * sizeof(float)),
+              0);
+  }
+  // A decoded the first record and one waiter the second.
   EXPECT_EQ(scheduler.decoded_records(), 2);
 }
 

@@ -206,14 +206,14 @@ TEST(WorkspaceTest, TensorEmptyIsOwnedAndWritable) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer-level byte identity: Forward(x, ws) == Forward(x, false).
+// Layer-level byte identity: Forward(x, ws) == Forward(x).
 // ---------------------------------------------------------------------------
 
 TEST(WorkspaceNnTest, DenseForwardMatches) {
   Rng rng(11);
   nn::Dense dense(12, 20, rng, /*bias=*/true, "ws.dense");
   const Tensor x = Tensor::Randn({5, 12}, rng);
-  const Tensor ref = dense.Forward(x, /*training=*/false);
+  const Tensor ref = dense.Forward(x);
   Workspace ws;
   const Tensor got = dense.Forward(x, &ws);
   EXPECT_TRUE(got.borrowed());
@@ -224,7 +224,7 @@ TEST(WorkspaceNnTest, Conv2dForwardMatchesAndScratchPersists) {
   Rng rng(13);
   nn::Conv2d conv(3, 6, 3, 1, 1, rng, "ws.conv");
   const Tensor x = Tensor::Randn({2, 3, 16, 16}, rng);
-  const Tensor ref = conv.Forward(x, /*training=*/false);
+  const Tensor ref = conv.Forward(x);
   Workspace ws;
   for (int round = 0; round < 3; ++round) {
     Workspace::Scope scope(&ws);
@@ -236,7 +236,7 @@ TEST(WorkspaceNnTest, Conv2dForwardMatchesAndScratchPersists) {
   const Tensor small = Tensor::Randn({1, 3, 8, 8}, rng);
   Workspace::Scope scope(&ws);
   const Tensor got_small = conv.Forward(small, &ws);
-  ExpectBytesEqual(conv.Forward(small, false), got_small);
+  ExpectBytesEqual(conv.Forward(small), got_small);
 }
 
 TEST(WorkspaceNnTest, Conv2dBackwardSharesForwardScratch) {
@@ -251,12 +251,12 @@ TEST(WorkspaceNnTest, Conv2dBackwardSharesForwardScratch) {
 
   // Warm up the scratch with a different geometry first.
   const Tensor other = Tensor::Randn({1, 3, 8, 8}, data_rng);
-  warm.Forward(other, true);
+  warm.Forward(other);
   warm.Backward(Tensor::Full({1, 4, 4, 4}, 1.0f));
 
-  warm.Forward(x, true);
+  warm.Forward(x);
   const Tensor grad_warm = warm.Backward(g);
-  cold.Forward(x, true);
+  cold.Forward(x);
   const Tensor grad_cold = cold.Backward(g);
   ExpectBytesEqual(grad_cold, grad_warm);
 }
@@ -265,7 +265,7 @@ TEST(WorkspaceNnTest, AttentionForwardMatches) {
   Rng rng(19);
   nn::MultiHeadSelfAttention attn(16, 4, rng, "ws.attn");
   const Tensor x = Tensor::Randn({3, 10, 16}, rng);
-  const Tensor ref = attn.Forward(x, /*training=*/false);
+  const Tensor ref = attn.Forward(x);
   attn.Backward(Tensor::Zeros(ref.shape()));  // clear the forward cache
   Workspace ws;
   const Tensor got = attn.Forward(x, &ws);
@@ -304,7 +304,7 @@ TEST(WorkspaceNnTest, NormsMatchIncludingInPlace) {
   Rng rng(29);
   nn::GroupNorm gn(2, 6, "ws.gn");
   const Tensor x4 = Tensor::Randn({2, 6, 5, 5}, rng);
-  const Tensor gn_ref = gn.Forward(x4, /*training=*/false);
+  const Tensor gn_ref = gn.Forward(x4);
   Workspace ws;
   ExpectBytesEqual(gn_ref, gn.Forward(x4, &ws));
   Tensor gn_inplace = x4.Clone();
@@ -313,7 +313,7 @@ TEST(WorkspaceNnTest, NormsMatchIncludingInPlace) {
 
   nn::LayerNorm ln(8, "ws.ln");
   const Tensor x3 = Tensor::Randn({4, 6, 8}, rng);
-  const Tensor ln_ref = ln.Forward(x3, /*training=*/false);
+  const Tensor ln_ref = ln.Forward(x3);
   ExpectBytesEqual(ln_ref, ln.Forward(x3, &ws));
   Tensor ln_inplace = x3.Clone();
   ASSERT_TRUE(ln.ForwardInPlace(&ln_inplace));
@@ -326,20 +326,20 @@ TEST(WorkspaceNnTest, ActivationsMatchIncludingInPlace) {
   Workspace ws;
 
   nn::SiLU silu;
-  const Tensor silu_ref = silu.Forward(x, /*training=*/false);
+  const Tensor silu_ref = silu.Forward(x);
   ExpectBytesEqual(silu_ref, silu.Forward(x, &ws));
   Tensor silu_inplace = x.Clone();
   ASSERT_TRUE(silu.ForwardInPlace(&silu_inplace));
   ExpectBytesEqual(silu_ref, silu_inplace);
 
   nn::Tanh tanh_layer;
-  const Tensor tanh_ref = tanh_layer.Forward(x, /*training=*/false);
+  const Tensor tanh_ref = tanh_layer.Forward(x);
   Tensor tanh_inplace = x.Clone();
   ASSERT_TRUE(tanh_layer.ForwardInPlace(&tanh_inplace));
   ExpectBytesEqual(tanh_ref, tanh_inplace);
 
   nn::FixedScale scale(2.5f);
-  const Tensor scale_ref = scale.Forward(x, /*training=*/false);
+  const Tensor scale_ref = scale.Forward(x);
   Tensor scale_inplace = x.Clone();
   ASSERT_TRUE(scale.ForwardInPlace(&scale_inplace));
   ExpectBytesEqual(scale_ref, scale_inplace);
@@ -353,7 +353,7 @@ TEST(WorkspaceNnTest, SequentialChainMatches) {
   seq.Emplace<nn::GroupNorm>(2, 4, "ws.seq.gn");
   seq.Emplace<nn::Conv2d>(4, 2, 3, 1, 1, rng, "ws.seq.conv2");
   const Tensor x = Tensor::Randn({2, 2, 8, 8}, rng);
-  const Tensor ref = seq.Forward(x, /*training=*/false);
+  const Tensor ref = seq.Forward(x);
   Workspace ws;
   const Tensor got = seq.Forward(x, &ws);
   ExpectBytesEqual(ref, got);

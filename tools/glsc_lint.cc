@@ -212,7 +212,7 @@ void CheckTestRegistration(const fs::path& root,
       cmake.find("tests/*_test.cc") != std::string::npos &&
       cmake.find("add_test(NAME ${test_name} ") != std::string::npos &&
       cmake.find("add_test(NAME ${test_name}_scalar") != std::string::npos &&
-      cmake.find("GLSC_FORCE_SCALAR=1") != std::string::npos;
+      cmake.find("GLSC_ISA=scalar") != std::string::npos;
   if (glob_mode) return;
   for (const std::string& stem : test_stems) {
     const bool native =
@@ -220,12 +220,12 @@ void CheckTestRegistration(const fs::path& root,
         cmake.find("add_test(NAME " + stem + "\n") != std::string::npos;
     const bool scalar =
         cmake.find("add_test(NAME " + stem + "_scalar") != std::string::npos &&
-        cmake.find("GLSC_FORCE_SCALAR=1") != std::string::npos;
+        cmake.find("GLSC_ISA=scalar") != std::string::npos;
     if (!native || !scalar) {
       findings->push_back(
           {"test-registration", "tests/" + stem + ".cc", 1,
            "must be registered with ctest both natively and as `" + stem +
-               "_scalar` under GLSC_FORCE_SCALAR=1"});
+               "_scalar` under GLSC_ISA=scalar"});
     }
   }
 }

@@ -20,7 +20,7 @@
 //                       flagged.
 //   test-registration   every tests/*_test.cc must be registered with ctest
 //                       BOTH natively and as a `_scalar` variant running
-//                       under GLSC_FORCE_SCALAR=1, so the scalar fallback
+//                       under GLSC_ISA=scalar, so the scalar fallback
 //                       kernels stay co-tested with the SIMD paths.
 //
 // Sanctioned exceptions live in tools/lint_allowlist.txt as `rule path`
