@@ -1,9 +1,10 @@
 // Table 2: encode / decode throughput (MB/s) for the generation-based
 // codecs. Paper shape (CPU analogue of the A100/RTX rows): encoding is a
 // single lightweight VAE pass for every method; decoding runs the reverse
-// diffusion — in PIXEL space for CDC/GCD, in LATENT space for ours — so our
-// decode is 1-2 orders of magnitude faster at matched steps and scales
-// inversely with step count.
+// diffusion — in PIXEL space for CDC and GCD (both CDCCompressor: per-frame,
+// and 8-frame blocks), in LATENT space for ours — so our decode is 1-2
+// orders of magnitude faster at matched steps and scales inversely with step
+// count.
 #include <cstdio>
 
 #include "harness.h"
@@ -79,22 +80,23 @@ int main() {
            corpus_mb / t_dec});
   }
 
-  // ---- GCD ----
+  // ---- GCD: CDC denoising 8-frame blocks ----
   {
-    baselines::GcdConfig config;
+    baselines::CdcConfig config;
     config.vae = preset.glsc.vae;
     config.vae.seed += 400;
     config.model_channels = 16;
     config.schedule_steps = preset.glsc.schedule_steps;
-    config.window = 8;
-    auto gcd = core::GetOrTrain<baselines::GCDCompressor>(
+    config.block = 8;
+    config.seed = 61;
+    auto gcd = core::GetOrTrain<baselines::CDCCompressor>(
         bench::ArtifactsDir(), "gcd_" + tag,
-        [&] { return std::make_unique<baselines::GCDCompressor>(config); },
-        [&](baselines::GCDCompressor* m) {
+        [&] { return std::make_unique<baselines::CDCCompressor>(config); },
+        [&](baselines::CDCCompressor* m) {
           m->Train(dataset, preset.budget.vae,
                    preset.budget.diffusion.iterations, 32);
         });
-    std::vector<baselines::GCDCompressor::Compressed> streams;
+    std::vector<baselines::CDCCompressor::Compressed> streams;
     Timer enc;
     for (const auto& w : corpus) {
       for (std::int64_t f0 = 0; f0 + 8 <= n; f0 += 8) {

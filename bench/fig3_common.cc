@@ -157,18 +157,19 @@ void RunFig3(data::DatasetKind kind, const std::string& figure_name,
     PrintCurve(is_eps ? "CDC-eps" : "CDC-X", curve);
   }
 
-  // ---------------- GCD (Fig. 3a only) ----------------
+  // ---------------- GCD: CDC with 8-frame blocks (Fig. 3a only) ----------
   if (options.include_gcd) {
-    baselines::GcdConfig config;
+    baselines::CdcConfig config;
     config.vae = preset.glsc.vae;
     config.vae.seed += 400;
     config.model_channels = 16;
     config.schedule_steps = preset.glsc.schedule_steps;
-    config.window = 8;
-    auto gcd = core::GetOrTrain<baselines::GCDCompressor>(
+    config.block = 8;
+    config.seed = 61;
+    auto gcd = core::GetOrTrain<baselines::CDCCompressor>(
         ArtifactsDir(), std::string("gcd_") + dataset_tag,
-        [&] { return std::make_unique<baselines::GCDCompressor>(config); },
-        [&](baselines::GCDCompressor* m) {
+        [&] { return std::make_unique<baselines::CDCCompressor>(config); },
+        [&](baselines::CDCCompressor* m) {
           m->Train(dataset, BaselineVaeTrain(preset.budget),
                    /*diffusion_iters=*/250, /*crop=*/32);
         });
@@ -176,7 +177,7 @@ void RunFig3(data::DatasetKind kind, const std::string& figure_name,
       // GCD blocks are 8 frames; tile the 16-frame eval window.
       WindowRecon out{w, Tensor(w.shape()), 0};
       Rng rng(static_cast<std::uint64_t>(v * 1000 + t0) + 5);
-      const std::int64_t block = gcd->window();
+      const std::int64_t block = gcd->block();
       for (std::int64_t f0 = 0; f0 < w.dim(0); f0 += block) {
         const Tensor chunk = w.Slice0(f0, f0 + block);
         const auto compressed = gcd->Compress(chunk);

@@ -11,7 +11,8 @@
 namespace glsc::bench {
 
 struct Fig3Options {
-  bool include_gcd = false;      // GCD appears only in Fig. 3a (E3SM)
+  // GCD (CDC with 8-frame blocks) appears only in Fig. 3a (E3SM).
+  bool include_gcd = false;
   std::int64_t decode_steps = 32;
 };
 

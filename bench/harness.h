@@ -5,6 +5,8 @@
 // sweep the error-bound postprocessing to trace a rate-distortion curve with
 // REAL byte counts. This header centralizes the presets and sweep logic so
 // each bench_*.cc file reads like the experiment description in the paper.
+// The learned baselines come from baselines/: VAE-SR, and CDC, whose
+// CdcConfig::block also gives GCD (CDC denoising multi-frame blocks).
 #pragma once
 
 #include <functional>
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "baselines/cdc.h"
-#include "baselines/gcd.h"
 #include "baselines/sz_like.h"
 #include "baselines/vae_sr.h"
 #include "baselines/zfp_like.h"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "compress/vae_trainer.h"
 #include "core/container.h"
@@ -11,35 +13,6 @@
 
 namespace glsc::api {
 namespace {
-
-// ---- shared payload plumbing ----
-
-void PutShape(const Shape& shape, ByteWriter* out) { PutDims(shape, out); }
-Shape GetShape(ByteReader* in) { return GetDimsChecked(in); }
-
-void PutBitstream(const compress::VaeBitstream& bits, ByteWriter* out) {
-  out->PutVarU64(bits.y_stream.size());
-  out->PutBytes(bits.y_stream.data(), bits.y_stream.size());
-  out->PutVarU64(bits.z_stream.size());
-  out->PutBytes(bits.z_stream.data(), bits.z_stream.size());
-  PutShape(bits.y_shape, out);
-  PutShape(bits.z_shape, out);
-}
-
-compress::VaeBitstream GetBitstream(ByteReader* in) {
-  compress::VaeBitstream bits;
-  std::uint64_t n = in->GetVarU64();
-  GLSC_CHECK_MSG(n <= in->remaining(), "corrupt payload: y-stream length");
-  bits.y_stream.resize(n);
-  in->GetBytes(bits.y_stream.data(), n);
-  n = in->GetVarU64();
-  GLSC_CHECK_MSG(n <= in->remaining(), "corrupt payload: z-stream length");
-  bits.z_stream.resize(n);
-  in->GetBytes(bits.z_stream.data(), n);
-  bits.y_shape = GetShape(in);
-  bits.z_shape = GetShape(in);
-  return bits;
-}
 
 void CheckBoundSupported(const Compressor& codec, const ErrorBound& bound) {
   GLSC_CHECK_MSG(codec.capabilities().Supports(bound.mode),
@@ -263,12 +236,35 @@ std::unique_ptr<Compressor> WrapGlsc(core::GlscCompressor* compressor,
 }
 
 // ---------------------------------------------------------------------------
-// CDC
+// CDC / GCD
 // ---------------------------------------------------------------------------
 
 namespace {
 
-baselines::CdcConfig MakeCdcConfig(const CodecOptions& options) {
+// The per-name constants of the pixel-space diffusion baselines.
+struct CdcVariant {
+  const char* name;
+  bool block_is_window;       // false: block 1 (per-frame CDC)
+  std::uint64_t seed_offset;  // model seed = options.seed + seed_offset
+  std::uint32_t noise_salt;   // DeriveSeed salt of the payload's noise seed
+};
+
+constexpr CdcVariant kCdcVariants[] = {
+    {"cdc", false, 1, 0xC5C5C5C5u},
+    {"gcd", true, 2, 0xD6D6D6D6u},
+};
+
+const CdcVariant& FindCdcVariant(const std::string& name) {
+  const CdcVariant* v = std::find_if(
+      std::begin(kCdcVariants), std::end(kCdcVariants),
+      [&](const CdcVariant& candidate) { return name == candidate.name; });
+  GLSC_CHECK_MSG(v != std::end(kCdcVariants),
+                 "no pixel-space diffusion codec named '" << name << "'");
+  return *v;
+}
+
+baselines::CdcConfig MakeCdcConfig(const CdcVariant& variant,
+                                   const CodecOptions& options) {
   baselines::CdcConfig cfg;
   cfg.vae.latent_channels = options.latent_channels;
   cfg.vae.hidden_channels = options.hidden_channels;
@@ -277,16 +273,19 @@ baselines::CdcConfig MakeCdcConfig(const CodecOptions& options) {
   cfg.model_channels = options.model_channels;
   cfg.heads = options.heads;
   cfg.schedule_steps = options.schedule_steps;
-  cfg.seed = options.seed + 1;
+  cfg.block = variant.block_is_window ? options.window : 1;
+  cfg.seed = options.seed + variant.seed_offset;
   return cfg;
 }
 
 }  // namespace
 
-CdcAdapter::CdcAdapter(const CodecOptions& options)
-    : options_(options),
+CdcAdapter::CdcAdapter(std::string name, const CodecOptions& options)
+    : name_(std::move(name)),
+      options_(options),
+      noise_salt_(FindCdcVariant(name_).noise_salt),
       codec_(std::make_unique<baselines::CDCCompressor>(
-          MakeCdcConfig(options))) {}
+          MakeCdcConfig(FindCdcVariant(name_), options))) {}
 
 Capabilities CdcAdapter::capabilities() const { return Capabilities{}; }
 
@@ -297,18 +296,18 @@ std::vector<std::uint8_t> CdcAdapter::CompressWindow(
   CheckBoundSupported(*this, bound);
   const auto compressed = codec_->Compress(window);
   ByteWriter out;
-  PutShape(compressed.window_shape, &out);
-  out.PutU32(DeriveSeed(window, 0xC5C5C5C5u));
-  PutBitstream(compressed.frames, &out);
+  PutDims(compressed.window_shape, &out);
+  out.PutU32(DeriveSeed(window, noise_salt_));
+  compress::PutVaeBitstream(compressed.frames, &out);
   return out.Release();
 }
 
 Tensor CdcAdapter::DecompressWindow(const std::vector<std::uint8_t>& payload) {
   ByteReader in(payload);
   baselines::CDCCompressor::Compressed compressed;
-  compressed.window_shape = GetShape(&in);
+  compressed.window_shape = GetDimsChecked(&in);
   const std::uint32_t seed = in.GetU32();
-  compressed.frames = GetBitstream(&in);
+  compressed.frames = compress::GetVaeBitstream(&in);
   Rng rng(seed);
   return codec_->Decompress(compressed, options_.sample_steps, rng);
 }
@@ -320,74 +319,7 @@ void CdcAdapter::Train(const data::SequenceDataset& dataset,
 }
 
 std::unique_ptr<Compressor> CdcAdapter::Clone() {
-  auto copy = std::make_unique<CdcAdapter>(options_);
-  ByteWriter weights;
-  codec_->Save(&weights);
-  ByteReader in(weights.bytes());
-  copy->codec_->Load(&in);
-  return copy;
-}
-
-// ---------------------------------------------------------------------------
-// GCD
-// ---------------------------------------------------------------------------
-
-namespace {
-
-baselines::GcdConfig MakeGcdConfig(const CodecOptions& options) {
-  baselines::GcdConfig cfg;
-  cfg.vae.latent_channels = options.latent_channels;
-  cfg.vae.hidden_channels = options.hidden_channels;
-  cfg.vae.hyper_channels = options.hyper_channels;
-  cfg.vae.seed = options.seed;
-  cfg.model_channels = options.model_channels;
-  cfg.heads = options.heads;
-  cfg.schedule_steps = options.schedule_steps;
-  cfg.window = options.window;
-  cfg.seed = options.seed + 2;
-  return cfg;
-}
-
-}  // namespace
-
-GcdAdapter::GcdAdapter(const CodecOptions& options)
-    : options_(options),
-      codec_(std::make_unique<baselines::GCDCompressor>(
-          MakeGcdConfig(options))) {}
-
-Capabilities GcdAdapter::capabilities() const { return Capabilities{}; }
-
-std::vector<std::uint8_t> GcdAdapter::CompressWindow(
-    const Tensor& window, const ErrorBound& bound,
-    const std::vector<data::FrameNorm>& norms) {
-  (void)norms;
-  CheckBoundSupported(*this, bound);
-  const auto compressed = codec_->Compress(window);
-  ByteWriter out;
-  PutShape(compressed.window_shape, &out);
-  out.PutU32(DeriveSeed(window, 0xD6D6D6D6u));
-  PutBitstream(compressed.frames, &out);
-  return out.Release();
-}
-
-Tensor GcdAdapter::DecompressWindow(const std::vector<std::uint8_t>& payload) {
-  ByteReader in(payload);
-  baselines::GCDCompressor::Compressed compressed;
-  compressed.window_shape = GetShape(&in);
-  const std::uint32_t seed = in.GetU32();
-  compressed.frames = GetBitstream(&in);
-  Rng rng(seed);
-  return codec_->Decompress(compressed, options_.sample_steps, rng);
-}
-
-void GcdAdapter::Train(const data::SequenceDataset& dataset,
-                       const TrainOptions& options) {
-  codec_->Train(dataset, MakeVaeTrain(options), options.model_iterations,
-                options.crop);
-}
-
-std::unique_ptr<Compressor> GcdAdapter::Clone() {
-  auto copy = std::make_unique<GcdAdapter>(options_);
+  auto copy = std::make_unique<CdcAdapter>(name_, options_);
   ByteWriter weights;
   codec_->Save(&weights);
   ByteReader in(weights.bytes());
@@ -428,8 +360,8 @@ std::vector<std::uint8_t> VaeSrAdapter::CompressWindow(
   CheckBoundSupported(*this, bound);
   const auto compressed = codec_->Compress(window);
   ByteWriter out;
-  PutShape(compressed.window_shape, &out);
-  PutBitstream(compressed.frames, &out);
+  PutDims(compressed.window_shape, &out);
+  compress::PutVaeBitstream(compressed.frames, &out);
   return out.Release();
 }
 
@@ -437,8 +369,8 @@ Tensor VaeSrAdapter::DecompressWindow(
     const std::vector<std::uint8_t>& payload) {
   ByteReader in(payload);
   baselines::VAESRCompressor::Compressed compressed;
-  compressed.window_shape = GetShape(&in);
-  compressed.frames = GetBitstream(&in);
+  compressed.window_shape = GetDimsChecked(&in);
+  compressed.frames = compress::GetVaeBitstream(&in);
   return codec_->Decompress(compressed);
 }
 
@@ -476,12 +408,12 @@ void RegisterBuiltinCodecs() {
   RegisterCompressor("zfp", [](const CodecOptions& o) {
     return std::make_unique<ZfpAdapter>(o);
   });
-  RegisterCompressor("cdc", [](const CodecOptions& o) {
-    return std::make_unique<CdcAdapter>(o);
-  });
-  RegisterCompressor("gcd", [](const CodecOptions& o) {
-    return std::make_unique<GcdAdapter>(o);
-  });
+  for (const CdcVariant& v : kCdcVariants) {
+    RegisterCompressor(v.name, [name = std::string(v.name)](
+                                   const CodecOptions& o) {
+      return std::make_unique<CdcAdapter>(name, o);
+    });
+  }
   RegisterCompressor("vae_sr", [](const CodecOptions& o) {
     return std::make_unique<VaeSrAdapter>(o);
   });

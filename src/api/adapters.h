@@ -9,7 +9,6 @@
 
 #include "api/compressor.h"
 #include "baselines/cdc.h"
-#include "baselines/gcd.h"
 #include "baselines/sz_like.h"
 #include "baselines/vae_sr.h"
 #include "baselines/zfp_like.h"
@@ -131,11 +130,15 @@ std::unique_ptr<Compressor> WrapGlsc(core::GlscCompressor* compressor,
 // Learned baselines (best effort, no declared bound).
 // ---------------------------------------------------------------------------
 
+// One adapter serves both pixel-space diffusion baselines, "cdc" (per-frame
+// 2D model, block 1) and "gcd" (3D blocks of options.window frames, so each
+// record denoises as one block); the name picks the block length, the model
+// seed and the salt of the payload's noise seed.
 class CdcAdapter final : public Compressor {
  public:
-  explicit CdcAdapter(const CodecOptions& options);
+  CdcAdapter(std::string name, const CodecOptions& options);
 
-  std::string name() const override { return "cdc"; }
+  std::string name() const override { return name_; }
   Capabilities capabilities() const override;
   std::int64_t window() const override { return options_.window; }
   std::vector<std::uint8_t> CompressWindow(
@@ -149,30 +152,10 @@ class CdcAdapter final : public Compressor {
   std::unique_ptr<Compressor> Clone() override;
 
  private:
+  std::string name_;
   CodecOptions options_;
+  std::uint32_t noise_salt_;
   std::unique_ptr<baselines::CDCCompressor> codec_;
-};
-
-class GcdAdapter final : public Compressor {
- public:
-  explicit GcdAdapter(const CodecOptions& options);
-
-  std::string name() const override { return "gcd"; }
-  Capabilities capabilities() const override;
-  std::int64_t window() const override { return options_.window; }
-  std::vector<std::uint8_t> CompressWindow(
-      const Tensor& window, const ErrorBound& bound,
-      const std::vector<data::FrameNorm>& norms) override;
-  Tensor DecompressWindow(const std::vector<std::uint8_t>& payload) override;
-  void Train(const data::SequenceDataset& dataset,
-             const TrainOptions& options) override;
-  void SaveModel(ByteWriter* out) override { codec_->Save(out); }
-  void LoadModel(ByteReader* in) override { codec_->Load(in); }
-  std::unique_ptr<Compressor> Clone() override;
-
- private:
-  CodecOptions options_;
-  std::unique_ptr<baselines::GCDCompressor> codec_;
 };
 
 class VaeSrAdapter final : public Compressor {

@@ -42,7 +42,10 @@ CDCCompressor::CDCCompressor(const CdcConfig& config)
     : config_(config),
       vae_(config.vae),
       schedule_(diffusion::ScheduleKind::kLinear, config.schedule_steps),
-      unet_(MakeUnetConfig(config)) {}
+      unet_(MakeUnetConfig(config)) {
+  GLSC_CHECK_MSG(config.block >= 1, "CDC block of " << config.block
+                                                    << " frames");
+}
 
 void CDCCompressor::Train(const data::SequenceDataset& dataset,
                           const compress::VaeTrainConfig& vae_cfg,
@@ -54,9 +57,10 @@ void CDCCompressor::Train(const data::SequenceDataset& dataset,
   double window_loss = 0.0;
   std::int64_t window_count = 0;
   for (std::int64_t iter = 1; iter <= diffusion_iters; ++iter) {
-    Tensor frame = dataset.SampleTrainingPatch(crop, rng);
-    const Tensor x =
-        frame.Reshape({1, 1, frame.dim(1), frame.dim(2)});
+    const Tensor frames =
+        dataset.SampleTrainingWindow(config_.block, crop, rng);
+    const Tensor x = frames.Reshape(
+        {frames.dim(0), 1, frames.dim(1), frames.dim(2)});
     // Frozen-VAE conditioning signal: decode of the quantized latent.
     const Tensor cond = vae_.DecodeLatent(Round(vae_.EncodeLatent(x)));
 
@@ -87,7 +91,8 @@ void CDCCompressor::Train(const data::SequenceDataset& dataset,
     window_loss += loss;
     if (++window_count == 200 || iter == diffusion_iters) {
       LOG_INFO << "cdc(" << (config_.target == PredictTarget::kX0 ? "X" : "eps")
-               << ") iter " << iter << "/" << diffusion_iters
+               << ", block " << config_.block << ") iter " << iter << "/"
+               << diffusion_iters
                << " mse=" << window_loss / window_count;
       window_loss = 0.0;
       window_count = 0;
@@ -121,9 +126,11 @@ Tensor CDCCompressor::Decompress(const Compressed& compressed,
   std::vector<std::int64_t> ladder = schedule_.Respace(steps);
   std::reverse(ladder.begin(), ladder.end());
 
-  // Frames decode independently (per the 2D design): the UNet trains on
-  // single frames, so the N frames run as N one-frame windows of one forward
-  // and its temporal attention never mixes them.
+  // The UNet trains on blocks of config_.block frames, so the N frames run
+  // as N / block windows of one forward: temporal attention mixes frames
+  // only within a block (never, at block 1).
+  GLSC_CHECK_MSG(n % config_.block == 0,
+                 n << " frames do not split into blocks of " << config_.block);
   tensor::Workspace ws;
   Tensor x = Tensor::Randn({n, 1, h, w}, rng);
   for (std::size_t s = 0; s < ladder.size(); ++s) {
@@ -134,7 +141,7 @@ Tensor CDCCompressor::Decompress(const Compressed& compressed,
     const double ab_prev = last ? 1.0 : schedule_.alpha_bar(ladder[s + 1]);
 
     const Tensor input = StackChannels(x, cond_batch);
-    const Tensor pred = unet_.Forward(input, t, &ws, n);
+    const Tensor pred = unet_.Forward(input, t, &ws, n / config_.block);
 
     // Recover (x0, eps) regardless of parameterization.
     Tensor x0(x.shape()), eps(x.shape());

@@ -1,13 +1,19 @@
-// CDC-style conditional diffusion codec (Yang & Mandt [38]), the 2D learned
-// baseline of Figure 3 in both its parameterizations:
-//   CDC-X   — the network predicts the clean signal x0 directly;
-//   CDC-eps — the network predicts the injected noise.
+// Pixel-space conditional diffusion codecs, the learned baselines of
+// Figure 3 and Table 2:
+//   CDC (Yang & Mandt [38]) — 2D: every frame denoises on its own (block 1),
+//     in both parameterizations:
+//       CDC-X   — the network predicts the clean signal x0 directly;
+//       CDC-eps — the network predicts the injected noise.
+//   GCD (Lee et al. [20])  — CDC extended to spatiotemporal blocks: the
+//     [block, H, W] frames denoise jointly, and temporal attention mixes
+//     them (block > 1, eps parameterization).
 //
 // Design mirrored from the paper: a VAE+hyperprior encodes EVERY frame to a
 // quantized latent (this is the storage cost our method undercuts); the
 // decoded VAE reconstruction conditions a PIXEL-SPACE diffusion model that
 // refines it. Decoding therefore runs the reverse process at full spatial
-// resolution — the source of CDC's slow decode in Table 2.
+// resolution — the source of CDC's slow decode in Table 2, and joint 3D
+// denoising makes GCD slower still.
 #pragma once
 
 #include "compress/vae.h"
@@ -26,6 +32,12 @@ struct CdcConfig {
   std::int64_t heads = 4;
   std::int64_t schedule_steps = 200;
   PredictTarget target = PredictTarget::kEpsilon;
+  // Frames denoised together. 1 is CDC's per-frame 2D model; N is GCD's 3D
+  // block: training samples N consecutive frames, and decode splits a
+  // window into blocks of N frames that each denoise jointly in pixel space
+  // with temporal attention, conditioned on the per-frame VAE
+  // reconstructions. A decoded window must hold a whole number of blocks.
+  std::int64_t block = 1;
   std::uint64_t seed = 57;
 };
 
@@ -45,14 +57,13 @@ class CDCCompressor {
 
   // window: normalized frames [N, H, W].
   Compressed Compress(const Tensor& window);
+  // N must be a multiple of block().
   Tensor Decompress(const Compressed& compressed, std::int64_t steps,
                     Rng& rng);
   // VAE-only reconstruction (conditioning signal), for ablation.
   Tensor DecompressVaeOnly(const Compressed& compressed);
 
-  compress::VaeHyperprior& vae() { return vae_; }
-  diffusion::SpaceTimeUNet& unet() { return unet_; }
-  const diffusion::NoiseSchedule& schedule() const { return schedule_; }
+  std::int64_t block() const { return config_.block; }
 
   void Save(ByteWriter* out);
   void Load(ByteReader* in);

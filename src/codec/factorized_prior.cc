@@ -110,8 +110,12 @@ Tensor LogisticChannelCodec::Decode(const std::vector<std::uint8_t>& bytes,
                                     const Shape& shape,
                                     const std::vector<float>& mu,
                                     const std::vector<float>& s) {
-  GLSC_CHECK(shape.size() >= 2);
+  GLSC_CHECK(shape.size() >= 2 && shape[0] > 0);
   const std::int64_t channels = shape[1];
+  // One (mu, s) pair per channel: `shape` may come off the wire.
+  GLSC_CHECK(channels > 0 &&
+             static_cast<std::int64_t>(mu.size()) == channels &&
+             static_cast<std::int64_t>(s.size()) == channels);
   std::vector<FreqTable> tables;
   tables.reserve(static_cast<std::size_t>(channels));
   for (std::int64_t c = 0; c < channels; ++c) {

@@ -1,5 +1,6 @@
 #include "compress/factorized_prior.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -88,6 +89,14 @@ std::vector<std::uint8_t> FactorizedPrior::Encode(const Tensor& z) const {
 
 Tensor FactorizedPrior::Decode(const std::vector<std::uint8_t>& bytes,
                                const Shape& shape) const {
+  // The hyperlatent shape comes off the wire: it must be non-empty and carry
+  // this prior's channel count before anything is sized or divided by it.
+  GLSC_CHECK_MSG(shape.size() >= 2 && shape[1] == channels_ &&
+                     std::all_of(shape.begin(), shape.end(),
+                                 [](std::int64_t d) { return d > 0; }),
+                 "corrupt stream: hyperlatent shape " << ShapeToString(shape)
+                                                      << " for " << channels_
+                                                      << " prior channels");
   return codec_.Decode(bytes, shape, MuValues(), ScaleValues());
 }
 

@@ -36,6 +36,26 @@ void SplitHyperParams(const Tensor& params, std::int64_t lat, Tensor* mu,
 
 }  // namespace
 
+void PutVaeBitstream(const VaeBitstream& bits, ByteWriter* out) {
+  out->PutVarU64(bits.y_stream.size());
+  out->PutBytes(bits.y_stream.data(), bits.y_stream.size());
+  out->PutVarU64(bits.z_stream.size());
+  out->PutBytes(bits.z_stream.data(), bits.z_stream.size());
+  PutDims(bits.y_shape, out);
+  PutDims(bits.z_shape, out);
+}
+
+VaeBitstream GetVaeBitstream(ByteReader* in) {
+  VaeBitstream bits;
+  bits.y_stream.resize(GetCheckedLength(in, "y-stream"));
+  in->GetBytes(bits.y_stream.data(), bits.y_stream.size());
+  bits.z_stream.resize(GetCheckedLength(in, "z-stream"));
+  in->GetBytes(bits.z_stream.data(), bits.z_stream.size());
+  bits.y_shape = GetDimsChecked(in);
+  bits.z_shape = GetDimsChecked(in);
+  return bits;
+}
+
 VaeHyperprior::VaeHyperprior(const VaeConfig& config)
     : config_(config), prior_(config.hyper_channels) {
   Rng rng(config.seed);

@@ -47,6 +47,14 @@ struct VaeBitstream {
   std::size_t TotalBytes() const { return y_stream.size() + z_stream.size(); }
 };
 
+// The wire format of a VaeBitstream, shared by the GLSC record body and the
+// cdc/gcd/vae_sr payloads: varint-length y-stream, varint-length z-stream,
+// y_shape, z_shape. The reader checks each length against the bytes left
+// and each shape with GetDimsChecked; DecompressLatents checks the shapes
+// against the model.
+void PutVaeBitstream(const VaeBitstream& bits, ByteWriter* out);
+VaeBitstream GetVaeBitstream(ByteReader* in);
+
 class VaeHyperprior {
  public:
   explicit VaeHyperprior(const VaeConfig& config);

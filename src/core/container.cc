@@ -13,21 +13,6 @@ constexpr char kMagic[4] = {'G', 'L', 'S', 'C'};
 constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
 constexpr std::uint8_t kVersion = 4;          // filtered records, appendable
 
-void PutShape(const Shape& shape, ByteWriter* out) { PutDims(shape, out); }
-Shape GetShape(ByteReader* in) { return GetDimsChecked(in); }
-
-// Reads a varint byte count that must fit in what is left of the stream —
-// the guard that keeps truncated/hostile archives from OOMing via a huge
-// resize before the actual read fails.
-std::uint64_t GetCheckedLength(ByteReader* in, const char* what) {
-  const std::uint64_t n = in->GetVarU64();
-  GLSC_CHECK_MSG(n <= in->remaining(), "corrupt record: " << what << " length "
-                                                          << n << " exceeds "
-                                                          << in->remaining()
-                                                          << " remaining bytes");
-  return n;
-}
-
 // ---- v4 write path --------------------------------------------------------
 
 std::vector<std::uint8_t> NormsRawBytes(
@@ -114,15 +99,8 @@ void PutV4Tail(ByteWriter* out, std::uint64_t base,
 }  // namespace
 
 void SerializeWindow(const CompressedWindow& window, ByteWriter* out) {
-  out->PutVarU64(window.keyframes.y_stream.size());
-  out->PutBytes(window.keyframes.y_stream.data(),
-                window.keyframes.y_stream.size());
-  out->PutVarU64(window.keyframes.z_stream.size());
-  out->PutBytes(window.keyframes.z_stream.data(),
-                window.keyframes.z_stream.size());
-  PutShape(window.keyframes.y_shape, out);
-  PutShape(window.keyframes.z_shape, out);
-  PutShape(window.window_shape, out);
+  compress::PutVaeBitstream(window.keyframes, out);
+  PutDims(window.window_shape, out);
   out->PutU32(window.sample_seed);
   out->PutVarU64(window.corrections.size());
   for (const auto& c : window.corrections) {
@@ -133,15 +111,8 @@ void SerializeWindow(const CompressedWindow& window, ByteWriter* out) {
 
 CompressedWindow DeserializeWindow(ByteReader* in) {
   CompressedWindow window;
-  window.keyframes.y_stream.resize(GetCheckedLength(in, "y-stream"));
-  in->GetBytes(window.keyframes.y_stream.data(),
-               window.keyframes.y_stream.size());
-  window.keyframes.z_stream.resize(GetCheckedLength(in, "z-stream"));
-  in->GetBytes(window.keyframes.z_stream.data(),
-               window.keyframes.z_stream.size());
-  window.keyframes.y_shape = GetShape(in);
-  window.keyframes.z_shape = GetShape(in);
-  window.window_shape = GetShape(in);
+  window.keyframes = compress::GetVaeBitstream(in);
+  window.window_shape = GetDimsChecked(in);
   window.sample_seed = in->GetU32();
   // Every correction costs at least its own length varint, so the count can
   // never legitimately exceed the remaining byte count.

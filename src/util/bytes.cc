@@ -27,6 +27,15 @@ std::vector<std::int64_t> GetDimsChecked(ByteReader* in) {
   return dims;
 }
 
+std::uint64_t GetCheckedLength(ByteReader* in, const char* what) {
+  const std::uint64_t n = in->GetVarU64();
+  GLSC_CHECK_MSG(n <= in->remaining(), "corrupt record: " << what << " length "
+                                                          << n << " exceeds "
+                                                          << in->remaining()
+                                                          << " remaining bytes");
+  return n;
+}
+
 bool DimsMatchCount(std::initializer_list<std::uint64_t> dims,
                     std::uint64_t count) {
   std::uint64_t product = 1;

@@ -190,6 +190,12 @@ class ByteReader {
 void PutDims(const std::vector<std::int64_t>& dims, ByteWriter* out);
 std::vector<std::int64_t> GetDimsChecked(ByteReader* in);
 
+// Reads a varint byte count that must fit in what is left of the stream —
+// the guard that keeps truncated/hostile streams from OOMing via a huge
+// resize before the actual read fails. The error names `what` and the
+// remaining byte count.
+std::uint64_t GetCheckedLength(ByteReader* in, const char* what);
+
 // True when every dim is at most 2^31 and the dims multiply to exactly
 // `count`, checked without overflow. Decoders whose payload declares its
 // geometry next to a validated element count (the rule-based baselines'

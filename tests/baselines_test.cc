@@ -4,9 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "baselines/cdc.h"
-#include "baselines/gcd.h"
 #include "baselines/sz_like.h"
 #include "baselines/vae_sr.h"
 #include "baselines/zfp_like.h"
@@ -336,20 +336,22 @@ TEST(CDC, TrainCompressDecompress) {
   }
 }
 
-TEST(GCD, TrainCompressDecompress) {
+TEST(CDC, BlockOfFourDenoisesJointly) {
+  // GCD's 3D blocks: CDC with a block of 4 frames.
   data::FieldSpec spec;
   spec.frames = 24;
   spec.height = 16;
   spec.width = 16;
   data::SequenceDataset dataset(data::GenerateCombustion(spec));
 
-  GcdConfig config;
+  CdcConfig config;
   config.vae = TinyVae(5);
   config.model_channels = 8;
   config.heads = 2;
   config.schedule_steps = 20;
-  config.window = 4;
-  GCDCompressor gcd(config);
+  config.block = 4;
+  config.seed = 61;
+  CDCCompressor gcd(config);
   gcd.Train(dataset, TinyVaeTrain(), /*diffusion_iters=*/40, /*crop=*/16);
 
   const Tensor window = dataset.NormalizedWindow(0, 2, 4);
@@ -358,6 +360,25 @@ TEST(GCD, TrainCompressDecompress) {
   const Tensor recon = gcd.Decompress(compressed, /*steps=*/4, rng);
   ASSERT_EQ(recon.shape(), window.shape());
   EXPECT_TRUE(recon.AllFinite());
+
+  // The converse of CDC's frame independence: the block's frames denoise
+  // together through temporal attention, so replacing its last frame changes
+  // its first frame's decode under the same noise seed.
+  const std::int64_t hw = window.dim(1) * window.dim(2);
+  Tensor changed = window.Clone();
+  const Tensor other = dataset.NormalizedWindow(0, 10, 4);
+  std::copy_n(other.data() + 3 * hw, hw, changed.data() + 3 * hw);
+  Rng rng_a(11), rng_b(11);
+  const Tensor a = gcd.Decompress(gcd.Compress(window), /*steps=*/4, rng_a);
+  const Tensor b = gcd.Decompress(gcd.Compress(changed), /*steps=*/4, rng_b);
+  EXPECT_NE(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(hw) * sizeof(float)),
+            0);
+
+  // A window that is not a whole number of blocks does not decode.
+  const auto ragged = gcd.Compress(dataset.NormalizedWindow(0, 2, 6));
+  Rng rng_c(13);
+  EXPECT_THROW(gcd.Decompress(ragged, /*steps=*/4, rng_c), std::runtime_error);
 }
 
 TEST(VAESR, TrainCompressDecompress) {

@@ -5,7 +5,8 @@
 //                                   Im2Col + GemmEx, at every ISA level
 //   MultiHeadSelfAttention        — workspace forward vs training forward
 //   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs the
-//                                   training forward per window
+//                                   training forward per window, for the
+//                                   latent model and CDC's pixel-space one
 //   SampleConditionalBatch        — batched DDIM ladder vs the allocating
 //                                   sampler per window
 //   VaeHyperprior::DecodeLatent-  — merged decoder convolutions vs the
@@ -151,30 +152,47 @@ TEST(BatchedAttention, WorkspaceForwardMatchesForward) {
 }
 
 TEST(BatchedUNet, StackedWindowsMatchSerialPerWindow) {
-  diffusion::UNetConfig config;
-  config.latent_channels = 4;
-  config.model_channels = 8;
-  config.heads = 2;
-  config.seed = 5;
-  diffusion::SpaceTimeUNet unet(config);
+  diffusion::UNetConfig latent;
+  latent.latent_channels = 4;
+  latent.model_channels = 8;
+  latent.heads = 2;
+  latent.seed = 5;
+  // The pixel-space model CDC decodes with: [noisy | condition] in, one
+  // channel out, no full-resolution attention; its windows are blocks of 1
+  // (per-frame CDC) or more frames (GCD's 3D blocks).
+  diffusion::UNetConfig pixel = latent;
+  pixel.latent_channels = 1;
+  pixel.in_channels = 2;
+  pixel.out_channels = 1;
+  pixel.stage1_attention = false;
 
-  const std::int64_t n = 6, c = 4, h = 8, w = 8;
-  Rng rng(31);
-  for (const std::int64_t batch : {1, 2, 5}) {
-    Tensor stacked = Tensor::Randn({batch * n, c, h, w}, rng);
-    Workspace ws;
-    const Tensor out = unet.Forward(stacked, /*t=*/17, &ws, batch);
-    ASSERT_EQ(out.shape(), stacked.shape());
-    for (std::int64_t b = 0; b < batch; ++b) {
-      // Reference: the training forward on this window alone.
-      Tensor window = Tensor::Empty({n, c, h, w});
-      std::memcpy(window.data(), stacked.data() + b * n * c * h * w,
-                  static_cast<std::size_t>(n * c * h * w) * sizeof(float));
-      const Tensor ref = unet.Forward(window, /*t=*/17);
-      ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * n * c * h * w,
-                               static_cast<std::size_t>(n * c * h * w) *
-                                   sizeof(float)))
-          << "batch " << batch << ", window " << b;
+  const struct {
+    diffusion::UNetConfig config;
+    std::int64_t n;  // frames per window
+  } cases[] = {{latent, 6}, {pixel, 1}, {pixel, 4}};
+  for (const auto& tc : cases) {
+    diffusion::SpaceTimeUNet unet(tc.config);
+    const std::int64_t n = tc.n, h = 8, w = 8;
+    const std::int64_t in_c = tc.config.EffectiveIn();
+    const std::int64_t out_c = tc.config.EffectiveOut();
+    Rng rng(31);
+    for (const std::int64_t batch : {1, 2, 5}) {
+      Tensor stacked = Tensor::Randn({batch * n, in_c, h, w}, rng);
+      Workspace ws;
+      const Tensor out = unet.Forward(stacked, /*t=*/17, &ws, batch);
+      ASSERT_EQ(out.shape(), (Shape{batch * n, out_c, h, w}));
+      for (std::int64_t b = 0; b < batch; ++b) {
+        // Reference: the training forward on this window alone.
+        Tensor window = Tensor::Empty({n, in_c, h, w});
+        std::memcpy(window.data(), stacked.data() + b * n * in_c * h * w,
+                    static_cast<std::size_t>(n * in_c * h * w) * sizeof(float));
+        const Tensor ref = unet.Forward(window, /*t=*/17);
+        ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * n * out_c * h * w,
+                                 static_cast<std::size_t>(n * out_c * h * w) *
+                                     sizeof(float)))
+            << "in_channels " << in_c << ", frames " << n << ", batch "
+            << batch << ", window " << b;
+      }
     }
   }
 }

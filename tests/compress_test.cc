@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "compress/factorized_prior.h"
 #include "compress/rate.h"
@@ -10,6 +11,7 @@
 #include "compress/vae_trainer.h"
 #include "data/field_generators.h"
 #include "tensor/ops.h"
+#include "tensor/workspace.h"
 
 namespace glsc::compress {
 namespace {
@@ -170,6 +172,32 @@ TEST(Vae, CompressDecompressLatentsLossless) {
   ASSERT_EQ(decoded.shape(), y_hat.shape());
   for (std::int64_t i = 0; i < y_hat.numel(); ++i) {
     ASSERT_EQ(decoded[i], y_hat[i]) << "latent mismatch at " << i;
+  }
+}
+
+TEST(Vae, DecompressLatentsRejectsHostileHyperlatentShapes) {
+  // z_shape comes off the wire. A zero batch or channel count once divided
+  // by zero in the prior's decoder, and an extra channel read past its
+  // (mu, s) parameters; both overloads must throw instead.
+  Rng rng(9);
+  VaeConfig config;
+  config.latent_channels = 6;
+  config.hidden_channels = 8;
+  config.hyper_channels = 4;
+  VaeHyperprior vae(config);
+  const VaeBitstream bits = vae.CompressLatents(
+      vae.EncodeLatent(Tensor::Randn({2, 1, 16, 16}, rng, 0.3f)));
+  ASSERT_EQ(bits.z_shape, (Shape{2, 4, 1, 1}));
+
+  for (const Shape& z_shape :
+       {Shape{0, 4, 1, 1}, Shape{2, 0, 1, 1}, Shape{2, 5, 1, 1}}) {
+    SCOPED_TRACE(ShapeToString(z_shape));
+    VaeBitstream hostile = bits;
+    hostile.z_shape = z_shape;
+    EXPECT_THROW(vae.DecompressLatents(hostile), std::runtime_error);
+    tensor::Workspace ws;
+    EXPECT_THROW(vae.DecompressLatents(hostile, &ws), std::runtime_error);
+    EXPECT_EQ(ws.bytes_in_use(), 0);
   }
 }
 

@@ -86,6 +86,14 @@ TEST(FuzzRegression, HostileCodecStreamsAreRejected) {
   const auto sz = api::Compressor::Create("sz");
   EXPECT_THROW(sz->DecompressWindow(ReadBytes(dir / "sz-dims-beyond-codes.bin")),
                std::runtime_error);
+  const auto glsc = api::Compressor::Create("glsc");
+  EXPECT_THROW(
+      glsc->DecompressWindow(ReadBytes(dir / "hyperprior-zero-batch.bin")),
+      std::runtime_error);
+  const auto vae_sr = api::Compressor::Create("vae_sr");
+  EXPECT_THROW(
+      vae_sr->DecompressWindow(ReadBytes(dir / "hyperprior-extra-channels.bin")),
+      std::runtime_error);
 }
 
 TEST(FuzzRegression, HarnessesAcceptNullEmptyInput) {
