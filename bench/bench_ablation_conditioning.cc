@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md §5): does the ⊕ keyframe conditioning actually carry
+// Ablation: does the ⊕ keyframe conditioning actually carry
 // the information, or would the diffusion prior alone produce similar
 // frames? Reconstructs the same windows twice with the SAME trained model —
 // once with the true keyframe latents composed in, once with zeroed

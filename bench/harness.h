@@ -34,7 +34,8 @@ struct Preset {
   core::TrainBudget budget;
 };
 
-// Bench-scale preset for one dataset analogue (see DESIGN.md §6).
+// Bench-scale preset for one dataset analogue: a 48-frame 32x32 field with
+// fewer variables than the paper's, and model widths that train on a CPU.
 Preset MakePreset(data::DatasetKind kind);
 
 // Smaller/faster preset used by ablation benches that train several model

@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(dataset.width()),
               dataset.OriginalBytes() / double(1 << 20));
 
-  // 2. Configure the compressor. These are laptop-scale settings; see
-  //    DESIGN.md §6 for how they map to the paper's.
+  // 2. Configure the compressor. These are laptop-scale settings, far
+  //    narrower than the paper's models, so training runs on a CPU.
   core::GlscConfig config;
   config.vae.latent_channels = 8;
   config.vae.hidden_channels = 16;

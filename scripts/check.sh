@@ -147,9 +147,11 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py --selftest
 # path end to end), and the codec suites: codec (the table-driven Huffman
 # reader and its hostile streams), compress (the VAE and hyperprior entropy
 # decode, hostile hyperlatent shapes included), baselines (the sz and zfp
-# decoders) and fuzz_regression (every harness over the regression corpus).
-# Off by default — the instrumented build roughly doubles gate time — but
-# cheap to request when touching serve/, util/, codec/ or the kernels.
+# decoders) and fuzz_regression (every harness over the regression corpus),
+# and api (every codec end to end through EncodeSession, ArchiveReader and
+# DecodeScheduler). Off by default — the instrumented build roughly doubles
+# gate time — but cheap to request when touching serve/, util/, codec/ or
+# the kernels.
 # CHECK_SANITIZE=thread is special-cased onto the GLSC_TSAN option (TSan is
 # incompatible with ASan in one binary) and gets the serving and stress
 # suites plus batched_decode (a GLSC decode fans its sampler and VAE pieces
@@ -174,9 +176,10 @@ elif [[ -n "${CHECK_SANITIZE:-}" ]]; then
   cmake --build "$SAN_DIR" -j"$JOBS" \
       --target shard_manager_test serve_test concurrency_stress_test \
                tensor_test nn_test simd_test batched_decode_test workspace_test \
-               codec_test compress_test baselines_test fuzz_regression_test
+               codec_test compress_test baselines_test fuzz_regression_test \
+               api_test
   ctest --test-dir "$SAN_DIR" --output-on-failure -j"$JOBS" \
-      -R '^(shard_manager_test|serve_test|concurrency_stress_test|tensor_test|nn_test|simd_test|batched_decode_test|workspace_test|codec_test|compress_test|baselines_test|fuzz_regression_test)(_scalar)?$'
+      -R '^(shard_manager_test|serve_test|concurrency_stress_test|tensor_test|nn_test|simd_test|batched_decode_test|workspace_test|codec_test|compress_test|baselines_test|fuzz_regression_test|api_test)(_scalar)?$'
 fi
 
 # Opt-in debug-checker lane: CHECK_DEBUG=1 builds a RelWithDebInfo tree with

@@ -192,11 +192,10 @@ Tensor GlscAdapter::DecompressWindow(const std::vector<std::uint8_t>& payload,
 std::vector<Tensor> GlscAdapter::DecompressWindows(
     const std::vector<const std::vector<std::uint8_t>*>& payloads,
     tensor::Workspace* ws) {
-  std::vector<core::CompressedWindow> windows;
-  windows.reserve(payloads.size());
-  for (const std::vector<std::uint8_t>* payload : payloads) {
-    ByteReader in(*payload);
-    windows.push_back(core::DeserializeWindow(&in));
+  std::vector<core::CompressedWindow> windows(payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    ByteReader in(*payloads[i]);
+    windows[i] = core::DeserializeWindow(&in);
   }
   std::vector<const core::CompressedWindow*> views;
   views.reserve(windows.size());
@@ -394,29 +393,6 @@ std::unique_ptr<Compressor> VaeSrAdapter::Clone() {
   ByteReader in(weights.bytes());
   copy->codec_->Load(&in);
   return copy;
-}
-
-// ---------------------------------------------------------------------------
-
-void RegisterBuiltinCodecs() {
-  RegisterCompressor("glsc", [](const CodecOptions& o) {
-    return std::make_unique<GlscAdapter>(o);
-  });
-  RegisterCompressor("sz", [](const CodecOptions& o) {
-    return std::make_unique<SzAdapter>(o);
-  });
-  RegisterCompressor("zfp", [](const CodecOptions& o) {
-    return std::make_unique<ZfpAdapter>(o);
-  });
-  for (const CdcVariant& v : kCdcVariants) {
-    RegisterCompressor(v.name, [name = std::string(v.name)](
-                                   const CodecOptions& o) {
-      return std::make_unique<CdcAdapter>(name, o);
-    });
-  }
-  RegisterCompressor("vae_sr", [](const CodecOptions& o) {
-    return std::make_unique<VaeSrAdapter>(o);
-  });
 }
 
 }  // namespace glsc::api

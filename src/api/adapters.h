@@ -16,10 +16,6 @@
 
 namespace glsc::api {
 
-// Registers the six built-in codecs. Called lazily by Compressor::Create;
-// callers never need to invoke it directly.
-void RegisterBuiltinCodecs();
-
 // ---------------------------------------------------------------------------
 // Rule-based codecs (model-free): the payload is the codec's own
 // self-describing bitstream. Error bounds are converted from physical /
@@ -112,8 +108,6 @@ class GlscAdapter final : public Compressor {
   void SaveModel(ByteWriter* out) override { glsc_->Save(out); }
   void LoadModel(ByteReader* in) override { glsc_->Load(in); }
   std::unique_ptr<Compressor> Clone() override;
-
-  core::GlscCompressor& compressor() { return *glsc_; }
 
  private:
   std::int64_t sample_steps_ = 0;

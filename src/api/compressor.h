@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,11 +58,12 @@ struct Capabilities {
 
 // Construction-time knobs shared across backends. Codecs read the subset that
 // applies to them and ignore the rest, so one options struct can configure any
-// registry entry.
+// of them.
 struct CodecOptions {
   std::int64_t window = 16;        // frames per compressed record
   std::int64_t sample_steps = 32;  // reverse-diffusion steps on decode
-  // Learned-codec geometry (laptop-scale defaults; see DESIGN.md §6).
+  // Learned-codec geometry: laptop-scale defaults, so every learned codec
+  // trains on a CPU.
   std::int64_t latent_channels = 8;
   std::int64_t hidden_channels = 16;
   std::int64_t hyper_channels = 4;
@@ -91,7 +91,7 @@ class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  // Registry name, e.g. "glsc", "sz".
+  // Codec name as passed to Create, e.g. "glsc", "sz".
   virtual std::string name() const = 0;
   virtual Capabilities capabilities() const = 0;
   // Frames per record. Sessions cut streams into windows of this length and
@@ -162,20 +162,13 @@ class Compressor {
   // backward layers cache activations).
   virtual std::unique_ptr<Compressor> Clone() = 0;
 
-  // Factory over the registry: "glsc" | "sz" | "zfp" | "cdc" | "gcd" |
-  // "vae_sr" (plus anything registered at runtime). Throws on unknown names,
-  // listing what is available.
+  // Factory over the six codecs: "glsc" | "sz" | "zfp" | "cdc" | "gcd" |
+  // "vae_sr". Throws on unknown names, listing what is available.
   static std::unique_ptr<Compressor> Create(const std::string& name,
                                             const CodecOptions& options = {});
 };
 
-using CompressorFactory =
-    std::function<std::unique_ptr<Compressor>(const CodecOptions&)>;
-
-// Registers a factory under `name` (replacing any previous binding).
-void RegisterCompressor(const std::string& name, CompressorFactory factory);
-
-// Sorted names currently registered (built-ins included).
+// The six codec names Create accepts, sorted.
 std::vector<std::string> RegisteredCompressors();
 
 // Cached train-or-load for the polymorphic API, through the same artifact

@@ -1,80 +1,62 @@
 #include "api/compressor.h"
 
-#include <map>
-
 #include "api/adapters.h"
 #include "core/registry.h"
-#include "util/mutex.h"
 #include "util/check.h"
 
 namespace glsc::api {
 namespace {
 
-Mutex& RegistryMutex() {
-  static Mutex mu{"api.RegistryMutex"};
-  return mu;
+using Factory = std::unique_ptr<Compressor> (*)(const std::string& name,
+                                                const CodecOptions& options);
+
+template <typename Adapter>
+std::unique_ptr<Compressor> Make(const std::string& name,
+                                 const CodecOptions& options) {
+  (void)name;
+  return std::make_unique<Adapter>(options);
 }
 
-std::map<std::string, CompressorFactory>& Registry() {
-  static std::map<std::string, CompressorFactory> registry;
-  return registry;
+std::unique_ptr<Compressor> MakeCdc(const std::string& name,
+                                    const CodecOptions& options) {
+  return std::make_unique<CdcAdapter>(name, options);
 }
 
-// Built-ins register on first use rather than via static initializers so the
-// registry works regardless of link order and cannot be stripped from the
-// static library. The thread_local guard lets RegisterBuiltinCodecs call
-// RegisterCompressor (which also ensures built-ins) without deadlocking on
-// the in-flight call_once.
-void EnsureBuiltins() {
-  static std::once_flag once;
-  thread_local bool registering = false;
-  if (registering) return;
-  registering = true;
-  std::call_once(once, [] { RegisterBuiltinCodecs(); });
-  registering = false;
-}
+// The six codecs, sorted by name. cdc and gcd are one adapter, which takes
+// its per-name constants from kCdcVariants (adapters.cc).
+constexpr struct {
+  const char* name;
+  Factory make;
+} kCodecs[] = {
+    {"cdc", MakeCdc},
+    {"gcd", MakeCdc},
+    {"glsc", Make<GlscAdapter>},
+    {"sz", Make<SzAdapter>},
+    {"vae_sr", Make<VaeSrAdapter>},
+    {"zfp", Make<ZfpAdapter>},
+};
 
 }  // namespace
 
-void RegisterCompressor(const std::string& name, CompressorFactory factory) {
-  // Built-ins first, so a user registration made before any Create call
-  // really does replace the built-in binding instead of being clobbered by
-  // the lazy built-in registration later.
-  EnsureBuiltins();
-  MutexLock lock(RegistryMutex());
-  Registry()[name] = std::move(factory);
-}
-
 std::vector<std::string> RegisteredCompressors() {
-  EnsureBuiltins();
-  MutexLock lock(RegistryMutex());
   std::vector<std::string> names;
-  names.reserve(Registry().size());
-  for (const auto& [name, factory] : Registry()) names.push_back(name);
+  for (const auto& codec : kCodecs) names.emplace_back(codec.name);
   return names;
 }
 
 std::unique_ptr<Compressor> Compressor::Create(const std::string& name,
                                                const CodecOptions& options) {
-  EnsureBuiltins();
-  CompressorFactory factory;
-  {
-    MutexLock lock(RegistryMutex());
-    const auto it = Registry().find(name);
-    if (it != Registry().end()) factory = it->second;
+  for (const auto& codec : kCodecs) {
+    if (name == codec.name) return codec.make(name, options);
   }
-  if (!factory) {
-    std::string known;
-    for (const auto& n : RegisteredCompressors()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    GLSC_CHECK_MSG(false, "unknown codec '" << name << "' (registered: "
-                                            << known << ")");
+  std::string known;
+  for (const auto& n : RegisteredCompressors()) {
+    if (!known.empty()) known += ", ";
+    known += n;
   }
-  auto codec = factory(options);
-  GLSC_CHECK_MSG(codec != nullptr, "factory for '" << name << "' returned null");
-  return codec;
+  GLSC_CHECK_MSG(false, "unknown codec '" << name << "' (registered: "
+                                          << known << ")");
+  return nullptr;
 }
 
 std::unique_ptr<Compressor> GetOrTrainCodec(

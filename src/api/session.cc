@@ -1,8 +1,11 @@
 #include "api/session.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/check.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace glsc::api {
@@ -53,6 +56,28 @@ void EncodeSession::Push(const Tensor& chunk) {
   const std::int64_t t = chunk.dim(1);
   GLSC_CHECK(t >= 1);
   const std::int64_t hw = height_ * width_;
+  // Every frame's norm first, so a chunk holding NaN or Inf is rejected
+  // before any frame is buffered (the norms it appended are taken back). A
+  // non-finite element always makes the double sum, and so the mean,
+  // non-finite; the range check also catches a finite frame whose max - min
+  // overflows float.
+  for (std::int64_t v = 0; v < variables_; ++v) {
+    for (std::int64_t f = 0; f < t; ++f) {
+      const data::FrameNorm fn =
+          data::ComputeFrameNorm(chunk.data() + (v * t + f) * hw, hw);
+      if (!std::isfinite(fn.mean) || !std::isfinite(fn.range)) {
+        for (auto& norms : norms_) {
+          norms.resize(static_cast<std::size_t>(frames_pushed_));
+        }
+        throw StatusError(
+            ErrorCode::kInvalidArgument,
+            "variable " + std::to_string(v) + ", frame " +
+                std::to_string(frames_pushed_ + f) +
+                ": NaN, Inf or a value range beyond float");
+      }
+      norms_[static_cast<std::size_t>(v)].push_back(fn);
+    }
+  }
   // Frames are normalized straight into the window they belong to; a
   // window that fills is cut before the next frame is read.
   for (std::int64_t i = 0; i < t;) {
@@ -63,8 +88,8 @@ void EncodeSession::Push(const Tensor& chunk) {
       auto& norms = norms_[static_cast<std::size_t>(v)];
       for (std::int64_t f = 0; f < n; ++f) {
         const float* frame = chunk.data() + (v * t + i + f) * hw;
-        const data::FrameNorm fn = data::ComputeFrameNorm(frame, hw);
-        norms.push_back(fn);
+        const data::FrameNorm fn =
+            norms[static_cast<std::size_t>(frames_pushed_ + f)];
         float* dst = window.data() + (buffered_frames_ + f) * hw;
         for (std::int64_t k = 0; k < hw; ++k) {
           dst[k] = (frame[k] - fn.mean) / fn.range;

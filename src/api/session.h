@@ -55,7 +55,9 @@ class EncodeSession {
   EncodeSession& operator=(const EncodeSession&) = delete;
 
   // Appends `chunk` = [V, t, H, W] physical-unit frames (any t >= 1).
-  // Windows compress as soon as a batch of them completes.
+  // Windows compress as soon as a batch of them completes. A chunk with a
+  // NaN or Inf in any frame throws StatusError(kInvalidArgument) naming the
+  // variable and stream frame, and leaves the session as it was.
   void Push(const Tensor& chunk);
 
   // Pads and compresses the partial tail window (if any) and returns the

@@ -41,7 +41,7 @@ Tensor StackChannels(const Tensor& a, const Tensor& b) {
 CDCCompressor::CDCCompressor(const CdcConfig& config)
     : config_(config),
       vae_(config.vae),
-      schedule_(diffusion::ScheduleKind::kLinear, config.schedule_steps),
+      schedule_(config.schedule_steps),
       unet_(MakeUnetConfig(config)) {
   GLSC_CHECK_MSG(config.block >= 1, "CDC block of " << config.block
                                                     << " frames");

@@ -39,8 +39,6 @@ class BitWriter {
     return std::move(buf_);
   }
 
-  std::size_t BitCount() const { return buf_.size() * 8 + nbits_; }
-
  private:
   std::vector<std::uint8_t> buf_;
   std::uint8_t acc_ = 0;
@@ -67,8 +65,6 @@ class BitReader {
     for (int i = 0; i < count; ++i) v = (v << 1) | GetBit();
     return v;
   }
-
-  std::size_t BitsRead() const { return pos_; }
 
  private:
   const std::uint8_t* data_;

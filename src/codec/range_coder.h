@@ -32,8 +32,6 @@ class RangeEncoder {
   // Flushes the remaining state; the encoder must not be reused afterwards.
   std::vector<std::uint8_t> Finish();
 
-  std::size_t ByteCount() const { return out_.size(); }
-
  private:
   void Normalize();
 
@@ -63,8 +61,6 @@ class RangeDecoder {
                          std::uint32_t nsyms, std::uint32_t total,
                          std::int32_t stop_sym, std::int32_t* syms,
                          std::size_t n);
-
-  std::size_t BytesRead() const { return pos_; }
 
  private:
   void Normalize();

@@ -29,7 +29,7 @@ std::size_t CompressedWindow::HeaderBytes() const {
 GlscCompressor::GlscCompressor(const GlscConfig& config)
     : config_(config),
       vae_(config.vae),
-      schedule_(config.schedule_kind, config.schedule_steps),
+      schedule_(config.schedule_steps),
       unet_(config.unet),
       pca_(config.pca) {
   GLSC_CHECK_MSG(config_.unet.EffectiveIn() == config_.vae.latent_channels,
@@ -147,8 +147,6 @@ std::vector<Tensor> GlscCompressor::DecodeWindowsFromLatents(
   // The sampler over pieces of whole windows. Each window's trajectory is
   // independent of its batch-mates, so pieces give the bytes one batched
   // run would.
-  diffusion::SamplerConfig sampler_cfg;
-  sampler_cfg.steps = sample_steps;
   Shape gen_shape = stacked_shape;
   gen_shape[0] = batch * static_cast<std::int64_t>(gen_idx_.size());
   Tensor gen_normed = ws->NewTensor(gen_shape);  // [B*G, C, h, w]
@@ -158,7 +156,7 @@ std::vector<Tensor> GlscCompressor::DecodeWindowsFromLatents(
     const std::vector<Rng*> piece_rngs(rngs.begin() + begin,
                                        rngs.begin() + end);
     const Tensor piece = diffusion::SampleConditionalBatch(
-        &unet_, schedule_, sampler_cfg,
+        &unet_, schedule_, sample_steps,
         Rows(keys_normed, begin * keys_per_window, end * keys_per_window),
         key_idx_, config_.window, piece_rngs, arena);
     std::copy_n(piece.data(), piece.numel(),
@@ -213,8 +211,10 @@ CompressedWindow GlscCompressor::Compress(const Tensor& window, double tau,
                                << config_.window);
   CompressedWindow out;
   out.window_shape = window.shape();
-  // Deterministic per-content seed: decompression must reproduce the exact
-  // same sampling trajectory that the corrections were computed against.
+  // Deterministic seed, stored in the header: decompression must reproduce
+  // the exact sampling trajectory the corrections were computed against. It
+  // hashes only the element count, so every window of one geometry shares
+  // one initial noise draw.
   out.sample_seed = static_cast<std::uint32_t>(
       0x9E3779B9u * static_cast<std::uint32_t>(window.numel()) ^ 0xA5A5A5A5u);
 

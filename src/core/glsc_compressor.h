@@ -16,7 +16,9 @@
 //
 // Determinism: sampling uses DDIM (eta = 0), so the only stochastic input is
 // the initial Gaussian draw; its RNG seed is stored in the window header,
-// making decompression bit-reproducible.
+// making decompression bit-reproducible. The seed is a function of the
+// window's element count alone, so every window of one geometry starts from
+// the same draw.
 #pragma once
 
 #include <memory>
@@ -34,7 +36,6 @@ struct GlscConfig {
   compress::VaeConfig vae;
   diffusion::UNetConfig unet;
   std::int64_t schedule_steps = 200;
-  diffusion::ScheduleKind schedule_kind = diffusion::ScheduleKind::kLinear;
   std::int64_t window = 16;  // N
   diffusion::KeyframeStrategy strategy =
       diffusion::KeyframeStrategy::kInterpolation;

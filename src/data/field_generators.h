@@ -1,5 +1,6 @@
 // Synthetic spatiotemporal field generators standing in for the paper's three
-// evaluation datasets (see DESIGN.md §2 for the substitution argument):
+// evaluation datasets, which do not ship with the repository; each one
+// mimics the physics of the field it replaces:
 //
 //  - Climate (E3SM analogue): advection–diffusion of a smooth multi-modal
 //    scalar by a zonal-jet + gyre velocity field with diurnal forcing,

@@ -6,15 +6,6 @@
 
 namespace glsc::diffusion {
 
-const char* StrategyName(KeyframeStrategy strategy) {
-  switch (strategy) {
-    case KeyframeStrategy::kInterpolation: return "interpolation";
-    case KeyframeStrategy::kPrediction: return "prediction";
-    case KeyframeStrategy::kMixed: return "mixed";
-  }
-  return "unknown";
-}
-
 std::vector<std::int64_t> SelectKeyframes(KeyframeStrategy strategy,
                                           std::int64_t frames,
                                           std::int64_t interval,

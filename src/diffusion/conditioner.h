@@ -24,8 +24,6 @@ enum class KeyframeStrategy {
   kMixed,          // leading block plus final frame, e.g. {0,1,2,3,4,15}
 };
 
-const char* StrategyName(KeyframeStrategy strategy);
-
 // Keyframe indices for a window of `frames` frames.
 //  - interpolation: every `interval`-th frame starting at 0 (plus last frame
 //    if it would otherwise be unanchored); `count` is ignored.

@@ -2,39 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "util/check.h"
 
 namespace glsc::diffusion {
 
-NoiseSchedule::NoiseSchedule(ScheduleKind kind, std::int64_t steps) {
+NoiseSchedule::NoiseSchedule(std::int64_t steps) {
   GLSC_CHECK(steps >= 1);
   betas_.resize(static_cast<std::size_t>(steps));
-  if (kind == ScheduleKind::kLinear) {
-    // Scaled-linear schedule: endpoints chosen as in DDPM (1e-4 .. 2e-2 at
-    // T=1000), rescaled with T so shorter schedules reach comparable
-    // terminal noise levels.
-    const double scale = 1000.0 / static_cast<double>(steps);
-    const double beta_start = 1e-4 * scale;
-    const double beta_end = std::min(2e-2 * scale, 0.999);
-    for (std::int64_t t = 0; t < steps; ++t) {
-      const double frac =
-          steps > 1 ? static_cast<double>(t) / (steps - 1) : 0.0;
-      betas_[t] = beta_start + frac * (beta_end - beta_start);
-    }
-  } else {
-    // Nichol–Dhariwal cosine schedule.
-    const double s = 0.008;
-    auto f = [s](double u) {
-      const double v = std::cos((u + s) / (1.0 + s) * std::numbers::pi / 2.0);
-      return v * v;
-    };
-    for (std::int64_t t = 0; t < steps; ++t) {
-      const double t0 = static_cast<double>(t) / steps;
-      const double t1 = static_cast<double>(t + 1) / steps;
-      betas_[t] = std::clamp(1.0 - f(t1) / f(t0), 0.0, 0.999);
-    }
+  // Scaled-linear schedule: endpoints chosen as in DDPM (1e-4 .. 2e-2 at
+  // T=1000), rescaled with T so shorter schedules reach comparable
+  // terminal noise levels.
+  const double scale = 1000.0 / static_cast<double>(steps);
+  const double beta_start = 1e-4 * scale;
+  const double beta_end = std::min(2e-2 * scale, 0.999);
+  for (std::int64_t t = 0; t < steps; ++t) {
+    const double frac =
+        steps > 1 ? static_cast<double>(t) / (steps - 1) : 0.0;
+    betas_[t] = beta_start + frac * (beta_end - beta_start);
   }
   alpha_bars_.resize(betas_.size());
   double prod = 1.0;

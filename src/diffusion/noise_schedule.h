@@ -1,7 +1,7 @@
-// Forward-process noise schedule (Eq. 3-4): beta_t, alpha_t = 1 - beta_t and
-// the cumulative alpha_bar_t, plus "respacing" — selecting a stride-uniform
-// subset of timesteps so a model trained at T steps can be fine-tuned and
-// sampled at far fewer steps (§4.6 / Figure 5).
+// Forward-process noise schedule (Eq. 3-4): DDPM's linear beta_t,
+// alpha_t = 1 - beta_t and the cumulative alpha_bar_t, plus "respacing" —
+// selecting a stride-uniform subset of timesteps so a model trained at T
+// steps can be fine-tuned and sampled at far fewer steps (§4.6 / Figure 5).
 #pragma once
 
 #include <cstdint>
@@ -9,11 +9,9 @@
 
 namespace glsc::diffusion {
 
-enum class ScheduleKind { kLinear, kCosine };
-
 class NoiseSchedule {
  public:
-  NoiseSchedule(ScheduleKind kind, std::int64_t steps);
+  explicit NoiseSchedule(std::int64_t steps);
 
   std::int64_t steps() const { return static_cast<std::int64_t>(betas_.size()); }
   double beta(std::int64_t t) const { return betas_[static_cast<std::size_t>(t)]; }

@@ -14,7 +14,7 @@ namespace {
 // below can be byte-identity-tested against an independent implementation
 // (tests/workspace_test.cc, tests/batched_decode_test.cc).
 Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
-                        const SamplerConfig& config, const Tensor& keyframes,
+                        std::int64_t steps, const Tensor& keyframes,
                         const std::vector<std::int64_t>& key_idx,
                         const std::vector<std::int64_t>& gen_idx,
                         Rng& rng) {
@@ -22,7 +22,7 @@ Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
   gen_shape[0] = static_cast<std::int64_t>(gen_idx.size());
 
   // Respaced timestep ladder, descending.
-  std::vector<std::int64_t> ladder = schedule.Respace(config.steps);
+  std::vector<std::int64_t> ladder = schedule.Respace(steps);
   std::reverse(ladder.begin(), ladder.end());
 
   // x_T ~ N(0, I) on the G-frames only.
@@ -62,23 +62,15 @@ Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
       break;
     }
 
-    // DDIM update with eta-scaled stochasticity:
-    // sigma^2 = eta^2 * (1-ab_prev)/(1-ab_t) * (1 - ab_t/ab_prev)
-    const double sigma2 =
-        config.eta * config.eta * (1.0 - ab_prev) / (1.0 - ab_t) *
-        (1.0 - ab_t / ab_prev);
-    const double dir_coeff =
-        std::sqrt(std::max(1.0 - ab_prev - sigma2, 0.0));
+    // DDIM update: x_prev = sqrt(ab_prev) x0 + sqrt(1-ab_prev) eps.
     const float c0 = static_cast<float>(std::sqrt(ab_prev));
-    const float c1 = static_cast<float>(dir_coeff);
-    const float cs = static_cast<float>(std::sqrt(std::max(sigma2, 0.0)));
+    const float c1 = static_cast<float>(std::sqrt(1.0 - ab_prev));
     {
       const float* p0 = x0.data();
       const float* pe = eps.data();
       float* px = x.data();
       for (std::int64_t i = 0; i < x.numel(); ++i) {
-        const float noise = cs > 0.0f ? cs * rng.NormalF() : 0.0f;
-        px[i] = c0 * p0[i] + c1 * pe[i] + noise;
+        px[i] = c0 * p0[i] + c1 * pe[i];
       }
     }
   }
@@ -89,7 +81,7 @@ Tensor SampleAllocating(SpaceTimeUNet* model, const NoiseSchedule& schedule,
 
 Tensor SampleConditionalBatch(SpaceTimeUNet* model,
                               const NoiseSchedule& schedule,
-                              const SamplerConfig& config,
+                              std::int64_t steps,
                               const Tensor& keyframes,
                               const std::vector<std::int64_t>& key_idx,
                               std::int64_t frames,
@@ -110,11 +102,12 @@ Tensor SampleConditionalBatch(SpaceTimeUNet* model,
       static_cast<std::int64_t>(gen_idx.size()) * keyframes.dim(1) *
       keyframes.dim(2) * keyframes.dim(3);
 
-  std::vector<std::int64_t> ladder = schedule.Respace(config.steps);
+  std::vector<std::int64_t> ladder = schedule.Respace(steps);
   std::reverse(ladder.begin(), ladder.end());
 
   // x_T per window, in the draw order of Tensor::Randn on that window alone.
   Tensor x = ws->NewTensor(gen_shape);
+  const std::int64_t numel = x.numel();
   for (std::int64_t w = 0; w < batch; ++w) {
     float* p = x.data() + w * per_window;
     for (std::int64_t i = 0; i < per_window; ++i) p[i] = rngs[w]->NormalF();
@@ -139,39 +132,29 @@ Tensor SampleConditionalBatch(SpaceTimeUNet* model,
     Tensor x0 = ws->NewTensor(gen_shape);
     {
       // Elementwise, so running over all windows at once matches the
-      // per-window loops bit for bit.
+      // per-window loops bit for bit; so does the update below.
       const float* px = x.data();
       const float* pe = eps.data();
       float* p0 = x0.data();
-      for (std::int64_t i = 0; i < x0.numel(); ++i) {
+      for (std::int64_t i = 0; i < numel; ++i) {
         p0[i] = (px[i] - noise_coeff * pe[i]) * inv_sqrt_ab;
       }
     }
     ClampInPlace(&x0, -1.5f, 1.5f);
 
     if (last) {
-      std::copy_n(x0.data(), x0.numel(), x.data());
+      std::copy_n(x0.data(), numel, x.data());
       break;
     }
 
-    const double sigma2 =
-        config.eta * config.eta * (1.0 - ab_prev) / (1.0 - ab_t) *
-        (1.0 - ab_t / ab_prev);
-    const double dir_coeff =
-        std::sqrt(std::max(1.0 - ab_prev - sigma2, 0.0));
     const float c0 = static_cast<float>(std::sqrt(ab_prev));
-    const float c1 = static_cast<float>(dir_coeff);
-    const float cs = static_cast<float>(std::sqrt(std::max(sigma2, 0.0)));
-    // Noise must come from each window's own generator in serial order, so
-    // the update walks window slices rather than the flat tensor.
-    for (std::int64_t w = 0; w < batch; ++w) {
-      const float* p0 = x0.data() + w * per_window;
-      const float* pe = eps.data() + w * per_window;
-      float* px = x.data() + w * per_window;
-      Rng* rng = rngs[static_cast<std::size_t>(w)];
-      for (std::int64_t i = 0; i < per_window; ++i) {
-        const float noise = cs > 0.0f ? cs * rng->NormalF() : 0.0f;
-        px[i] = c0 * p0[i] + c1 * pe[i] + noise;
+    const float c1 = static_cast<float>(std::sqrt(1.0 - ab_prev));
+    {
+      const float* p0 = x0.data();
+      const float* pe = eps.data();
+      float* px = x.data();
+      for (std::int64_t i = 0; i < numel; ++i) {
+        px[i] = c0 * p0[i] + c1 * pe[i];
       }
     }
   }
@@ -179,14 +162,14 @@ Tensor SampleConditionalBatch(SpaceTimeUNet* model,
 }
 
 Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
-                         const SamplerConfig& config, const Tensor& keyframes,
+                         std::int64_t steps, const Tensor& keyframes,
                          const std::vector<std::int64_t>& key_idx,
                          std::int64_t frames, Rng& rng) {
   GLSC_CHECK(keyframes.rank() == 4);
   GLSC_CHECK(keyframes.dim(0) == static_cast<std::int64_t>(key_idx.size()));
   const std::vector<std::int64_t> gen_idx = GeneratedIndices(key_idx, frames);
   GLSC_CHECK(!gen_idx.empty());
-  return SampleAllocating(model, schedule, config, keyframes, key_idx, gen_idx,
+  return SampleAllocating(model, schedule, steps, keyframes, key_idx, gen_idx,
                           rng);
 }
 

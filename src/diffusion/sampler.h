@@ -1,8 +1,9 @@
 // Conditional reverse-process sampling. Only G-frames carry noise; after each
 // denoising step the keyframes are re-composed into the window unchanged
-// (they are clean conditioning, exactly as in training). Supports the full
-// ancestral DDPM chain and respaced deterministic (DDIM, eta = 0) sampling
-// for the few-step fine-tuned models of §4.6.
+// (they are clean conditioning, exactly as in training). The update is
+// deterministic DDIM (Song et al., ICLR 2021, eta = 0) over a uniform
+// respacing of the training schedule, for the few-step fine-tuned models of
+// §4.6; the initial noise is the only draw.
 #pragma once
 
 #include "diffusion/conditioner.h"
@@ -12,23 +13,16 @@
 
 namespace glsc::diffusion {
 
-struct SamplerConfig {
-  // Number of denoising steps actually executed; the timesteps are a
-  // uniform respacing of the model's training schedule.
-  std::int64_t steps = 32;
-  // eta = 0: deterministic DDIM update; eta = 1: ancestral DDPM variance.
-  double eta = 0.0;
-};
-
-// Generates the G-frame latents of a window given clean keyframe latents.
-// `keyframes`: packed [K, C, H, W] (normalized to [-1,1]);
-// returns packed generated frames [N-K, C, H, W] (normalized domain).
+// Generates the G-frame latents of a window given clean keyframe latents,
+// in `steps` denoising steps. `keyframes`: packed [K, C, H, W] (normalized
+// to [-1,1]); returns packed generated frames [N-K, C, H, W] (normalized
+// domain).
 //
 // The allocating reference: every step allocates its temporaries and runs
 // the training-mode UNet forward. Inference goes through
 // SampleConditionalBatch, which tests hold byte-identical to this.
 Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
-                         const SamplerConfig& config, const Tensor& keyframes,
+                         std::int64_t steps, const Tensor& keyframes,
                          const std::vector<std::int64_t>& key_idx,
                          std::int64_t frames, Rng& rng);
 
@@ -38,8 +32,8 @@ Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
 // SampleConditional on that window would start drawing. Every denoising
 // step runs the UNet once over all B windows; each window's slice of the
 // returned [B*G, C, H, W] tensor is byte-identical to SampleConditional for
-// that window (all draws — the initial noise and any eta > 0 stochasticity
-// — happen per window in that call's order).
+// that window (each window's initial noise is drawn from its own generator
+// in that call's order).
 //
 // Requires a workspace. The trajectory lives in the arena at the call's
 // scope and each step opens a Workspace::Scope around the UNet forward, so
@@ -48,7 +42,7 @@ Tensor SampleConditional(SpaceTimeUNet* model, const NoiseSchedule& schedule,
 // Clone() it before their enclosing scope rewinds.
 Tensor SampleConditionalBatch(SpaceTimeUNet* model,
                               const NoiseSchedule& schedule,
-                              const SamplerConfig& config,
+                              std::int64_t steps,
                               const Tensor& keyframes,
                               const std::vector<std::int64_t>& key_idx,
                               std::int64_t frames,

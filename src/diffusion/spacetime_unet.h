@@ -83,7 +83,6 @@ class SpatialAttentionBlock : public nn::Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> Params() override;
-  std::string Name() const override { return "SpatialAttentionBlock"; }
 
  private:
   nn::LayerNorm norm_;
@@ -108,7 +107,6 @@ class TemporalAttentionBlock : public nn::Layer {
                                tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> Params() override;
-  std::string Name() const override { return "TemporalAttentionBlock"; }
 
  private:
   nn::LayerNorm norm_;

@@ -1,15 +1,8 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 #include "tensor/simd/kernels.h"
 
 namespace glsc::nn {
-namespace {
-
-inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
 
 Tensor SiLU::Forward(const Tensor& x) {
   cached_input_ = x;
@@ -35,90 +28,6 @@ Tensor SiLU::Backward(const Tensor& grad_out) {
   // d/dx [x*s(x)] = s(x) * (1 + x * (1 - s(x)))
   simd::ActiveKernels().silu_bwd(cached_input_.data(), grad_out.data(),
                                  grad_in.data(), grad_out.numel());
-  cached_input_ = Tensor();
-  return grad_in;
-}
-
-Tensor ReLU::Forward(const Tensor& x) {
-  cached_input_ = x;
-  Tensor y = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
-  return y;
-}
-
-Tensor ReLU::Forward(const Tensor& x, tensor::Workspace* ws) {
-  Tensor y = ws->NewTensor(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) py[i] = px[i] > 0.0f ? px[i] : 0.0f;
-  return y;
-}
-
-bool ReLU::ForwardInPlace(Tensor* x) {
-  float* p = x->data();
-  const std::int64_t n = x->numel();
-  for (std::int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-  return true;
-}
-
-Tensor ReLU::Backward(const Tensor& grad_out) {
-  GLSC_CHECK(cached_input_.defined());
-  Tensor grad_in = Tensor::Empty(grad_out.shape());
-  const float* px = cached_input_.data();
-  const float* pg = grad_out.data();
-  float* pi = grad_in.data();
-  const std::int64_t n = grad_out.numel();
-  for (std::int64_t i = 0; i < n; ++i) pi[i] = px[i] > 0.0f ? pg[i] : 0.0f;
-  cached_input_ = Tensor();
-  return grad_in;
-}
-
-Tensor LeakyReLU::Forward(const Tensor& x) {
-  cached_input_ = x;
-  Tensor y = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] = px[i] > 0.0f ? px[i] : slope_ * px[i];
-  }
-  return y;
-}
-
-Tensor LeakyReLU::Forward(const Tensor& x, tensor::Workspace* ws) {
-  Tensor y = ws->NewTensor(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    py[i] = px[i] > 0.0f ? px[i] : slope_ * px[i];
-  }
-  return y;
-}
-
-bool LeakyReLU::ForwardInPlace(Tensor* x) {
-  float* p = x->data();
-  const std::int64_t n = x->numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    p[i] = p[i] > 0.0f ? p[i] : slope_ * p[i];
-  }
-  return true;
-}
-
-Tensor LeakyReLU::Backward(const Tensor& grad_out) {
-  GLSC_CHECK(cached_input_.defined());
-  Tensor grad_in = Tensor::Empty(grad_out.shape());
-  const float* px = cached_input_.data();
-  const float* pg = grad_out.data();
-  float* pi = grad_in.data();
-  const std::int64_t n = grad_out.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    pi[i] = px[i] > 0.0f ? pg[i] : slope_ * pg[i];
-  }
   cached_input_ = Tensor();
   return grad_in;
 }
@@ -152,44 +61,6 @@ Tensor FixedScale::Backward(const Tensor& grad_out) {
   float* po = g.data();
   for (std::int64_t i = 0; i < grad_out.numel(); ++i) po[i] = scale_ * pg[i];
   return g;
-}
-
-Tensor Tanh::Forward(const Tensor& x) {
-  Tensor y = Tensor::Empty(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
-  cached_output_ = y;
-  return y;
-}
-
-Tensor Tanh::Forward(const Tensor& x, tensor::Workspace* ws) {
-  Tensor y = ws->NewTensor(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  const std::int64_t n = x.numel();
-  for (std::int64_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
-  return y;
-}
-
-bool Tanh::ForwardInPlace(Tensor* x) {
-  float* p = x->data();
-  const std::int64_t n = x->numel();
-  for (std::int64_t i = 0; i < n; ++i) p[i] = std::tanh(p[i]);
-  return true;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_out) {
-  GLSC_CHECK(cached_output_.defined());
-  Tensor grad_in = Tensor::Empty(grad_out.shape());
-  const float* py = cached_output_.data();
-  const float* pg = grad_out.data();
-  float* pi = grad_in.data();
-  const std::int64_t n = grad_out.numel();
-  for (std::int64_t i = 0; i < n; ++i) pi[i] = pg[i] * (1.0f - py[i] * py[i]);
-  cached_output_ = Tensor();
-  return grad_in;
 }
 
 }  // namespace glsc::nn

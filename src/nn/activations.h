@@ -14,35 +14,8 @@ class SiLU : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "SiLU"; }
 
  private:
-  Tensor cached_input_;
-};
-
-class ReLU : public Layer {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  bool ForwardInPlace(Tensor* x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "ReLU"; }
-
- private:
-  Tensor cached_input_;
-};
-
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
-  Tensor Forward(const Tensor& x) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  bool ForwardInPlace(Tensor* x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
   Tensor cached_input_;
 };
 
@@ -57,22 +30,9 @@ class FixedScale : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "FixedScale"; }
 
  private:
   float scale_;
-};
-
-class Tanh : public Layer {
- public:
-  Tensor Forward(const Tensor& x) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  bool ForwardInPlace(Tensor* x) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace glsc::nn

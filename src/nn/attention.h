@@ -23,7 +23,6 @@ class MultiHeadSelfAttention : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "MultiHeadSelfAttention"; }
 
  private:
   std::int64_t dim_;

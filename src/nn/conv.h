@@ -27,7 +27,6 @@ class Conv2d : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "Conv2d"; }
 
   std::int64_t in_channels() const { return in_c_; }
   std::int64_t out_channels() const { return out_c_; }
@@ -68,7 +67,6 @@ class NearestUpsample2x : public Layer {
   Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "NearestUpsample2x"; }
 
  private:
   Shape cached_in_shape_;
@@ -81,7 +79,6 @@ class AvgPool2x : public Layer {
   Tensor Forward(const Tensor& x) override;
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "AvgPool2x"; }
 
  private:
   Shape cached_in_shape_;

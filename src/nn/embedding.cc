@@ -1,5 +1,4 @@
 #include "nn/embedding.h"
-#include <algorithm>
 
 #include <cmath>
 
@@ -34,16 +33,6 @@ Tensor SinusoidalTimeEmbedding(std::int64_t timestep, std::int64_t dim,
   Tensor emb = ws->NewTensor({dim});
   FillSinusoidal(emb.data(), timestep, dim);
   return emb;
-}
-
-Tensor SinusoidalTimeEmbeddingBatch(const std::vector<std::int64_t>& timesteps,
-                                    std::int64_t dim) {
-  Tensor out({static_cast<std::int64_t>(timesteps.size()), dim});
-  for (std::size_t i = 0; i < timesteps.size(); ++i) {
-    const Tensor e = SinusoidalTimeEmbedding(timesteps[i], dim);
-    std::copy_n(e.data(), dim, out.data() + static_cast<std::int64_t>(i) * dim);
-  }
-  return out;
 }
 
 }  // namespace glsc::nn

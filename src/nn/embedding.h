@@ -14,8 +14,4 @@ Tensor SinusoidalTimeEmbedding(std::int64_t timestep, std::int64_t dim);
 Tensor SinusoidalTimeEmbedding(std::int64_t timestep, std::int64_t dim,
                                tensor::Workspace* ws);
 
-// Batched version: [count] timesteps -> [count, dim].
-Tensor SinusoidalTimeEmbeddingBatch(const std::vector<std::int64_t>& timesteps,
-                                    std::int64_t dim);
-
 }  // namespace glsc::nn

@@ -2,11 +2,6 @@
 
 namespace glsc::nn {
 
-Tensor Layer::Forward(const Tensor& x, tensor::Workspace* ws) {
-  (void)ws;
-  return Forward(x);
-}
-
 bool Layer::ForwardInPlace(Tensor* x) {
   (void)x;
   return false;
@@ -79,12 +74,6 @@ void LoadParams(const std::vector<Param*>& params, ByteReader* in) {
     in->GetBytes(p->value.data(),
                  static_cast<std::size_t>(p->value.numel()) * sizeof(float));
   }
-}
-
-std::size_t TotalParamCount(const std::vector<Param*>& params) {
-  std::size_t n = 0;
-  for (const Param* p : params) n += static_cast<std::size_t>(p->value.numel());
-  return n;
 }
 
 }  // namespace glsc::nn

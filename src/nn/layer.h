@@ -56,13 +56,7 @@ class Layer {
   // Never follow with Backward. The training forward and Backward stay
   // single-threaded per instance (they cache and keep grow-only scratch),
   // which is why sessions and schedulers still clone codecs per worker.
-  //
-  // The default falls back to the allocating inference forward, which MAY
-  // cache the input for Backward — a layer fed arena-backed inputs on a
-  // workspace path must override this (every built-in layer does) or it
-  // would retain a dangling view past the scope rewind and break the
-  // contract above.
-  virtual Tensor Forward(const Tensor& x, tensor::Workspace* ws);
+  virtual Tensor Forward(const Tensor& x, tensor::Workspace* ws) = 0;
 
   // In-place inference where shapes allow (elementwise layers, norms):
   // overwrites *x with the layer output and returns true; the default
@@ -75,8 +69,6 @@ class Layer {
 
   // Non-owning views of trainable parameters.
   virtual std::vector<Param*> Params() { return {}; }
-
-  virtual std::string Name() const = 0;
 };
 
 // Runs layers in order. Owns its children.
@@ -100,7 +92,6 @@ class Sequential : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "Sequential"; }
 
   std::size_t size() const { return layers_.size(); }
   Layer* at(std::size_t i) { return layers_.at(i).get(); }
@@ -115,7 +106,5 @@ class Sequential : public Layer {
 // applied to the wrong architecture.
 void SaveParams(const std::vector<Param*>& params, ByteWriter* out);
 void LoadParams(const std::vector<Param*>& params, ByteReader* in);
-
-std::size_t TotalParamCount(const std::vector<Param*>& params);
 
 }  // namespace glsc::nn

@@ -16,7 +16,6 @@ class Dense : public Layer {
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "Dense"; }
 
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }

@@ -18,7 +18,6 @@ class GroupNorm : public Layer {
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "GroupNorm"; }
 
  private:
   std::int64_t groups_;
@@ -42,7 +41,6 @@ class LayerNorm : public Layer {
   bool ForwardInPlace(Tensor* x) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
-  std::string Name() const override { return "LayerNorm"; }
 
  private:
   std::int64_t dim_;

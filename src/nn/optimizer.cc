@@ -4,7 +4,7 @@
 
 namespace glsc::nn {
 
-double Optimizer::ClipGradNorm(double max_norm) {
+double Adam::ClipGradNorm(double max_norm) {
   double sumsq = 0.0;
   for (Param* p : params_) {
     const float* g = p->grad.data();
@@ -23,35 +23,9 @@ double Optimizer::ClipGradNorm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Param*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (Param* p : params_) velocity_.emplace_back(p->value.shape());
-  }
-}
-
-void Sgd::Step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Param* p = params_[k];
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    const std::int64_t n = p->value.numel();
-    if (momentum_ == 0.0f) {
-      for (std::int64_t i = 0; i < n; ++i) w[i] -= lr_ * g[i];
-    } else {
-      float* v = velocity_[k].data();
-      for (std::int64_t i = 0; i < n; ++i) {
-        v[i] = momentum_ * v[i] + g[i];
-        w[i] -= lr_ * v[i];
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

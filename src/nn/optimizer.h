@@ -1,4 +1,5 @@
-// First-order optimizers over flat parameter lists.
+// Adam (Kingma & Ba, 2015) over a flat parameter list: the optimizer every
+// trainer in this repository uses.
 #pragma once
 
 #include <vector>
@@ -7,12 +8,11 @@
 
 namespace glsc::nn {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  virtual void Step() = 0;
+  Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f);
+  void Step();
 
   void ZeroGrad() {
     for (Param* p : params_) p->ZeroGrad();
@@ -23,33 +23,11 @@ class Optimizer {
   // occasional high-noise sample.
   double ClipGradNorm(double max_norm);
 
- protected:
-  std::vector<Param*> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void Step() override;
-
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
  private:
+  std::vector<Param*> params_;
   float lr_, beta1_, beta2_, eps_;
   std::int64_t t_ = 0;
   std::vector<Tensor> m_;

@@ -70,9 +70,6 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
 Tensor Exp(const Tensor& a) {
   return Map(a, [](float x) { return std::exp(x); });
 }
-Tensor Sqrt(const Tensor& a) {
-  return Map(a, [](float x) { return std::sqrt(x); });
-}
 Tensor Abs(const Tensor& a) {
   return Map(a, [](float x) { return std::fabs(x); });
 }

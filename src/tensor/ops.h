@@ -26,7 +26,6 @@ void MulScalarInPlace(Tensor* a, float s);
 // ---- elementwise unary ----
 Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 Tensor Exp(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 Tensor Round(const Tensor& a);

@@ -101,12 +101,6 @@ Tensor Tensor::Uniform(Shape shape, Rng& rng, float lo, float hi) {
   return t;
 }
 
-Tensor Tensor::Arange(std::int64_t n) {
-  Tensor t = Empty({n});
-  for (std::int64_t i = 0; i < n; ++i) t[i] = static_cast<float>(i);
-  return t;
-}
-
 float& Tensor::At(std::initializer_list<std::int64_t> idx) {
   CheckArenaBorrow();
   GLSC_DCHECK(idx.size() == shape_.size());

@@ -93,8 +93,6 @@ class Tensor {
   static Tensor Full(Shape shape, float value);
   static Tensor Randn(Shape shape, Rng& rng, float stddev = 1.0f);
   static Tensor Uniform(Shape shape, Rng& rng, float lo, float hi);
-  // 1D ramp [0, n), useful in tests.
-  static Tensor Arange(std::int64_t n);
 
   bool defined() const { return defined_; }
   // True for arena/borrowed views (storage not owned by this tensor).

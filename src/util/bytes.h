@@ -23,7 +23,6 @@ class ByteWriter {
   void PutU64(std::uint64_t v) { PutLE(v); }
 
   void PutI32(std::int32_t v) { PutLE(static_cast<std::uint32_t>(v)); }
-  void PutI64(std::int64_t v) { PutLE(static_cast<std::uint64_t>(v)); }
 
   void PutF32(float v) {
     std::uint32_t bits;
@@ -62,11 +61,6 @@ class ByteWriter {
     PutBytes(s.data(), s.size());
   }
 
-  void PutF32Span(const float* data, std::size_t n) {
-    PutVarU64(n);
-    for (std::size_t i = 0; i < n; ++i) PutF32(data[i]);
-  }
-
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> Release() { return std::move(buf_); }
@@ -98,7 +92,6 @@ class ByteReader {
   std::uint32_t GetU32() { return GetLE<std::uint32_t>(); }
   std::uint64_t GetU64() { return GetLE<std::uint64_t>(); }
   std::int32_t GetI32() { return static_cast<std::int32_t>(GetU32()); }
-  std::int64_t GetI64() { return static_cast<std::int64_t>(GetU64()); }
 
   float GetF32() {
     const std::uint32_t bits = GetU32();
@@ -152,13 +145,6 @@ class ByteReader {
     std::string s(n, '\0');
     GetBytes(s.data(), n);
     return s;
-  }
-
-  std::vector<float> GetF32Span() {
-    const std::size_t n = GetVarU64();
-    std::vector<float> v(n);
-    for (auto& x : v) x = GetF32();
-    return v;
   }
 
   std::size_t pos() const { return pos_; }

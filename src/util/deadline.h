@@ -21,7 +21,6 @@ class Deadline {
 
   Deadline() = default;
 
-  static Deadline Infinite() { return Deadline(); }
   static Deadline After(std::chrono::nanoseconds budget) {
     Deadline d;
     d.at_ = Clock::now() + budget;

@@ -40,10 +40,6 @@ LogLevel GetLogLevel() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -13,7 +13,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 // Global threshold; messages below it are discarded. Defaults to kInfo and can
 // be overridden with the GLSC_LOG environment variable (debug|info|warn|error).
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

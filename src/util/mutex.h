@@ -26,7 +26,6 @@
 // Both are ignored (and cost nothing) when the checker is compiled out.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -111,15 +110,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
     cv_.wait(lock, std::move(pred));
     lock.release();  // the caller still holds mu
-  }
-
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout,
-               Predicate pred) REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    const bool ok = cv_.wait_for(lock, timeout, std::move(pred));
-    lock.release();
-    return ok;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "api/adapters.h"
 #include "api/session.h"
@@ -15,6 +17,7 @@
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
 #include "tensor/metrics.h"
+#include "util/status.h"
 
 namespace glsc::api {
 namespace {
@@ -433,6 +436,66 @@ TEST(Session, RejectsGeometryAndLifecycleMisuse) {
   EXPECT_THROW(session.Push(Tensor::Randn({2, 4, 16, 16}, rng)),
                std::runtime_error);
   EXPECT_THROW(session.Finish(), std::runtime_error);
+}
+
+// A chunk holding NaN or Inf is rejected with a typed kInvalidArgument
+// before the session buffers any of it, so the session goes on as if the
+// chunk had never been pushed.
+TEST(Session, RejectsNonFiniteChunksAndStaysUnchanged) {
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 24;
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 83;
+  const Tensor field = data::GenerateClimate(spec);
+
+  // glsc with random-init weights: nothing is trained, only bytes compared.
+  CodecOptions glsc_options;
+  glsc_options.window = 8;
+  glsc_options.latent_channels = 4;
+  glsc_options.hidden_channels = 6;
+  glsc_options.hyper_channels = 2;
+  glsc_options.model_channels = 8;
+  glsc_options.heads = 2;
+  glsc_options.schedule_steps = 20;
+  glsc_options.sample_steps = 2;
+  struct Case {
+    const char* codec;
+    CodecOptions options;
+    ErrorBound bound;
+  };
+  const Case cases[] = {
+      {"sz", CodecOptions{}, {ErrorBoundMode::kRelative, 0.01}},
+      {"glsc", glsc_options, {ErrorBoundMode::kNone, 0.0}},
+  };
+  for (const Case& c : cases) {
+    auto codec = Compressor::Create(c.codec, c.options);
+    SessionOptions options;
+    options.bound = c.bound;
+    const auto clean = StreamIn(codec.get(), field, 8, options).Serialize();
+
+    EncodeSession session(codec.get(), 2, 16, 16, options);
+    session.Push(TimeSlice(field, 0, 8));
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      Tensor chunk = TimeSlice(field, 8, 16);
+      chunk[(1 * 8 + 5) * 16 * 16 + 17] = bad;  // variable 1, stream frame 13
+      try {
+        session.Push(chunk);
+        ADD_FAILURE() << c.codec << " accepted " << bad;
+      } catch (const StatusError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << c.codec;
+        EXPECT_NE(std::string(e.what()).find("variable 1, frame 13"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(session.frames_pushed(), 8) << c.codec << " " << bad;
+    }
+    session.Push(TimeSlice(field, 8, 16));
+    session.Push(TimeSlice(field, 16, 24));
+    EXPECT_EQ(session.Finish().Serialize(), clean) << c.codec;
+  }
 }
 
 }  // namespace

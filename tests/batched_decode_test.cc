@@ -204,9 +204,8 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
   config.heads = 2;
   config.seed = 7;
   diffusion::SpaceTimeUNet unet(config);
-  diffusion::NoiseSchedule schedule(diffusion::ScheduleKind::kLinear, 50);
-  diffusion::SamplerConfig sampler;
-  sampler.steps = 4;
+  diffusion::NoiseSchedule schedule(50);
+  const std::int64_t steps = 4;
 
   const std::vector<std::int64_t> key_idx{0, 3, 6, 7};
   const std::int64_t frames = 8;
@@ -227,7 +226,7 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
 
     Workspace ws;
     const Tensor out = diffusion::SampleConditionalBatch(
-        &unet, schedule, sampler, keys, key_idx, frames, rngs, &ws);
+        &unet, schedule, steps, keys, key_idx, frames, rngs, &ws);
     ASSERT_EQ(out.shape(), (Shape{batch * g, c, h, w}));
 
     for (std::int64_t b = 0; b < batch; ++b) {
@@ -237,7 +236,7 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
       // Reference: the allocating sampler on this window alone.
       Rng serial_rng(100 + static_cast<std::uint64_t>(b));
       const Tensor ref = diffusion::SampleConditional(
-          &unet, schedule, sampler, window_keys, key_idx, frames, serial_rng);
+          &unet, schedule, steps, window_keys, key_idx, frames, serial_rng);
       ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * g * c * h * w,
                                static_cast<std::size_t>(g * c * h * w) *
                                    sizeof(float)))

@@ -28,10 +28,9 @@ inline Tensor ReferenceDecompress(core::GlscCompressor* glsc,
   const Tensor y_keys = glsc->vae().DecompressLatents(cw.keyframes);
   const diffusion::LatentNorm norm = diffusion::LatentNorm::FromTensor(y_keys);
   Rng rng(cw.sample_seed);
-  diffusion::SamplerConfig sampler;
-  sampler.steps = config.sample_steps;
   const Tensor gen_normed = diffusion::SampleConditional(
-      &glsc->unet(), glsc->schedule(), sampler, norm.Normalize(y_keys),
+      &glsc->unet(), glsc->schedule(), config.sample_steps,
+      norm.Normalize(y_keys),
       glsc->keyframe_indices(), config.window, rng);
   const Tensor full_latents =
       diffusion::Compose(Round(norm.Denormalize(gen_normed)), y_keys,

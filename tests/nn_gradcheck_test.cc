@@ -77,33 +77,6 @@ TEST(GradCheck, SiLU) {
   CheckLayer(layer, Tensor::Randn({3, 17}, rng), rng);
 }
 
-TEST(GradCheck, ReLU) {
-  Rng rng(9);
-  nn::ReLU layer;
-  // Keep values away from the kink at 0 for a clean finite difference.
-  Tensor x = Tensor::Randn({40}, rng);
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    if (std::fabs(x[i]) < 0.1f) x[i] = 0.5f;
-  }
-  CheckLayer(layer, x, rng);
-}
-
-TEST(GradCheck, LeakyReLU) {
-  Rng rng(10);
-  nn::LeakyReLU layer(0.2f);
-  Tensor x = Tensor::Randn({40}, rng);
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    if (std::fabs(x[i]) < 0.1f) x[i] = -0.5f;
-  }
-  CheckLayer(layer, x, rng);
-}
-
-TEST(GradCheck, Tanh) {
-  Rng rng(11);
-  nn::Tanh layer;
-  CheckLayer(layer, Tensor::Randn({5, 7}, rng), rng);
-}
-
 TEST(GradCheck, FixedScale) {
   Rng rng(23);
   nn::FixedScale layer(8.0f);

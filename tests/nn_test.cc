@@ -184,28 +184,6 @@ TEST(Adam, ConvergesOnQuadratic) {
   EXPECT_LT(last_loss, first_loss * 0.05);
 }
 
-TEST(Sgd, MomentumDescends) {
-  Rng rng(9);
-  Dense layer(3, 1, rng);
-  Dense oracle(3, 1, rng);
-  Tensor x = Tensor::Randn({16, 3}, rng);
-  Tensor target = oracle.Forward(x);
-  Sgd opt(layer.Params(), 1e-2f, 0.9f);
-  double first_loss = 0.0, last_loss = 0.0;
-  for (int iter = 0; iter < 200; ++iter) {
-    Tensor y = layer.Forward(x);
-    const double loss = MeanSquaredError(target, y);
-    if (iter == 0) first_loss = loss;
-    last_loss = loss;
-    Tensor g = Sub(y, target);
-    MulScalarInPlace(&g, 2.0f / static_cast<float>(g.numel()));
-    opt.ZeroGrad();
-    layer.Backward(g);
-    opt.Step();
-  }
-  EXPECT_LT(last_loss, first_loss * 0.5);
-}
-
 TEST(Optimizer, GradClipBoundsNorm) {
   Rng rng(10);
   Dense layer(4, 4, rng);

@@ -272,6 +272,20 @@ TEST(SimdDispatch, OverrideWinsAndRestores) {
   }
 }
 
+// The kernel files are compiled with -falign-functions=64 (CMakeLists.txt),
+// so the hot kernels' speed does not depend on where the linker puts them.
+TEST(SimdDispatch, HotKernelsStartOn64ByteBoundaries) {
+  const auto offset = [](auto* fn) {
+    return reinterpret_cast<std::uintptr_t>(fn) % 64;
+  };
+  for (const simd::IsaLevel level : TestableLevels()) {
+    const simd::KernelTable& table = simd::KernelsFor(level);
+    EXPECT_EQ(offset(table.gemm_micro), 0u) << static_cast<int>(level);
+    EXPECT_EQ(offset(table.softmax_row), 0u) << static_cast<int>(level);
+    EXPECT_EQ(offset(table.attention_head), 0u) << static_cast<int>(level);
+  }
+}
+
 // ---- entropy coder: bulk APIs and cross-level bitstream identity ----
 
 TEST(SimdCodec, SpanApisMatchPerSymbolCoding) {
