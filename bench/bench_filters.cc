@@ -151,16 +151,8 @@ int main(int argc, char** argv) {
   const std::size_t n = mb << 20;
   const std::vector<std::uint8_t> src = StructuredBuffer(n);
   std::vector<std::uint8_t> dst(n);
-  std::vector<simd::IsaLevel> levels{simd::IsaLevel::kScalar};
-  if (simd::DetectedIsa() >= simd::IsaLevel::kSSE2)
-    levels.push_back(simd::IsaLevel::kSSE2);
-  if (simd::DetectedIsa() >= simd::IsaLevel::kAVX2)
-    levels.push_back(simd::IsaLevel::kAVX2);
-  if (simd::DetectedIsa() >= simd::IsaLevel::kAVX512)
-    levels.push_back(simd::IsaLevel::kAVX512);
-
   std::vector<LevelResult> kernel_results;
-  for (const simd::IsaLevel level : levels) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     LevelResult r;
     r.level = simd::IsaName(level);

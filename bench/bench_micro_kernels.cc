@@ -63,14 +63,10 @@ void BM_GemmAtLevel(benchmark::State& state, simd::IsaLevel level) {
 void BM_GemmScalar(benchmark::State& state) {
   BM_GemmAtLevel(state, simd::IsaLevel::kScalar);
 }
-void BM_GemmSse2(benchmark::State& state) {
-  BM_GemmAtLevel(state, simd::IsaLevel::kSSE2);
-}
 void BM_GemmAvx2(benchmark::State& state) {
   BM_GemmAtLevel(state, simd::IsaLevel::kAVX2);
 }
 BENCHMARK(BM_GemmScalar)->Arg(256);
-BENCHMARK(BM_GemmSse2)->Arg(256);
 BENCHMARK(BM_GemmAvx2)->Arg(256);
 
 void BM_SiluForward(benchmark::State& state) {

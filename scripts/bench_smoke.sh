@@ -17,7 +17,7 @@
 #   BUILD_DIR   build tree containing the bench binaries (default: build)
 #   OUT         output JSON path (default: BENCH_micro.json)
 #   FILTERS_OUT filter bench JSON path (default: BENCH_filters.json)
-#   GLSC_ISA=scalar|sse2|avx2|avx512  pin the dispatch level under test
+#   GLSC_ISA=scalar|avx2|avx512  pin the dispatch level under test
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Bit-identity check of encode + decode against another commit, for the
-# GLSC and sz codecs. Builds <git-ref>'s glsc_core in a temporary git
-# worktree and this checkout's in BUILD_DIR, compiles this checkout's
-# bench/decode_dump.cc against each (it uses public API only), then diffs
-# the hashes the two binaries print at every dispatch level: native,
-# GLSC_ISA=avx2, GLSC_ISA=sse2 and GLSC_ISA=scalar. decode_dump hashes
+# GLSC and sz codecs. Builds <git-ref>'s glsc_core from a `git archive`
+# export in a temporary directory and this checkout's in BUILD_DIR, compiles
+# this checkout's bench/decode_dump.cc against each (it uses public API only),
+# then diffs the hashes the two binaries print at every dispatch level:
+# native, GLSC_ISA=avx2 and GLSC_ISA=scalar. decode_dump hashes
 # each shard of the glsc_window_reads and sz_window_reads workloads — its
 # archive file and its GetAll output at max_batch 1 and 3 — so a pass covers
 # the GLSC pipeline, the sz writer, EncodeSession and the sz decoder. Levels
@@ -36,14 +36,11 @@ if ! git rev-parse --verify --quiet "$REF^{commit}" >/dev/null; then
 fi
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/decode_identity.XXXXXX")
-cleanup() {
-  git worktree remove --force "$WORK/ref" >/dev/null 2>&1 || true
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -rf "$WORK"' EXIT
 
-echo "== $REF: glsc_core in a temporary worktree =="
-git worktree add --detach --quiet "$WORK/ref" "$REF"
+echo "== $REF: glsc_core in a temporary export =="
+mkdir "$WORK/ref"
+git archive "$REF" | tar -x -C "$WORK/ref"
 cmake -B "$WORK/ref-build" -S "$WORK/ref" -DCMAKE_BUILD_TYPE=Release \
     >/dev/null
 cmake --build "$WORK/ref-build" -j"$JOBS" --target glsc_core >/dev/null
@@ -61,11 +58,10 @@ echo "== decode_dump against both trees =="
     "$BUILD_DIR/libglsc_core.a" -lpthread -o "$WORK/dump_head"
 
 status=0
-for level in native avx2 sse2 scalar; do
+for level in native avx2 scalar; do
   case "$level" in
     native) pin=() ;;
     avx2) pin=(GLSC_ISA=avx2) ;;
-    sse2) pin=(GLSC_ISA=sse2) ;;
     scalar) pin=(GLSC_ISA=scalar) ;;
   esac
   for side in ref head; do

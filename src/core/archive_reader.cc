@@ -447,10 +447,12 @@ void ArchiveReader::CheckPlacement(const RecordRef& ref,
   GLSC_ARCHIVE_CHECK(ref.variable >= 0 && ref.variable < shape_[0] &&
                          ref.t0 >= 0 && ref.t0 < shape_[1],
                      fault, "corrupt archive: record outside dataset bounds");
-  GLSC_ARCHIVE_CHECK(ref.valid_frames > 0 && ref.valid_frames <= window_,
+  // t0 < T holds here, so T - t0 cannot overflow whatever valid_frames is.
+  GLSC_ARCHIVE_CHECK(ref.valid_frames > 0 && ref.valid_frames <= window_ &&
+                         ref.valid_frames <= shape_[1] - ref.t0,
                      fault,
                      "corrupt archive: record valid_frames "
-                         << ref.valid_frames);
+                         << ref.valid_frames << " at t0 " << ref.t0);
 }
 
 void ArchiveReader::VerifyRecordArea() const {

@@ -136,8 +136,10 @@ void DatasetArchive::Add(std::int64_t variable, std::int64_t t0,
                                  << "]");
   GLSC_CHECK_MSG(dataset_shape_.size() == 4 && variable >= 0 &&
                      variable < dataset_shape_[0] && t0 >= 0 &&
-                     t0 < dataset_shape_[1],
+                     t0 < dataset_shape_[1] &&
+                     valid_frames <= dataset_shape_[1] - t0,
                  "record (variable " << variable << ", t0 " << t0
+                                     << ", valid_frames " << valid_frames
                                      << ") outside the dataset");
   entries_.push_back({variable, t0, valid_frames, std::move(payload)});
 }

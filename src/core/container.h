@@ -101,9 +101,9 @@ class DatasetArchive {
         window_(window),
         norms_(std::move(norms)) {}
 
-  // Throws unless the record lies inside the dataset (variable < V, t0 < T)
-  // and 0 < valid_frames <= window: the writer refuses what the reader
-  // refuses.
+  // Throws unless the record lies inside the dataset (variable < V, t0 < T,
+  // t0 + valid_frames <= T) and 0 < valid_frames <= window: the writer
+  // refuses what the reader refuses.
   void Add(std::int64_t variable, std::int64_t t0, std::int64_t valid_frames,
            std::vector<std::uint8_t> payload);
 

@@ -19,10 +19,6 @@ class NoiseSchedule {
   double alpha_bar(std::int64_t t) const {
     return alpha_bars_[static_cast<std::size_t>(t)];
   }
-  // alpha_bar_{t-1} with the t==0 convention of 1.
-  double alpha_bar_prev(std::int64_t t) const {
-    return t > 0 ? alpha_bar(t - 1) : 1.0;
-  }
 
   // Uniform-stride subset of `count` timesteps (ascending, always including
   // the final step). Used both for few-step fine-tuning and DDIM sampling.

@@ -9,16 +9,6 @@
 
 namespace glsc::nn {
 
-void SoftmaxLastDim(Tensor* t) {
-  const std::int64_t d = t->shape().back();
-  const std::int64_t rows = t->numel() / d;
-  float* p = t->data();
-  const simd::KernelTable& kernels = simd::ActiveKernels();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    kernels.softmax_row(p + r * d, d);
-  }
-}
-
 MultiHeadSelfAttention::MultiHeadSelfAttention(std::int64_t dim,
                                                std::int64_t heads, Rng& rng,
                                                const std::string& name)

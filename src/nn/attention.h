@@ -35,7 +35,4 @@ class MultiHeadSelfAttention : public Layer {
   Tensor cached_attn_;                     // [B, heads, L, L] (post-softmax)
 };
 
-// Row-wise softmax over the last dimension; exposed for tests.
-void SoftmaxLastDim(Tensor* t);
-
 }  // namespace glsc::nn

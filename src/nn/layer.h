@@ -54,8 +54,10 @@ class Layer {
   // that). Block forwards allocate their result first and rewind their
   // temporaries before returning, so each leaves only its output allocated.
   // Never follow with Backward. The training forward and Backward stay
-  // single-threaded per instance (they cache and keep grow-only scratch),
-  // which is why sessions and schedulers still clone codecs per worker.
+  // single-threaded per instance (they cache and keep grow-only scratch).
+  // Every learned codec's encode runs training forwards (the VAE encoder and
+  // hyper path), and so do the CDC and VAE-SR decodes, which is why sessions
+  // and schedulers still clone codecs per worker.
   virtual Tensor Forward(const Tensor& x, tensor::Workspace* ws) = 0;
 
   // In-place inference where shapes allow (elementwise layers, norms):
@@ -82,10 +84,6 @@ class Sequential : public Layer {
     L* raw = layer.get();
     layers_.push_back(std::move(layer));
     return raw;
-  }
-
-  void Append(std::unique_ptr<Layer> layer) {
-    layers_.push_back(std::move(layer));
   }
 
   Tensor Forward(const Tensor& x) override;

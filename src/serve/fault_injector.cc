@@ -46,10 +46,8 @@ void FaultInjector::OnDecode(std::size_t record) {
       throw StatusError(ErrorCode::kUnavailable,
                         "injected transient decode failure");
     case Kind::kCorrupt:
-      corrupt_.fetch_add(1, std::memory_order_relaxed);
       throw StatusError(ErrorCode::kDataLoss, "injected corrupt payload");
     case Kind::kSlow:
-      slow_.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(slow_ms));
       return;
   }

@@ -41,15 +41,9 @@ class FaultInjector {
   // described above; returns normally when no armed fault matches.
   void OnDecode(std::size_t record);
 
-  // Total faults actually injected, by kind.
+  // Transient faults actually injected.
   std::int64_t injected_transient() const {
     return transient_.load(std::memory_order_relaxed);
-  }
-  std::int64_t injected_corrupt() const {
-    return corrupt_.load(std::memory_order_relaxed);
-  }
-  std::int64_t injected_slow() const {
-    return slow_.load(std::memory_order_relaxed);
   }
   // Every OnDecode call, injected or not — lets tests assert that a
   // quarantined shard fails fast without reaching the decoder.
@@ -68,8 +62,6 @@ class FaultInjector {
   Mutex mu_{"FaultInjector.mu"};
   std::vector<Armed> armed_ GUARDED_BY(mu_);
   std::atomic<std::int64_t> transient_{0};
-  std::atomic<std::int64_t> corrupt_{0};
-  std::atomic<std::int64_t> slow_{0};
   std::atomic<std::int64_t> calls_{0};
 };
 

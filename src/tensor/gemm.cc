@@ -189,16 +189,11 @@ void ApplyEpilogue(const simd::KernelTable& kernels, float* c, std::int64_t ldc,
                    std::int64_t row0, std::int64_t nrows, std::int64_t col0,
                    std::int64_t ncols, const float* bias,
                    GemmEpilogue epilogue) {
-  const bool per_col = epilogue == GemmEpilogue::kBiasCol ||
-                       epilogue == GemmEpilogue::kBiasColSiLU;
-  const int act = (epilogue == GemmEpilogue::kBiasRowSiLU ||
-                   epilogue == GemmEpilogue::kBiasColSiLU)
-                      ? simd::kActSiLU
-                      : simd::kActNone;
+  const bool per_col = epilogue == GemmEpilogue::kBiasCol;
   const float* col_bias = per_col ? bias + col0 : nullptr;
   for (std::int64_t r = 0; r < nrows; ++r) {
-    kernels.bias_act_row(c + (row0 + r) * ldc + col0, ncols,
-                         per_col ? 0.0f : bias[row0 + r], col_bias, act);
+    kernels.bias_row(c + (row0 + r) * ldc + col0, ncols,
+                     per_col ? 0.0f : bias[row0 + r], col_bias);
   }
 }
 

@@ -6,10 +6,10 @@
 // this GEMM does (tensor/simd/kernels.h). It is the performance backbone of
 // both training and the Table-2 speed bench.
 //
-// The inner register-tile micro-kernel is runtime-dispatched (scalar / SSE2 /
-// AVX2+FMA / AVX-512, see tensor/simd/dispatch.h); the pack/block structure
-// is shared by all levels. GemmEx additionally fuses a bias (+ optional
-// SiLU) epilogue into the final-panel write-back so callers like Conv2d and
+// The inner register-tile micro-kernel is runtime-dispatched over three
+// rungs (scalar / AVX2+FMA / AVX-512, see tensor/simd/dispatch.h); the
+// pack/block structure is shared by all levels. GemmEx additionally fuses a
+// bias epilogue into the final-panel write-back so callers like Conv2d and
 // Dense do not re-walk their output tensors.
 //
 // Packing goes through one grow-only buffer per thread (~660 KB, sized by
@@ -29,8 +29,7 @@ inline constexpr std::int64_t kGemmBlockCols = 512;
 // Fused epilogue applied to C after the product is fully accumulated.
 //  kBiasRow:  C[i][j] += bias[i]   (bias has m entries; conv channel bias)
 //  kBiasCol:  C[i][j] += bias[j]   (bias has n entries; dense feature bias)
-//  *SiLU:     additionally C[i][j] = silu(C[i][j]) after the bias add.
-enum class GemmEpilogue { kNone, kBiasRow, kBiasCol, kBiasRowSiLU, kBiasColSiLU };
+enum class GemmEpilogue { kNone, kBiasRow, kBiasCol };
 
 // C = alpha * op(A) * op(B) + beta * C, row-major.
 // op(A) is MxK, op(B) is KxN, C is MxN with leading dimensions lda/ldb/ldc.

@@ -29,12 +29,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return Binary(a, b, [](float x, float y) { return x - y; });
 }
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return Binary(a, b, [](float x, float y) { return x * y; });
-}
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return Binary(a, b, [](float x, float y) { return x / y; });
-}
 
 void Axpy(float alpha, const Tensor& x, Tensor* y) {
   GLSC_CHECK(x.shape() == y->shape());
@@ -46,10 +40,6 @@ void Axpy(float alpha, const Tensor& x, Tensor* y) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   return Map(a, [s](float x) { return x + s; });
-}
-
-Tensor MulScalar(const Tensor& a, float s) {
-  return Map(a, [s](float x) { return x * s; });
 }
 
 void MulScalarInPlace(Tensor* a, float s) {
@@ -67,12 +57,6 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
   return out;
 }
 
-Tensor Exp(const Tensor& a) {
-  return Map(a, [](float x) { return std::exp(x); });
-}
-Tensor Abs(const Tensor& a) {
-  return Map(a, [](float x) { return std::fabs(x); });
-}
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   return Map(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
 }

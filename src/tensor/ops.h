@@ -12,21 +12,16 @@ namespace glsc {
 // ---- elementwise binary (shapes must match exactly) ----
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
-Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 // In-place AXPY: y += alpha * x.
 void Axpy(float alpha, const Tensor& x, Tensor* y);
 
 // ---- elementwise scalar ----
 Tensor AddScalar(const Tensor& a, float s);
-Tensor MulScalar(const Tensor& a, float s);
 void MulScalarInPlace(Tensor* a, float s);
 
 // ---- elementwise unary ----
 Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
-Tensor Exp(const Tensor& a);
-Tensor Abs(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 Tensor Round(const Tensor& a);
 

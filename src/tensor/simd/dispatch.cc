@@ -19,9 +19,6 @@ IsaLevel DetectIsa() {
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return IsaLevel::kAVX2;
   }
-  if (__builtin_cpu_supports("sse2")) {
-    return IsaLevel::kSSE2;
-  }
 #endif
   return IsaLevel::kScalar;
 }
@@ -32,9 +29,6 @@ IsaLevel EnvCappedIsa() {
   IsaLevel level = DetectIsa();
   if (const char* isa = std::getenv("GLSC_ISA")) {
     if (std::strcmp(isa, "scalar") == 0) return IsaLevel::kScalar;
-    if (std::strcmp(isa, "sse2") == 0 && level >= IsaLevel::kSSE2) {
-      return IsaLevel::kSSE2;
-    }
     if (std::strcmp(isa, "avx2") == 0 && level >= IsaLevel::kAVX2) {
       return IsaLevel::kAVX2;
     }
@@ -63,7 +57,7 @@ KernelTable Merge(const KernelTable* specialized, const KernelTable& scalar) {
   if (t.moments == nullptr) t.moments = scalar.moments;
   if (t.norm_affine == nullptr) t.norm_affine = scalar.norm_affine;
   if (t.norm_affine_vec == nullptr) t.norm_affine_vec = scalar.norm_affine_vec;
-  if (t.bias_act_row == nullptr) t.bias_act_row = scalar.bias_act_row;
+  if (t.bias_row == nullptr) t.bias_row = scalar.bias_row;
   if (t.attention_head == nullptr) t.attention_head = scalar.attention_head;
   if (t.shuffle_bytes == nullptr) t.shuffle_bytes = scalar.shuffle_bytes;
   if (t.unshuffle_bytes == nullptr) t.unshuffle_bytes = scalar.unshuffle_bytes;
@@ -78,7 +72,6 @@ KernelTable Merge(const KernelTable* specialized, const KernelTable& scalar) {
 
 struct Registry {
   KernelTable scalar;
-  KernelTable sse2;
   KernelTable avx2;
   KernelTable avx512;
   IsaLevel detected;
@@ -92,8 +85,7 @@ const Registry& GetRegistry() {
     GLSC_CHECK(scalar != nullptr && scalar->gemm_micro != nullptr);
     r.scalar = *scalar;
     // Each level inherits the entries the next one down resolved.
-    r.sse2 = Merge(GetSse2Table(), r.scalar);
-    r.avx2 = Merge(GetAvx2Table(), r.sse2);
+    r.avx2 = Merge(GetAvx2Table(), r.scalar);
     r.avx512 = Merge(GetAvx512Table(), r.avx2);
     r.detected = DetectIsa();
     r.env_capped = EnvCappedIsa();
@@ -109,8 +101,6 @@ const KernelTable& TableAt(IsaLevel level) {
       return r.avx512;
     case IsaLevel::kAVX2:
       return r.avx2;
-    case IsaLevel::kSSE2:
-      return r.sse2;
     case IsaLevel::kScalar:
     default:
       return r.scalar;
@@ -140,6 +130,15 @@ const KernelTable* ResolveActive() {
 
 IsaLevel DetectedIsa() { return GetRegistry().detected; }
 
+std::vector<IsaLevel> RunnableLevels() {
+  std::vector<IsaLevel> levels;
+  for (const IsaLevel level :
+       {IsaLevel::kScalar, IsaLevel::kAVX2, IsaLevel::kAVX512}) {
+    if (level <= DetectedIsa()) levels.push_back(level);
+  }
+  return levels;
+}
+
 IsaLevel ActiveIsa() { return ActiveKernels().level; }
 
 const char* IsaName(IsaLevel level) {
@@ -148,8 +147,6 @@ const char* IsaName(IsaLevel level) {
       return "avx512";
     case IsaLevel::kAVX2:
       return "avx2";
-    case IsaLevel::kSSE2:
-      return "sse2";
     case IsaLevel::kScalar:
     default:
       return "scalar";

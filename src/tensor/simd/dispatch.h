@@ -1,24 +1,31 @@
 // Runtime CPU-feature dispatch for the SIMD compute backend.
 //
 // Every hot kernel (GEMM micro-kernel, activations, softmax, normalization
-// moments, GEMM epilogues, …) exists in up to four variants — portable
-// scalar, SSE2, AVX2+FMA and AVX-512 — collected in a KernelTable
+// moments, the GEMM bias epilogue, …) exists in up to three variants —
+// portable scalar, AVX2+FMA and AVX-512 — collected in a KernelTable
 // (kernels.h). The variant is chosen once, at first use, from CPUID plus one
 // environment override:
 //
-//   GLSC_ISA=scalar|sse2|avx2|avx512  cap the dispatch level explicitly
+//   GLSC_ISA=scalar|avx2|avx512  cap the dispatch level explicitly
 //
 // An override can only lower the level below what the CPU supports; asking
-// for AVX2 on a non-AVX2 host silently falls back to the best available.
+// for AVX2 on a non-AVX2 host silently falls back to the best available. Any
+// other value (including the retired "sse2") keeps the detected level.
 // Tests use ScopedIsaOverride to exercise every level in-process.
 #pragma once
 
+#include <vector>
+
 namespace glsc::simd {
 
-enum class IsaLevel { kScalar = 0, kSSE2 = 1, kAVX2 = 2, kAVX512 = 3 };
+enum class IsaLevel { kScalar = 0, kAVX2 = 1, kAVX512 = 2 };
 
 // Highest level this CPU supports (ignores environment overrides).
 IsaLevel DetectedIsa();
+
+// Every level this CPU can run, scalar first, up to DetectedIsa(): the list
+// tests and benchmarks sweep with ScopedIsaOverride.
+std::vector<IsaLevel> RunnableLevels();
 
 // Level the dispatcher resolves to: min(DetectedIsa, env caps), unless an
 // override is active, in which case the override wins.

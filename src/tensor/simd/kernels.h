@@ -25,9 +25,6 @@
 
 namespace glsc::simd {
 
-// Activation selector for the fused GEMM epilogue.
-enum : int { kActNone = 0, kActSiLU = 1 };
-
 // Length of GEMM's K panels (tensor/gemm.cc). Each element of C is summed
 // in index order within a panel, starting from zero, and each panel's sum
 // is then added to C as c = c + alpha * sum, so the panel length is part of
@@ -64,10 +61,9 @@ struct KernelTable {
                           const float* gamma, const float* beta, float* y,
                           std::int64_t n);
   // GEMM epilogue on a finished row segment of C: adds col_bias[j] when
-  // col_bias != nullptr (per-column bias), otherwise the broadcast row_bias;
-  // then applies the selected activation in place.
-  void (*bias_act_row)(float* row, std::int64_t n, float row_bias,
-                       const float* col_bias, int act);
+  // col_bias != nullptr (per-column bias), otherwise the broadcast row_bias.
+  void (*bias_row)(float* row, std::int64_t n, float row_bias,
+                   const float* col_bias);
 
   // ---- attention ----
   // One head of scaled dot-product attention; q, k, v and out are [l, hd],
@@ -76,7 +72,7 @@ struct KernelTable {
   // Each product element is formed as the level's GEMM forms it: terms in
   // index order within kGemmKC-long K panels, from zero, each panel's sum
   // added as c = c + alpha * sum onto c = 0 (fused multiply-add at AVX2 and
-  // AVX-512, multiply then add at scalar and SSE2).
+  // AVX-512, multiply then add at scalar).
   void (*attention_head)(const float* q, const float* k, const float* v,
                          std::int64_t l, std::int64_t hd, float scale,
                          float* attn, float* out);
@@ -110,16 +106,14 @@ struct KernelTable {
 // applied); one relaxed atomic load per call.
 const KernelTable& ActiveKernels();
 
-// Table for a specific level, clamped to DetectedIsa(). Levels that only
-// implement a subset of kernels (SSE2) inherit the scalar entries.
+// Table for a specific level, clamped to DetectedIsa().
 const KernelTable& KernelsFor(IsaLevel level);
 
-// Raw per-level tables, defined in kernels_{scalar,sse2,avx2,avx512}.cc.
+// Raw per-level tables, defined in kernels_{scalar,avx2,avx512}.cc.
 // The SIMD getters return nullptr when the target ISA was not compiled in;
 // unimplemented entries within a table are nullptr and are backfilled from
-// the next level down by KernelsFor() (scalar -> sse2 -> avx2 -> avx512).
+// the next level down by KernelsFor() (scalar -> avx2 -> avx512).
 const KernelTable* GetScalarTable();
-const KernelTable* GetSse2Table();
 const KernelTable* GetAvx2Table();
 const KernelTable* GetAvx512Table();
 

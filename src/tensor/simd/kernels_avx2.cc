@@ -376,8 +376,8 @@ void NormAffineVecAvx2(const float* x, float mean, float inv_std,
   for (; i < n; ++i) y[i] = gamma[i] * ((x[i] - mean) * inv_std) + beta[i];
 }
 
-void BiasActRowAvx2(float* row, std::int64_t n, float row_bias,
-                    const float* col_bias, int act) {
+void BiasRowAvx2(float* row, std::int64_t n, float row_bias,
+                 const float* col_bias) {
   std::int64_t i = 0;
   if (col_bias != nullptr) {
     for (; i + 8 <= n; i += 8) {
@@ -392,20 +392,14 @@ void BiasActRowAvx2(float* row, std::int64_t n, float row_bias,
     }
     for (; i < n; ++i) row[i] += row_bias;
   }
-  if (act == kActSiLU) {
-    for (i = 0; i + 8 <= n; i += 8) {
-      const __m256 v = _mm256_loadu_ps(row + i);
-      _mm256_storeu_ps(row + i, _mm256_mul_ps(v, Sigmoid256(v)));
-    }
-    for (; i < n; ++i) row[i] *= SigmoidScalar(row[i]);
-  }
 }
 
 // ---- container byte filters ----
-// Same movemask construction as the SSE2 unit, twice as wide: a 32-byte load
-// covers four 8-byte groups, _mm256_movemask_epi8 extracts one bit plane for
-// all four at once, and _mm256_add_epi8(x, x) is the byte-local left shift.
-// Byte-identical to the scalar reference (pure bit movement).
+// The movemask trick: _mm256_movemask_epi8 extracts the MSB of each byte, and
+// _mm256_add_epi8(x, x) shifts every byte left by one WITHOUT crossing byte
+// boundaries, so eight movemask+add rounds walk bit 7 down to bit 0. A
+// 32-byte load covers four 8-byte groups, so each mask holds one bit plane
+// for all four. Byte-identical to the scalar reference (pure bit movement).
 
 void BitTransposeAvx2(const std::uint8_t* src, std::uint8_t* dst,
                       std::int64_t n) {
@@ -436,10 +430,11 @@ void BitUntransposeAvx2(const std::uint8_t* src, std::uint8_t* dst,
                         std::int64_t n) {
   const std::int64_t stride = n / 8;
   std::int64_t j = 0;
-  // 32 groups per iteration. AVX2 unpacks operate per 128-bit lane, so the
-  // 3-stage byte-transpose tree from the SSE2 unit lands columns j..j+16 in
-  // lane 0 and columns j+16..j+32 in lane 1 of each register; the movemask
-  // core then emits four output groups per mask (two per lane).
+  // 32 groups per iteration: load 32 bytes from each of the 8 bit planes and
+  // byte-transpose them with a 3-stage unpack tree (epi8, epi16, epi32).
+  // AVX2 unpacks operate per 128-bit lane, so the tree lands columns j..j+16
+  // in lane 0 and columns j+16..j+32 in lane 1 of each register; the
+  // movemask core then emits four output groups per mask (two per lane).
   for (; j + 32 <= stride; j += 32) {
     __m256i x[8];
     for (int b = 0; b < 8; ++b) {
@@ -513,6 +508,100 @@ void DeltaEncodeAvx2(const std::uint8_t* src, std::uint8_t* dst,
   for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(src[i] - src[i - lag]);
 }
 
+// Lagged in-place prefix sum. The power-of-two lags the container format
+// emits (element sizes 1/2/4/8) vectorize with an in-register doubling scan
+// plus a carry broadcast of the previous block's final `lag` bytes; lags of
+// 16+ use non-overlapping vector adds; anything else falls back to scalar.
+// It works in 128-bit steps: the scan is shuffle-bound either way, so 256-bit
+// registers would not make it faster.
+void DeltaDecodeAvx2(std::uint8_t* buf, std::int64_t n, std::int64_t lag) {
+  if (lag >= 16) {
+    std::int64_t i = lag;
+    for (; i + 16 <= n; i += 16) {
+      const __m128i cur =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + i));
+      const __m128i prev =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + i - lag));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(buf + i),
+                       _mm_add_epi8(cur, prev));
+    }
+    for (; i < n; ++i) {
+      buf[i] = static_cast<std::uint8_t>(buf[i] + buf[i - lag]);
+    }
+    return;
+  }
+  if (n < 32 || (lag != 1 && lag != 2 && lag != 4 && lag != 8)) {
+    for (std::int64_t i = lag; i < n; ++i) {
+      buf[i] = static_cast<std::uint8_t>(buf[i] + buf[i - lag]);
+    }
+    return;
+  }
+  // Scalar warm-up to a 16-byte boundary keeps the vector loop aligned with
+  // whole blocks; `carry` then tiles the last `lag` decoded bytes across a
+  // vector for the cross-block contribution.
+  std::int64_t i = lag;
+  const std::int64_t vec_start = 16;
+  for (; i < vec_start && i < n; ++i) {
+    buf[i] = static_cast<std::uint8_t>(buf[i] + buf[i - lag]);
+  }
+  if (i >= n) return;
+  __m128i carry;
+  {
+    // Tile the final `lag` bytes of the decoded prefix.
+    if (lag == 1) {
+      carry = _mm_set1_epi8(static_cast<char>(buf[vec_start - 1]));
+    } else if (lag == 2) {
+      std::uint16_t c;
+      std::memcpy(&c, buf + vec_start - 2, sizeof c);
+      carry = _mm_set1_epi16(static_cast<short>(c));
+    } else if (lag == 4) {
+      std::uint32_t c;
+      std::memcpy(&c, buf + vec_start - 4, sizeof c);
+      carry = _mm_set1_epi32(static_cast<int>(c));
+    } else {
+      std::uint64_t c;
+      std::memcpy(&c, buf + vec_start - 8, sizeof c);
+      carry = _mm_set1_epi64x(static_cast<long long>(c));
+    }
+  }
+  for (; i + 16 <= n; i += 16) {
+    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + i));
+    // In-register lagged scan: doubling shifts accumulate every in-block
+    // predecessor, then the carry adds the cross-block prefix.
+    if (lag == 1) {
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 1));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 2));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 4));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 8));
+    } else if (lag == 2) {
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 2));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 4));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 8));
+    } else if (lag == 4) {
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 4));
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 8));
+    } else {
+      x = _mm_add_epi8(x, _mm_slli_si128(x, 8));
+    }
+    x = _mm_add_epi8(x, carry);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(buf + i), x);
+    // Next block's carry = this block's final `lag` bytes, tiled.
+    if (lag == 1) {
+      carry = _mm_set1_epi8(
+          static_cast<char>(_mm_extract_epi16(x, 7) >> 8));
+    } else if (lag == 2) {
+      carry = _mm_set1_epi16(static_cast<short>(_mm_extract_epi16(x, 7)));
+    } else if (lag == 4) {
+      carry = _mm_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 3, 3));
+    } else {
+      carry = _mm_shuffle_epi32(x, _MM_SHUFFLE(3, 2, 3, 2));
+    }
+  }
+  for (; i < n; ++i) {
+    buf[i] = static_cast<std::uint8_t>(buf[i] + buf[i - lag]);
+  }
+}
+
 const KernelTable kAvx2Table = {
     IsaLevel::kAVX2,
     kMr,
@@ -524,15 +613,14 @@ const KernelTable kAvx2Table = {
     MomentsAvx2,
     NormAffineAvx2,
     NormAffineVecAvx2,
-    BiasActRowAvx2,
+    BiasRowAvx2,
     AttentionHeadAvx2,
     nullptr,  // shuffle_bytes   (inherited from scalar)
     nullptr,  // unshuffle_bytes (inherited from scalar)
     BitTransposeAvx2,
     BitUntransposeAvx2,
     DeltaEncodeAvx2,
-    nullptr,  // delta_decode    (inherited from SSE2 — the scan is shuffle-
-              // bound in 128-bit steps either way)
+    DeltaDecodeAvx2,
 };
 
 }  // namespace

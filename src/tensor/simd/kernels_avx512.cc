@@ -142,14 +142,14 @@ const KernelTable kAvx512Table = {
     nullptr,  // moments
     nullptr,  // norm_affine
     nullptr,  // norm_affine_vec
-    nullptr,  // bias_act_row
+    nullptr,  // bias_row
     nullptr,  // attention_head  (inherited from AVX2: both use FMA)
     nullptr,  // shuffle_bytes
     nullptr,  // unshuffle_bytes
     nullptr,  // bit_transpose   (installed at runtime when avx512bw exists)
     nullptr,  // bit_untranspose (inherited from AVX2)
     nullptr,  // delta_encode    (installed at runtime when avx512bw exists)
-    nullptr,  // delta_decode    (inherited from SSE2)
+    nullptr,  // delta_decode    (inherited from AVX2)
 };
 
 }  // namespace

@@ -79,8 +79,8 @@ float GemmElementScalar(const float* a, std::int64_t a_step, const float* b,
   return c;
 }
 
-// Kept in this file so it compiles under GemmMicroScalar's flags; SSE2,
-// whose GEMM also multiplies then adds, inherits it with this softmax.
+// Kept in this file so it compiles under GemmMicroScalar's flags: both
+// multiply, then add.
 void AttentionHeadScalar(const float* q, const float* k, const float* v,
                          std::int64_t l, std::int64_t hd, float scale,
                          float* attn, float* out) {
@@ -198,15 +198,12 @@ void DeltaDecodeScalar(std::uint8_t* buf, std::int64_t n, std::int64_t lag) {
   }
 }
 
-void BiasActRowScalar(float* row, std::int64_t n, float row_bias,
-                      const float* col_bias, int act) {
+void BiasRowScalar(float* row, std::int64_t n, float row_bias,
+                   const float* col_bias) {
   if (col_bias != nullptr) {
     for (std::int64_t j = 0; j < n; ++j) row[j] += col_bias[j];
   } else {
     for (std::int64_t j = 0; j < n; ++j) row[j] += row_bias;
-  }
-  if (act == kActSiLU) {
-    for (std::int64_t j = 0; j < n; ++j) row[j] *= Sigmoid(row[j]);
   }
 }
 
@@ -221,7 +218,7 @@ const KernelTable kScalarTable = {
     MomentsScalar,
     NormAffineScalar,
     NormAffineVecScalar,
-    BiasActRowScalar,
+    BiasRowScalar,
     AttentionHeadScalar,
     ShuffleBytesScalar,
     UnshuffleBytesScalar,

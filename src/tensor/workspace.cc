@@ -121,12 +121,6 @@ Tensor Workspace::NewTensor(Shape shape) {
   return t;
 }
 
-Tensor Workspace::NewZeroed(Shape shape) {
-  Tensor t = NewTensor(std::move(shape));
-  std::fill_n(t.data(), t.numel(), 0.0f);
-  return t;
-}
-
 Workspace* Workspace::Child(std::size_t i) {
   while (children_.size() <= i) {
     children_.push_back(std::make_unique<Workspace>());

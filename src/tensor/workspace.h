@@ -105,9 +105,6 @@ class Workspace {
 
   // Borrowed uninitialized tensor over Allocate(numel).
   Tensor NewTensor(Shape shape);
-  // Borrowed zero-filled tensor (pays the memset; prefer NewTensor when every
-  // element is overwritten anyway).
-  Tensor NewZeroed(Shape shape);
 
   Checkpoint Mark() const;
   void Rewind(const Checkpoint& checkpoint);

@@ -18,11 +18,8 @@ class ByteWriter {
  public:
   void PutU8(std::uint8_t v) { buf_.push_back(v); }
 
-  void PutU16(std::uint16_t v) { PutLE(v); }
   void PutU32(std::uint32_t v) { PutLE(v); }
   void PutU64(std::uint64_t v) { PutLE(v); }
-
-  void PutI32(std::int32_t v) { PutLE(static_cast<std::uint32_t>(v)); }
 
   void PutF32(float v) {
     std::uint32_t bits;
@@ -88,10 +85,8 @@ class ByteReader {
     return data_[pos_++];
   }
 
-  std::uint16_t GetU16() { return GetLE<std::uint16_t>(); }
   std::uint32_t GetU32() { return GetLE<std::uint32_t>(); }
   std::uint64_t GetU64() { return GetLE<std::uint64_t>(); }
-  std::int32_t GetI32() { return static_cast<std::int32_t>(GetU32()); }
 
   float GetF32() {
     const std::uint32_t bits = GetU32();

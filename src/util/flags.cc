@@ -42,10 +42,4 @@ double Flags::GetDouble(const std::string& name, double fallback) const {
   return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
 }
 
-bool Flags::GetBool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
 }  // namespace glsc

@@ -17,7 +17,6 @@ class Flags {
                         const std::string& fallback) const;
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
-  bool GetBool(const std::string& name, bool fallback) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -43,7 +43,6 @@
 #include "diffusion/sampler.h"
 #include "diffusion/spacetime_unet.h"
 #include "glsc_reference.h"
-#include "isa_levels.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "tensor/gemm.h"
@@ -100,7 +99,7 @@ Tensor ExplicitLoweringForward(nn::Conv2d& conv, const Tensor& x,
 TEST(BatchedConv, ForwardMatchesExplicitLowering) {
   Rng rng(21);
   int cases = 0;
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     for (const auto& [in_c, out_c] :
          std::vector<std::pair<std::int64_t, std::int64_t>>{
@@ -314,7 +313,7 @@ TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
   // global pool: from the test thread the pieces fan out, from inside a pool
   // task they run inline. Every level, since the ISA override is
   // process-wide and helper threads must decode at the caller's level.
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     std::vector<Tensor> refs;
     for (const auto& cw : compressed) {

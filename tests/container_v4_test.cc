@@ -14,7 +14,6 @@
 #include "archive_faults.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
-#include "isa_levels.h"
 #include "legacy_archives.h"
 #include "temp_path.h"
 #include "tensor/simd/dispatch.h"
@@ -96,7 +95,7 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
   }
   // v4 actually engages the pipeline on this data.
   EXPECT_LT(scalar_bytes.size(), SerializeAsV3(archive).size());
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     const auto bytes = archive.Serialize();
     // The archive a host writes never depends on its ISA.
@@ -420,6 +419,26 @@ TEST(ContainerV4, AddRejectsRecordsTheReaderRejects) {
   DatasetArchive::AppendToFile(path, more);
   EXPECT_EQ(ArchiveReader::FromFile(path).records().size(), 1u);
   std::filesystem::remove(path);
+}
+
+TEST(ContainerV4, RecordRunningPastTheLastFrameFailsTyped) {
+  // A record's frames must end inside the dataset. One that starts at a
+  // valid t0 but runs past T used to open, and DecodeScheduler::GetAll then
+  // failed untyped after decoding every record.
+  DatasetArchive archive("sz", {1, 8, 8, 8}, 8, MakeNorms(1, 8));
+  Rng rng(26);
+  archive.Add(0, 0, 8, StructuredPayload(&rng, 600));
+  auto bytes = archive.Serialize();
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
+  // The index entry after the one-byte count: variable, then t0.
+  ASSERT_EQ(bytes[index_offset + 2], 0u);
+  bytes[index_offset + 2] = 4;  // frames 4..11 of an 8-frame dataset
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }),
+            ArchiveFault::kCorruptIndex);
+  ExpectFullReadFailsLikeOpen(bytes);
+  EXPECT_THROW(archive.Add(0, 4, 8, StructuredPayload(&rng, 600)),
+               std::runtime_error);
 }
 
 }  // namespace

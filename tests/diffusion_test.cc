@@ -31,7 +31,6 @@ TEST_P(ScheduleTest, Invariants) {
   }
   // Terminal signal level should be small (mostly noise at t = T-1).
   EXPECT_LT(schedule.alpha_bar(steps - 1), 0.05);
-  EXPECT_DOUBLE_EQ(schedule.alpha_bar_prev(0), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, ScheduleTest,

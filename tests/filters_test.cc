@@ -13,7 +13,6 @@
 
 #include "core/archive_reader.h"
 #include "core/filters.h"
-#include "isa_levels.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/simd/kernels.h"
 #include "tensor/workspace.h"
@@ -88,7 +87,7 @@ TEST(Filters, BitshuffleMatchesNaiveLayoutAtEveryLevel) {
       const std::vector<std::uint8_t> want = NaiveBitshuffle(src, elem);
       const FilterSpec spec{FilterChain::kBitshuffle, elem,
                             FilterBackend::kNone};
-      for (const simd::IsaLevel level : TestableLevels()) {
+      for (const simd::IsaLevel level : simd::RunnableLevels()) {
         simd::ScopedIsaOverride override_level(level);
         EXPECT_EQ(EncodeFiltered(src.data(), n, spec), want)
             << "n=" << n << " elem=" << elem << " level=" << (int)level;
@@ -104,7 +103,7 @@ TEST(Filters, DeltaMatchesNaiveAtEveryLevel) {
     for (const std::int64_t lag : {1, 2, 4, 8}) {
       const std::vector<std::uint8_t> want = NaiveDelta(src, lag);
       const FilterSpec spec{FilterChain::kDelta, lag, FilterBackend::kNone};
-      for (const simd::IsaLevel level : TestableLevels()) {
+      for (const simd::IsaLevel level : simd::RunnableLevels()) {
         simd::ScopedIsaOverride override_level(level);
         EXPECT_EQ(EncodeFiltered(src.data(), n, spec), want)
             << "n=" << n << " lag=" << lag << " level=" << (int)level;
@@ -134,7 +133,7 @@ TEST(Filters, EveryChainRoundTripsAtEveryLevelBitIdenticalToScalar) {
             simd::ScopedIsaOverride force(simd::IsaLevel::kScalar);
             scalar_stored = EncodeFiltered(src.data(), n, spec);
           }
-          for (const simd::IsaLevel level : TestableLevels()) {
+          for (const simd::IsaLevel level : simd::RunnableLevels()) {
             simd::ScopedIsaOverride override_level(level);
             // Encode is byte-identical to forced scalar...
             const std::vector<std::uint8_t> stored =

@@ -13,6 +13,7 @@
 #include "nn/norm.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
+#include "tensor/simd/kernels.h"
 
 namespace glsc::nn {
 namespace {
@@ -105,7 +106,9 @@ TEST(LayerNorm, NormalizesRows) {
 TEST(Softmax, RowsSumToOne) {
   Rng rng(6);
   Tensor t = Tensor::Randn({5, 9}, rng, 4.0f);
-  SoftmaxLastDim(&t);
+  for (std::int64_t r = 0; r < 5; ++r) {
+    simd::ActiveKernels().softmax_row(t.data() + r * 9, 9);
+  }
   for (std::int64_t r = 0; r < 5; ++r) {
     double sum = 0.0;
     for (std::int64_t i = 0; i < 9; ++i) {
@@ -119,7 +122,7 @@ TEST(Softmax, RowsSumToOne) {
 TEST(Softmax, NumericallyStableAtLargeLogits) {
   Tensor t({1, 3});
   t[0] = 1000.0f; t[1] = 1001.0f; t[2] = 999.0f;
-  SoftmaxLastDim(&t);
+  simd::ActiveKernels().softmax_row(t.data(), 3);
   EXPECT_TRUE(t.AllFinite());
   EXPECT_GT(t[1], t[0]);
 }

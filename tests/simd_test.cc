@@ -13,7 +13,6 @@
 
 #include "codec/gaussian_model.h"
 #include "codec/range_coder.h"
-#include "isa_levels.h"
 #include "tensor/gemm.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/simd/kernels.h"
@@ -51,7 +50,7 @@ TEST(SimdGemm, MatchesNaiveReferenceAcrossLevels) {
                               {4, 8, 4},   {13, 17, 19}, {12, 32, 5},
                               {33, 70, 65}, {64, 64, 64}};
   Rng rng(11);
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     for (const GemmShape& s : shapes) {
       for (const bool ta : {false, true}) {
@@ -90,7 +89,7 @@ TEST(SimdGemm, MatchesNaiveReferenceAcrossLevels) {
 }
 
 TEST(SimdGemm, BetaZeroOverwritesAndKZeroStillAppliesEpilogue) {
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     Rng rng(12);
     Tensor c = Tensor::Full({3, 4}, 42.0f);
@@ -108,8 +107,6 @@ TEST(SimdGemm, BetaZeroOverwritesAndKZeroStillAppliesEpilogue) {
   }
 }
 
-float SiluRef(float x) { return x / (1.0f + std::exp(-x)); }
-
 TEST(SimdGemm, FusedEpiloguesMatchUnfusedAcrossLevels) {
   const std::int64_t m = 19, n = 23, k = 31;
   Rng rng(13);
@@ -118,34 +115,24 @@ TEST(SimdGemm, FusedEpiloguesMatchUnfusedAcrossLevels) {
   Tensor row_bias = Tensor::Randn({m}, rng);
   Tensor col_bias = Tensor::Randn({n}, rng);
 
-  // Unfused reference: plain product, then bias, then activation.
+  // Unfused reference: plain product, then bias.
   Tensor base({m, n});
   NaiveGemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
             base.data(), n);
 
-  struct Case {
-    GemmEpilogue ep;
-    bool per_col;
-    bool silu;
-  };
-  const Case cases[] = {{GemmEpilogue::kBiasRow, false, false},
-                        {GemmEpilogue::kBiasCol, true, false},
-                        {GemmEpilogue::kBiasRowSiLU, false, true},
-                        {GemmEpilogue::kBiasColSiLU, true, true}};
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
-    for (const Case& cs : cases) {
+    for (const bool per_col : {false, true}) {
       Tensor c({m, n});
-      const float* bias = cs.per_col ? col_bias.data() : row_bias.data();
       GemmEx(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-             c.data(), n, bias, cs.ep);
+             c.data(), n, per_col ? col_bias.data() : row_bias.data(),
+             per_col ? GemmEpilogue::kBiasCol : GemmEpilogue::kBiasRow);
       for (std::int64_t i = 0; i < m; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
-          float want = base[i * n + j] + (cs.per_col ? col_bias[j] : row_bias[i]);
-          if (cs.silu) want = SiluRef(want);
+          const float want =
+              base[i * n + j] + (per_col ? col_bias[j] : row_bias[i]);
           ASSERT_NEAR(c[i * n + j], want, 1e-4f * (1.0f + std::fabs(want)))
-              << "level=" << simd::IsaName(level) << " per_col=" << cs.per_col
-              << " silu=" << cs.silu;
+              << "level=" << simd::IsaName(level) << " per_col=" << per_col;
         }
       }
     }
@@ -170,7 +157,7 @@ TEST(SimdElementwise, MatchesScalarKernelsAcrossLevels) {
   Tensor softmax_ref = x.Clone();
   scalar.softmax_row(softmax_ref.data(), n);
 
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     const simd::KernelTable& kernels = simd::KernelsFor(level);
 
     Tensor y({n});
@@ -218,7 +205,7 @@ TEST(SimdElementwise, MatchesScalarKernelsAcrossLevels) {
 // itself. l = 300 and hd = 260 cross the 256-long K panel of each product.
 TEST(SimdAttention, HeadKernelMatchesGemmCompositionAcrossLevels) {
   Rng rng(29);
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     const simd::KernelTable& kernels = simd::ActiveKernels();
     for (const std::int64_t l : {1, 7, 16, 64, 300}) {
@@ -278,11 +265,24 @@ TEST(SimdDispatch, HotKernelsStartOn64ByteBoundaries) {
   const auto offset = [](auto* fn) {
     return reinterpret_cast<std::uintptr_t>(fn) % 64;
   };
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     const simd::KernelTable& table = simd::KernelsFor(level);
     EXPECT_EQ(offset(table.gemm_micro), 0u) << static_cast<int>(level);
     EXPECT_EQ(offset(table.softmax_row), 0u) << static_cast<int>(level);
     EXPECT_EQ(offset(table.attention_head), 0u) << static_cast<int>(level);
+  }
+}
+
+// AVX2 and AVX-512 decode delta filters with their own vector scan. Were the
+// AVX2 entry left null, both levels would silently inherit the scalar loop,
+// several times slower; filters_test pins the bytes, this pins the speed.
+TEST(SimdDispatch, SimdLevelsHaveTheirOwnDeltaDecode) {
+  const auto scalar_delta_decode =
+      simd::KernelsFor(simd::IsaLevel::kScalar).delta_decode;
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
+    if (level == simd::IsaLevel::kScalar) continue;
+    EXPECT_NE(simd::KernelsFor(level).delta_decode, scalar_delta_decode)
+        << simd::IsaName(level);
   }
 }
 
@@ -346,7 +346,7 @@ TEST(SimdCodec, GaussianBitstreamIdenticalAcrossLevelsAndRoundTrips) {
   }
 
   std::vector<std::vector<std::uint8_t>> streams;
-  for (const simd::IsaLevel level : TestableLevels()) {
+  for (const simd::IsaLevel level : simd::RunnableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     codec::GaussianConditionalModel model;
     auto bytes = model.Encode(y, mu, sigma);

@@ -265,8 +265,6 @@ TEST(Ops, Arithmetic) {
   b[0] = 4; b[1] = 5; b[2] = 6;
   EXPECT_FLOAT_EQ(Add(a, b)[1], 7.0f);
   EXPECT_FLOAT_EQ(Sub(a, b)[2], -3.0f);
-  EXPECT_FLOAT_EQ(Mul(a, b)[0], 4.0f);
-  EXPECT_FLOAT_EQ(Div(b, a)[1], 2.5f);
   EXPECT_THROW(Add(a, Tensor({4})), std::runtime_error);
 }
 
@@ -277,11 +275,12 @@ TEST(Ops, AxpyAndScalar) {
   Axpy(2.0f, x, &y);
   EXPECT_FLOAT_EQ(y[0], 12.0f);
   EXPECT_FLOAT_EQ(y[1], 24.0f);
-  Tensor z = MulScalar(AddScalar(x, 1.0f), 3.0f);
+  Tensor z = AddScalar(x, 1.0f);
+  MulScalarInPlace(&z, 3.0f);
   EXPECT_FLOAT_EQ(z[1], 9.0f);
 }
 
-TEST(Ops, RoundClampAbs) {
+TEST(Ops, RoundAndClamp) {
   Tensor a({4});
   a[0] = -1.6f; a[1] = 0.4f; a[2] = 2.5f; a[3] = -0.5f;
   const Tensor r = Round(a);
@@ -293,7 +292,6 @@ TEST(Ops, RoundClampAbs) {
   const Tensor c = Clamp(a, -1.0f, 1.0f);
   EXPECT_FLOAT_EQ(c[0], -1.0f);
   EXPECT_FLOAT_EQ(c[2], 1.0f);
-  EXPECT_FLOAT_EQ(Abs(a)[0], 1.6f);
 }
 
 TEST(Ops, MseAndSumSquares) {

@@ -166,14 +166,12 @@ TEST(WorkspaceTest, FilteredArchiveDecodeStaysZeroAllocAtSteadyState) {
   EXPECT_GT(ws.stats().borrows, borrows);  // scratch really went through ws
 }
 
-TEST(WorkspaceTest, NewTensorAndNewZeroed) {
+TEST(WorkspaceTest, NewTensorBorrowsAndClones) {
   Workspace ws;
   Tensor t = ws.NewTensor({4, 5});
   EXPECT_TRUE(t.defined());
   EXPECT_TRUE(t.borrowed());
   t.Fill(3.0f);
-  Tensor z = ws.NewZeroed({8});
-  for (std::int64_t i = 0; i < z.numel(); ++i) EXPECT_EQ(z[i], 0.0f);
   // Clone lifts a borrowed view into owned storage.
   Tensor owned = t.Clone();
   EXPECT_FALSE(owned.borrowed());
